@@ -248,6 +248,8 @@ def is_nec(
     """
     if n < 1:
         raise CheckerUsageError(f"n must be >= 1, got {n}")
+    if threads < 1:
+        raise CheckerUsageError(f"threads must be >= 1, got {threads}")
     if engine not in _SCANNERS:
         raise CheckerUsageError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     started = time.perf_counter()

@@ -2,8 +2,11 @@
 
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a checked property fails or a design is invalid, 2 on usage or
-parse errors.  Reports are line-oriented ``key: value`` text; ``--json``
-switches a reporting command to one machine-parseable JSON document.
+parse errors.  Each reporting command builds one report dict.  ``--json``
+prints it as one JSON document; otherwise each entry becomes a ``key: value``
+line, with booleans as ``true``/``false``, ``None`` as ``-`` and vertex
+lists as ``{a,b}``.  ``check`` prints its text form with
+:func:`checker.format_report`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import builders, checker, designs, hypergraph, randomhg
+from .checker import CheckerUsageError, _format_set
 from .designs import DesignError
 from .galois import GaloisError, prime_power
 from .hypergraph import HypergraphError
@@ -23,9 +27,7 @@ PROPERTY_FAILED = 1
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """A usage or input error; reported on stderr with exit code 2."""
 
 
 def _read_hypergraph(path: str) -> hypergraph.Hypergraph:
@@ -50,6 +52,28 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _emit(doc: dict, as_json: bool) -> None:
+    """Print a report dict as one JSON document or as ``key: value`` lines."""
+    if as_json:
+        print(json.dumps(doc))
+        return
+    for key, value in doc.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif value is None:
+            value = "-"
+        elif isinstance(value, list):
+            value = _format_set(value)
+        print(f"{key}: {value}")
+
+
+def _counterexample(ce) -> dict:
+    return {
+        "counterexample_S": list(ce[0]) if ce else None,
+        "counterexample_T": list(ce[1]) if ce else None,
+    }
+
+
 def _format_frac(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -71,19 +95,26 @@ def _cmd_check(args) -> int:
         hg, args.n, engine=args.engine, threads=args.threads,
         record_witnesses=args.witnesses,
     )
+    witnesses = sorted(result.witness_log.items()) if args.witnesses else []
     if args.json:
-        doc = _result_doc(hg, result)
+        doc = {
+            "holds": result.holds,
+            "n": result.n,
+            "h": hg.h,
+            "m": hg.m,
+            "edges": hg.edge_count,
+            **_counterexample(result.counterexample),
+            "candidates_examined": result.stats.candidates_examined,
+            "elapsed_ms": result.stats.elapsed_ms,
+            "note": result.stats.note,
+        }
         if args.witnesses:
-            doc["witnesses"] = [
-                {"S": list(s), "T": list(t), "X": list(x)}
-                for (s, t), x in sorted(result.witness_log.items())
-            ]
-        print(json.dumps(doc))
+            doc["witnesses"] = [{"S": list(s), "T": list(t), "X": list(x)} for (s, t), x in witnesses]
+        _emit(doc, True)
     else:
         sys.stdout.write(checker.format_report(hg, result))
-        if args.witnesses:
-            for (s, t), x in sorted(result.witness_log.items()):
-                print(f"witness: S={_set(s)} T={_set(t)} X={_set(x)}")
+        for (s, t), x in witnesses:
+            print(f"witness: S={_format_set(s)} T={_format_set(t)} X={_format_set(x)}")
     return 0 if result.holds else PROPERTY_FAILED
 
 
@@ -91,62 +122,43 @@ def _cmd_maxec(args) -> int:
     hg = _read_hypergraph(args.input)
     best = checker.max_ec(hg, engine=args.engine, threads=args.threads)
     failing = checker.is_nec(hg, best + 1, engine=args.engine, threads=args.threads)
-    ce = failing.counterexample
-    doc = {
+    _emit({
         "max_ec": best,
         "h": hg.h,
         "m": hg.m,
         "edges": hg.edge_count,
         "failed_at_n": best + 1,
-        "counterexample_S": list(ce[0]) if ce else None,
-        "counterexample_T": list(ce[1]) if ce else None,
-    }
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print(f"max_ec: {best}")
-        print(f"h: {hg.h}")
-        print(f"m: {hg.m}")
-        print(f"edges: {hg.edge_count}")
-        print(f"failed_at_n: {best + 1}")
-        print(f"counterexample_S: {_set(ce[0]) if ce else '-'}")
-        print(f"counterexample_T: {_set(ce[1]) if ce else '-'}")
+        **_counterexample(failing.counterexample),
+    }, args.json)
     return 0
 
 
 def _cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "fano":
-        design = designs.fano()
-        _write_artifact(args.out, designs.format_design(design, ["constructed: fano"]))
-        print(f"written: {args.out} (2-(7,3,1), 7 blocks)")
-        return 0
-    q = args.q
-    if q is None:
-        raise _CliError(f"construct {kind} requires -q")
-    if prime_power(q) is None:
-        raise _CliError(f"q={q} is not a prime power")
+    kind, q = args.kind, args.q
+    if kind != "fano":
+        if q is None:
+            raise _CliError(f"construct {kind} requires -q")
+        if prime_power(q) is None:
+            raise _CliError(f"q={q} is not a prime power")
     try:
         if kind == "mols":
             mols = designs.complete_mols(q)
-            _write_artifact(args.out, designs.format_mols(mols, [f"constructed: complete mols q={q}"]))
-            print(f"written: {args.out} ({mols.count} squares of order {q})")
-        elif kind == "pg":
-            design = designs.projective_plane(q)
-            _write_artifact(args.out, designs.format_design(design, [f"constructed: pg q={q}"]))
-            print(f"written: {args.out} (2-({design.v},{design.k},1), {design.b} blocks)")
-        else:  # inversive
-            design = designs.inversive_plane(q)
-            _write_artifact(args.out, designs.format_design(design, [f"constructed: inversive q={q}"]))
-            print(f"written: {args.out} (3-({design.v},{design.k},1), {design.b} blocks)")
+            text = designs.format_mols(mols, [f"constructed: complete mols q={q}"])
+            summary = f"{mols.count} squares of order {q}"
+        else:
+            if kind == "fano":
+                design, label = designs.fano(), "fano"
+            elif kind == "pg":
+                design, label = designs.projective_plane(q), f"pg q={q}"
+            else:
+                design, label = designs.inversive_plane(q), f"inversive q={q}"
+            text = designs.format_design(design, [f"constructed: {label}"])
+            summary = f"{design.t}-({design.v},{design.k},{design.lam}), {design.b} blocks"
     except (DesignError, GaloisError) as exc:
         raise _CliError(str(exc)) from exc
+    _write_output(text, args.out)
+    print(f"written: {args.out} ({summary})")
     return 0
-
-
-def _write_artifact(out: str, text: str) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _cmd_build(args) -> int:
@@ -164,32 +176,22 @@ def _cmd_build(args) -> int:
     except (DesignError, OSError) as exc:
         raise _CliError(str(exc)) from exc
     hypergraph.write_hypergraph(args.out, built.hypergraph, [built.provenance])
-    if args.json:
-        print(json.dumps({
-            "written": args.out,
-            "raw_edges": built.raw_edges,
-            "unique_edges": built.unique_edges,
-            "guaranteed_ec": built.guaranteed_ec,
-        }))
-    else:
-        print(f"written: {args.out}")
-        print(f"raw_edges: {built.raw_edges}")
-        print(f"unique_edges: {built.unique_edges}")
-        print(f"guaranteed_ec: {built.guaranteed_ec if built.guaranteed_ec is not None else '-'}")
+    _emit({
+        "written": args.out,
+        "raw_edges": built.raw_edges,
+        "unique_edges": built.unique_edges,
+        "guaranteed_ec": built.guaranteed_ec,
+    }, args.json)
     return 0
 
 
 def _cmd_random(args) -> int:
-    if not 0.0 < args.p < 1.0:
-        raise _CliError(f"p must lie in (0,1), got {args.p}")
-    if args.trials < 1:
-        raise _CliError(f"trials must be >= 1, got {args.trials}")
     try:
         model = randomhg.RandomModel(args.h, args.m, args.p, args.seed)
         bound_log = randomhg.union_bound_log(args.n, args.h, args.m, args.p)
+        outcome = randomhg.estimate_ec_fraction(model, args.n, args.trials, threads=args.threads)
     except randomhg.RandomModelError as exc:
         raise _CliError(str(exc)) from exc
-    outcome = randomhg.estimate_ec_fraction(model, args.n, args.trials, threads=args.threads)
     doc = {
         "h": args.h,
         "m": args.m,
@@ -200,18 +202,12 @@ def _cmd_random(args) -> int:
         "union_bound": randomhg.union_bound(args.n, args.h, args.m, args.p),
         "union_bound_log": bound_log,
         "fraction": outcome.fraction,
-        "verdicts": list(outcome.verdicts),
     }
     if args.json:
-        print(json.dumps(doc))
+        doc["verdicts"] = list(outcome.verdicts)
     else:
-        for key in ("h", "m", "p", "n", "trials", "seed"):
-            print(f"{key}: {doc[key]!r}" if key == "p" else f"{key}: {doc[key]}")
-        print(f"union_bound: {doc['union_bound']!r}")
-        print(f"union_bound_log: {doc['union_bound_log']!r}")
-        print(f"fraction: {outcome.fraction!r}")
-        for i, verdict in enumerate(outcome.verdicts):
-            print(f"trial_{i}: {'true' if verdict else 'false'}")
+        doc.update((f"trial_{i}", verdict) for i, verdict in enumerate(outcome.verdicts))
+    _emit(doc, args.json)
     return 0
 
 
@@ -234,18 +230,10 @@ def _cmd_validate(args) -> int:
         doc["r_formula"] = _format_frac(params.r_formula)
         doc["replication_min"] = params.replication_min
         doc["replication_max"] = params.replication_max
-    table = {}
     for i in range(design.t + 1):
         for j in range(design.t + 1 - i):
-            table[f"lambda_{i}_{j}"] = _format_frac(designs.lambda_ij(design, i, j))
-    doc.update(table)
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        for key, value in doc.items():
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            print(f"{key}: {value}")
+            doc[f"lambda_{i}_{j}"] = _format_frac(designs.lambda_ij(design, i, j))
+    _emit(doc, args.json)
     return 0 if report.valid else PROPERTY_FAILED
 
 
@@ -278,26 +266,6 @@ def _cmd_delete_vertex(args) -> int:
     comments += [f"relabel {old} -> {new}" for old, new in sorted(relabel.items())]
     _write_output(hypergraph.format_hypergraph(result, comments), args.out)
     return 0
-
-
-def _result_doc(hg, result) -> dict:
-    ce = result.counterexample
-    return {
-        "holds": result.holds,
-        "n": result.n,
-        "h": hg.h,
-        "m": hg.m,
-        "edges": hg.edge_count,
-        "counterexample_S": list(ce[0]) if ce else None,
-        "counterexample_T": list(ce[1]) if ce else None,
-        "candidates_examined": result.stats.candidates_examined,
-        "elapsed_ms": result.stats.elapsed_ms,
-        "note": result.stats.note,
-    }
-
-
-def _set(vertices) -> str:
-    return "{" + ",".join(str(v) for v in vertices) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +351,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise _CliError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, CheckerUsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .galois import GaloisError, GfField, field_of_order, prime_power
+from .hypergraph import int_records
 
 
 class DesignError(ValueError):
@@ -159,6 +160,8 @@ class Design:
             if members[0] < 0 or members[-1] >= self.v:
                 raise DesignError(f"block {block} has a point outside [0, {self.v})")
             canonical.append(members)
+        if not set(map(type, itertools.chain.from_iterable(canonical))) <= {int}:
+            raise DesignError("block points must be of type int")
         object.__setattr__(self, "blocks", tuple(sorted(canonical)))
 
     @property
@@ -352,35 +355,20 @@ def inversive_plane(q: int) -> Design:
 
 
 # ---------------------------------------------------------------------------
-# Design text format: line 1 "t v k lambda", then one block per line as k
-# space-separated 0-based point indices; '#' comments and blank lines skipped.
+# Design text: header "t v k lambda", then one block per line as k 0-based
+# point indices.  MOLS text: header "q ell", then ell groups of q rows, each
+# row q symbols in [0,q).  Both follow the record rules of ``int_records``.
 
 
 def parse_design(lines: Iterable[str]) -> Design:
-    header: tuple[int, int, int, int] | None = None
+    _, (t, v, k, lam), records = int_records(lines, "t v k lambda", DesignFormatError)
     blocks: list[list[int]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            values = [int(f) for f in line.split()]
-        except ValueError:
-            raise DesignFormatError(line_no, f"non-integer token in {line!r}") from None
-        if header is None:
-            if len(values) != 4:
-                raise DesignFormatError(line_no, "header must be exactly 't v k lambda'")
-            header = tuple(values)  # type: ignore[assignment]
-            continue
-        t, v, k, lam = header
+    for line_no, values in records:
         if len(values) != k:
             raise DesignFormatError(line_no, f"expected {k} points, got {len(values)}")
         if len(set(values)) != k or not all(0 <= x < v for x in values):
             raise DesignFormatError(line_no, f"block {values} invalid for k={k} v={v}")
         blocks.append(values)
-    if header is None:
-        raise DesignFormatError(1, "missing 't v k lambda' header")
-    t, v, k, lam = header
     try:
         return Design(t, v, k, lam, tuple(tuple(b) for b in blocks))
     except DesignError as exc:
@@ -399,43 +387,13 @@ def format_design(design: Design, comments: Sequence[str] = ()) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_design(path_or_file: str | IO[str], design: Design, comments: Sequence[str] = ()) -> None:
-    text = format_design(design, comments)
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
-
-
-# ---------------------------------------------------------------------------
-# MOLS text format: line 1 "q ell", then ell groups of q rows, each row q
-# space-separated symbols in [0,q); '#' comments and blank lines skipped.
-
-
 def parse_mols(lines: Iterable[str]) -> MolsSet:
-    header: tuple[int, int] | None = None
+    _, (q, ell), records = int_records(lines, "q ell", DesignFormatError)
     rows: list[list[int]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            values = [int(f) for f in line.split()]
-        except ValueError:
-            raise DesignFormatError(line_no, f"non-integer token in {line!r}") from None
-        if header is None:
-            if len(values) != 2:
-                raise DesignFormatError(line_no, "header must be exactly 'q ell'")
-            header = (values[0], values[1])
-            continue
-        q, _ = header
+    for line_no, values in records:
         if len(values) != q:
             raise DesignFormatError(line_no, f"expected {q} symbols, got {len(values)}")
         rows.append(values)
-    if header is None:
-        raise DesignFormatError(1, "missing 'q ell' header")
-    q, ell = header
     if len(rows) != q * ell:
         raise DesignFormatError(1, f"expected {q * ell} rows for {ell} squares, got {len(rows)}")
     try:
@@ -460,12 +418,3 @@ def format_mols(mols: MolsSet, comments: Sequence[str] = ()) -> str:
         out.append(f"# square {i}")
         out.extend(" ".join(str(s) for s in row) for row in sq.grid)
     return "\n".join(out) + "\n"
-
-
-def write_mols(path_or_file: str | IO[str], mols: MolsSet, comments: Sequence[str] = ()) -> None:
-    text = format_mols(mols, comments)
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)

@@ -252,18 +252,3 @@ def elements(field: GfField) -> tuple[GfElement, ...]:
     """All q elements in canonical order (zero first)."""
     return tuple(GfElement(field, i) for i in range(field.order))
 
-
-def add(a: GfElement, b: GfElement) -> GfElement:
-    return a + b
-
-
-def mul(a: GfElement, b: GfElement) -> GfElement:
-    return a * b
-
-
-def neg(a: GfElement) -> GfElement:
-    return -a
-
-
-def inv(a: GfElement) -> GfElement:
-    return a.inverse()

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 
 class HypergraphError(ValueError):
@@ -43,9 +43,9 @@ class Hypergraph:
     """An h-uniform hypergraph on vertices 0..m-1 with a canonical edge tuple.
 
     Invariants: h >= 2, m >= h, every edge is a sorted h-tuple of distinct
-    in-range vertices, and ``edges`` is duplicate-free and lexicographically
-    sorted.  Construct through :func:`new_hypergraph` unless the input is
-    already canonical.
+    in-range ``int`` vertices, and ``edges`` is duplicate-free and
+    lexicographically sorted.  Construct through :func:`new_hypergraph`
+    unless the input is already canonical.
     """
 
     h: int
@@ -66,6 +66,8 @@ class Hypergraph:
             if prev is not None and e <= prev:
                 raise HypergraphError("edges are not sorted and duplicate-free")
             prev = e
+        if not set(map(type, itertools.chain.from_iterable(self.edges))) <= {int}:
+            raise HypergraphError("edge members must be of type int")
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, ...]]:
@@ -175,36 +177,58 @@ def empty_hypergraph(h: int, m: int) -> Hypergraph:
     return Hypergraph(h, m, ())
 
 
-# Text format: line 1 "h m", then one edge per line as h space-separated
-# 0-based vertex indices.  '#' starts a comment line, blank lines are skipped,
-# and the writer emits edges in lexicographic order.
+# Record text: '#' starts a comment line, blank lines are skipped, and every
+# other line is whitespace-separated integers.  The first such line is the
+# header; the rest are records whose shape each format checks itself.
+
+
+def int_records(
+    lines: Iterable[str], header: str, error
+) -> tuple[int, list[int], Iterator[tuple[int, list[int]]]]:
+    """Split record text into its header and the records after it.
+
+    ``header`` names the header fields (e.g. ``"h m"``) and fixes their
+    count; ``error(line_no, message)`` builds the exception to raise.
+    Returns the header's line number, its ints and a lazy iterator of
+    ``(line_no, ints)`` records, so nothing past the header is read until
+    the caller asks for it.
+    """
+
+    def records():
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                values = [int(f) for f in line.split()]
+            except ValueError:
+                raise error(line_no, f"non-integer token in {line!r}") from None
+            yield line_no, values
+
+    rest = records()
+    first = next(rest, None)
+    if first is None:
+        raise error(1, f"missing '{header}' header")
+    line_no, values = first
+    if len(values) != len(header.split()):
+        raise error(line_no, f"header must be exactly '{header}'")
+    return line_no, values, rest
+
+
+# Hypergraph text: header "h m", then one edge per line as h 0-based vertex
+# indices; the writer emits edges in lexicographic order.
 
 def parse_hypergraph(lines: Iterable[str]) -> Hypergraph:
-    h = m = None
+    header_no, (h, m), records = int_records(lines, "h m", HypergraphFormatError)
+    if h < 2 or m < h:
+        raise HypergraphFormatError(header_no, f"invalid header h={h} m={m}")
     edges: list[list[int]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        try:
-            values = [int(f) for f in fields]
-        except ValueError:
-            raise HypergraphFormatError(line_no, f"non-integer token in {line!r}") from None
-        if h is None:
-            if len(values) != 2:
-                raise HypergraphFormatError(line_no, "header must be exactly 'h m'")
-            h, m = values
-            if h < 2 or m < h:
-                raise HypergraphFormatError(line_no, f"invalid header h={h} m={m}")
-            continue
+    for line_no, values in records:
         if len(values) != h:
             raise HypergraphFormatError(line_no, f"expected {h} vertices, got {len(values)}")
         if len(set(values)) != h or not all(0 <= v < m for v in values):
             raise HypergraphFormatError(line_no, f"edge {values} invalid for h={h} m={m}")
         edges.append(values)
-    if h is None:
-        raise HypergraphFormatError(1, "missing 'h m' header")
     return new_hypergraph(h, m, edges)
 
 

@@ -152,6 +152,9 @@ def test_is_nec_rejects_bad_n(two_triple):
         is_nec(two_triple, 0)
     with pytest.raises(CheckerUsageError):
         is_nec(two_triple, 1, engine="wat")
+    for threads in (0, -3):
+        with pytest.raises(CheckerUsageError, match="threads"):
+            is_nec(two_triple, 1, threads=threads)
 
 
 # --- max_ec

@@ -51,6 +51,22 @@ def test_check_malformed_file(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_check_n_below_one_is_usage_error(capsys, fig5_path):
+    assert run(capsys, "check", fig5_path, "-n", "0") == (2, "", "error: n must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["check", "maxec", "random"])
+def test_threads_below_one_is_usage_error(capsys, fig5_path, command, threads):
+    argv = {
+        "check": ["check", fig5_path, "-n", "1"],
+        "maxec": ["maxec", fig5_path],
+        "random": ["random", "--h", "3", "--m", "6", "--p", "0.5", "-n", "1", "--trials", "1", "--seed", "7"],
+    }[command]
+    code, out, err = run(capsys, *argv, "--threads", threads)
+    assert (code, out, err) == (2, "", f"error: --threads must be >= 1, got {threads}\n")
+
+
 def test_check_json_document(capsys, fig5_path):
     code, out, _ = run(capsys, "check", fig5_path, "-n", "1", "--json")
     assert code == 0
@@ -243,7 +259,7 @@ def test_validate_fano_file(capsys, tmp_path):
 
 def test_validate_invalid_design_exits_1(capsys, tmp_path, fano):
     path = tmp_path / "broken.txt"
-    designs.write_design(str(path), designs.Design(2, 7, 3, 1, fano.blocks[1:]))
+    path.write_text(designs.format_design(designs.Design(2, 7, 3, 1, fano.blocks[1:])))
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 1
     assert report_dict(out)["valid"] == "false"

@@ -160,6 +160,8 @@ def test_design_structure_errors():
         Design(2, 7, 3, 1, ((0, 1, 1),))
     with pytest.raises(DesignError):
         Design(3, 7, 2, 1, ())  # t > k
+    with pytest.raises(DesignError, match="int"):
+        Design(2, 7, 3, 1, ((0.0, 1, 2),))
 
 
 # --- b, r, and block-counting formulas

@@ -85,6 +85,10 @@ def test_raw_dataclass_rejects_non_canonical():
         Hypergraph(3, 4, ((0, 2, 1),))
     with pytest.raises(HypergraphError):
         Hypergraph(3, 4, ((0, 1, 2), (0, 1, 2)))
+    with pytest.raises(HypergraphError, match="int"):
+        Hypergraph(3, 5, ((0.0, 1, 2),))
+    with pytest.raises(HypergraphError, match="int"):
+        Hypergraph(3, 5, ((0, 1, 2), (0, 1, 3.0)))
 
 
 # --- membership and degree
