@@ -33,7 +33,7 @@ from .designs import (
     projective_plane,
     validate_design,
 )
-from .galois import GaloisError, GfElement, GfField, elements, make_field
+from .galois import GaloisError, GfField, make_field
 from .hypergraph import (
     Hypergraph,
     HypergraphError,

@@ -27,10 +27,6 @@ class BuildResult:
     guaranteed_ec: Optional[int]
     provenance: str
 
-    @property
-    def had_collisions(self) -> bool:
-        return self.raw_edges != self.unique_edges
-
 
 def build_from_mols(mols: MolsSet) -> BuildResult:
     """Edges: all h-subsets of every row, column, and symbol class of the array.

@@ -86,18 +86,23 @@ def correctly_joined(
     mistaken for a false verdict.
     """
     xs = tuple(sorted(x))
-    ts = frozenset(t)
-    ss = frozenset(s)
     if len(xs) != hg.h - 1 or len(set(xs)) != len(xs):
         raise CheckerUsageError(f"X must be {hg.h - 1} distinct vertices, got {xs}")
-    for v in itertools.chain(xs, ts, ss):
-        if not 0 <= v < hg.m:
-            raise CheckerUsageError(f"vertex {v} out of range [0, {hg.m})")
+    ss, ts = _query_sets(hg, s, t, xs)
     if ss.intersection(xs):
         raise CheckerUsageError("X must be disjoint from S")
+    return _joined_raw(hg.edge_set, xs, ts, ss)
+
+
+def _query_sets(hg: Hypergraph, s, t, x=()) -> tuple[frozenset[int], frozenset[int]]:
+    """S and T as sets, once every vertex of X, T and S is in range and T is inside S."""
+    ss, ts = frozenset(s), frozenset(t)
+    for v in itertools.chain(x, ts, ss):
+        if not 0 <= v < hg.m:
+            raise CheckerUsageError(f"vertex {v} out of range [0, {hg.m})")
     if not ts <= ss:
         raise CheckerUsageError("T must be a subset of S")
-    return _joined_raw(hg.edge_set, xs, ts, ss)
+    return ss, ts
 
 
 def _joined_raw(edge_set, xs, ts, ss) -> bool:
@@ -113,15 +118,16 @@ def _joined_raw(edge_set, xs, ts, ss) -> bool:
 def find_witness(
     hg: Hypergraph, s: Iterable[int], t: Iterable[int]
 ) -> Optional[tuple[int, ...]]:
-    """Lexicographically first correctly-joined X outside S, or None."""
-    ss = tuple(sorted(set(s)))
-    ts = frozenset(t)
-    if not ts <= set(ss):
-        raise CheckerUsageError("T must be a subset of S")
-    free = [v for v in range(hg.m) if v not in set(ss)]
+    """Lexicographically first correctly-joined X outside S, or None.
+
+    Out-of-range vertices and T not inside S raise :class:`CheckerUsageError`,
+    as in :func:`correctly_joined`.
+    """
+    ss, ts = _query_sets(hg, s, t)
+    free = [v for v in range(hg.m) if v not in ss]
     edge_set = hg.edge_set
     for xs in itertools.combinations(free, hg.h - 1):
-        if _joined_raw(edge_set, xs, ts, set(ss)):
+        if _joined_raw(edge_set, xs, ts, ss):
             return xs
     return None
 

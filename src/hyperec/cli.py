@@ -47,9 +47,12 @@ def _read_design(path: str) -> designs.Design:
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {out}: {exc}") from exc
 
 
 def _emit(doc: dict, as_json: bool) -> None:
@@ -175,7 +178,10 @@ def _cmd_build(args) -> int:
             built = builders.build_from_design(design, args.h)
     except (DesignError, OSError) as exc:
         raise _CliError(str(exc)) from exc
-    hypergraph.write_hypergraph(args.out, built.hypergraph, [built.provenance])
+    try:
+        hypergraph.write_hypergraph(args.out, built.hypergraph, [built.provenance])
+    except OSError as exc:
+        raise _CliError(f"cannot write {args.out}: {exc}") from exc
     _emit({
         "written": args.out,
         "raw_edges": built.raw_edges,

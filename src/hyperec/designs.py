@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .galois import GaloisError, GfField, field_of_order, prime_power
-from .hypergraph import int_records
+from .hypergraph import int_records, int_tuples
 
 
 class DesignError(ValueError):
@@ -148,6 +148,8 @@ class Design:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not int_tuples(self.blocks):
+            raise DesignError("blocks must be a tuple of tuples of int points")
         if not 1 <= self.t <= self.k <= self.v:
             raise DesignError(f"need 1 <= t <= k <= v, got t={self.t} k={self.k} v={self.v}")
         if self.lam < 1:
@@ -160,8 +162,6 @@ class Design:
             if members[0] < 0 or members[-1] >= self.v:
                 raise DesignError(f"block {block} has a point outside [0, {self.v})")
             canonical.append(members)
-        if not set(map(type, itertools.chain.from_iterable(canonical))) <= {int}:
-            raise DesignError("block points must be of type int")
         object.__setattr__(self, "blocks", tuple(sorted(canonical)))
 
     @property
@@ -309,8 +309,9 @@ def inversive_plane(q: int) -> Design:
 
     Finite points are labeled by their canonical element index in GF(q^2) and
     the point at infinity gets index q^2.  Blocks are every image of the
-    subline {infinity} + GF(q) under the fractional-linear action of all
-    invertible 2x2 matrices over GF(q^2), deduplicated as point sets.
+    subline {infinity} + GF(q) under the fractional-linear maps
+    z -> (az+b)/(cz+d) of the invertible 2x2 matrices over GF(q^2),
+    deduplicated as point sets.
     """
     if prime_power(q) is None:
         raise GaloisError(f"{q} is not a prime power")
@@ -324,28 +325,21 @@ def inversive_plane(q: int) -> Design:
     subfield = [x for x in range(Q) if field.pow(x, q) == x]
     if len(subfield) != q:
         raise DesignError(f"subfield extraction failed for q={q}")  # defensive
-    base_block = tuple(subfield) + (INF,)
 
+    # One matrix per map: scaling the bottom row (c, d) to (0, 1) or (1, d)
+    # leaves one representative of each class of nonzero scalar multiples.
     blocks: set[frozenset[int]] = set()
     rng = range(Q)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    det = add[mul[a][d]][neg[mul[b][c]]]
-                    if det == 0:
-                        continue
-                    image = []
-                    for z in base_block:
-                        if z == INF:
-                            image.append(INF if c == 0 else mul[a][invt[c]])
-                        else:
-                            den = add[mul[c][z]][d]
-                            if den == 0:
-                                image.append(INF)
-                            else:
-                                image.append(mul[add[mul[a][z]][b]][invt[den]])
-                    blocks.add(frozenset(image))
+    for c, d in [(0, 1)] + [(1, d) for d in rng]:
+        for a in rng:
+            for b in rng:
+                if add[mul[a][d]][neg[mul[b][c]]] == 0:
+                    continue  # singular
+                image = [INF if c == 0 else a]  # the image of INF, a / c
+                for z in subfield:
+                    den = add[mul[c][z]][d]
+                    image.append(INF if den == 0 else mul[add[mul[a][z]][b]][invt[den]])
+                blocks.add(frozenset(image))
 
     expected = q * (Q + 1)
     if len(blocks) != expected:

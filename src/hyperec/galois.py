@@ -3,8 +3,7 @@
 Elements are handled as canonical indices 0..q-1: the index is the base-p
 value of the coefficient vector, constant term least significant, so index 0
 is zero, index 1 is one, and the prime-field case reduces to plain residues.
-``GfField`` methods operate on indices (the fast path used by the
-constructions); ``GfElement`` wraps an index with operator overloads.
+``GfField`` methods and its cached tables operate on these indices.
 
 The reducing modulus is the smallest monic irreducible of degree k, with
 candidates compared coefficient-wise from the constant term up, found by
@@ -128,9 +127,6 @@ class GfField:
     def neg(self, a: int) -> int:
         return self.index([-c % self.p for c in self.coeffs(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         ca, cb = self.coeffs(a), self.coeffs(b)
         prod = [0] * (2 * self.k - 1)
@@ -178,56 +174,9 @@ class GfField:
     def inv_table(self) -> list[int | None]:
         return [None] + [self.inv(a) for a in range(1, self.order)]
 
-    def element(self, index: int) -> "GfElement":
-        return GfElement(self, index)
-
     def _check(self, a: int) -> None:
         if not isinstance(a, int) or not 0 <= a < self.order:
             raise GaloisError(f"element index {a} outside [0, {self.order})")
-
-
-@dataclass(frozen=True)
-class GfElement:
-    """One field element, identified by its canonical index."""
-
-    field: GfField
-    index: int
-
-    def __post_init__(self):
-        self.field._check(self.index)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.index)
-
-    def _join(self, other: "GfElement") -> int:
-        if not isinstance(other, GfElement) or other.field != self.field:
-            raise GaloisError("operands belong to different fields")
-        return other.index
-
-    def __add__(self, other):
-        return GfElement(self.field, self.field.add(self.index, self._join(other)))
-
-    def __sub__(self, other):
-        return GfElement(self.field, self.field.sub(self.index, self._join(other)))
-
-    def __mul__(self, other):
-        return GfElement(self.field, self.field.mul(self.index, self._join(other)))
-
-    def __truediv__(self, other):
-        return GfElement(self.field, self.field.mul(self.index, self.field.inv(self._join(other))))
-
-    def __neg__(self):
-        return GfElement(self.field, self.field.neg(self.index))
-
-    def __pow__(self, e: int):
-        return GfElement(self.field, self.field.pow(self.index, e))
-
-    def inverse(self) -> "GfElement":
-        return GfElement(self.field, self.field.inv(self.index))
-
-    def __repr__(self):
-        return f"GfElement(GF({self.field.order}), {self.index})"
 
 
 def make_field(p: int, k: int) -> GfField:
@@ -246,9 +195,4 @@ def field_of_order(q: int) -> GfField:
     if pk is None:
         raise GaloisError(f"{q} is not a prime power")
     return make_field(*pk)
-
-
-def elements(field: GfField) -> tuple[GfElement, ...]:
-    """All q elements in canonical order (zero first)."""
-    return tuple(GfElement(field, i) for i in range(field.order))
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class HypergraphError(ValueError):
@@ -28,14 +28,13 @@ class HypergraphFormatError(HypergraphError):
         self.line_no = line_no
 
 
-def _canonical_edge(edge: Iterable[int], h: int, m: int) -> tuple[int, ...]:
-    members = tuple(sorted(edge))
-    if len(members) != h or len(set(members)) != h:
-        raise HypergraphError(f"edge {members} does not have exactly {h} distinct members")
-    for v in members:
-        if not isinstance(v, int) or not 0 <= v < m:
-            raise HypergraphError(f"vertex {v} out of range [0, {m})")
-    return members
+def int_tuples(rows) -> bool:
+    """True iff ``rows`` and its rows are tuples and every member is an ``int``, not a ``bool``."""
+    return (
+        type(rows) is tuple
+        and set(map(type, rows)) <= {tuple}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+    )
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,8 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not int_tuples(self.edges):
+            raise HypergraphError("edges must be a tuple of tuples of int vertices")
         if self.h < 2:
             raise HypergraphError(f"uniformity h must be >= 2, got {self.h}")
         if self.m < self.h:
@@ -66,8 +67,6 @@ class Hypergraph:
             if prev is not None and e <= prev:
                 raise HypergraphError("edges are not sorted and duplicate-free")
             prev = e
-        if not set(map(type, itertools.chain.from_iterable(self.edges))) <= {int}:
-            raise HypergraphError("edge members must be of type int")
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, ...]]:
@@ -77,12 +76,9 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.m)
-
     def has_edge(self, e: Iterable[int]) -> bool:
         """True iff the canonical form of ``e`` is an edge."""
-        return _canonical_edge(e, self.h, self.m) in self.edge_set
+        return new_hypergraph(self.h, self.m, [e]).edges[0] in self.edge_set
 
     def degree(self, v: int) -> int:
         """Number of edges containing v."""
@@ -160,12 +156,14 @@ class Hypergraph:
 
 
 def new_hypergraph(h: int, m: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-    """Canonicalize arbitrary edge input: sort members, sort edges, deduplicate."""
-    if h < 2:
-        raise HypergraphError(f"uniformity h must be >= 2, got {h}")
-    if m < h:
-        raise HypergraphError(f"vertex count m={m} below uniformity h={h}")
-    canonical = sorted({_canonical_edge(e, h, m) for e in edges})
+    """Canonicalize arbitrary edge input: sort members, sort edges, deduplicate.
+
+    :class:`Hypergraph` then checks the result.
+    """
+    try:
+        canonical = sorted({tuple(sorted(e)) for e in edges})
+    except TypeError as exc:
+        raise HypergraphError(f"edges must be iterables of int vertices: {exc}") from None
     return Hypergraph(h, m, tuple(canonical))
 
 
@@ -244,10 +242,6 @@ def format_hypergraph(hg: Hypergraph, comments: Sequence[str] = ()) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_hypergraph(path_or_file: str | IO[str], hg: Hypergraph, comments: Sequence[str] = ()) -> None:
-    text = format_hypergraph(hg, comments)
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
+def write_hypergraph(path: str, hg: Hypergraph, comments: Sequence[str] = ()) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_hypergraph(hg, comments))

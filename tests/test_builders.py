@@ -18,7 +18,6 @@ def test_order4_build_counts(mols4_build):
     assert hg.h == 3
     assert hg.m == 16
     assert mols4_build.raw_edges == mols4_build.unique_edges == 80
-    assert not mols4_build.had_collisions
     assert mols4_build.guaranteed_ec == 2
 
 

@@ -109,6 +109,21 @@ def test_find_witness_is_lex_first(two_triple):
     assert witness == scan[0] == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "s, t, message",
+    [
+        ([9], [9], "vertex 9 out of range"),
+        ([-1], [], "vertex -1 out of range"),
+        ([3], [1], "T must be a subset of S"),
+    ],
+)
+def test_find_witness_rejects_what_correctly_joined_rejects(two_triple, s, t, message):
+    with pytest.raises(CheckerUsageError, match=message):
+        find_witness(two_triple, s, t)
+    with pytest.raises(CheckerUsageError, match=message):
+        correctly_joined(two_triple, [0, 2], t, s)
+
+
 # --- is_nec verdicts
 
 

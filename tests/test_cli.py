@@ -313,6 +313,21 @@ def test_induce_too_small_is_usage_error(capsys, fig5_path, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["construct", "build", "complement"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, fig5_path, command):
+    mols_path = tmp_path / "mols4.txt"
+    run(capsys, "construct", "mols", "-q", "4", "-o", str(mols_path))
+    missing = tmp_path / "missing" / "out.txt"
+    argv = {
+        "construct": ["construct", "fano"],
+        "build": ["build", "from-mols", "-i", str(mols_path)],
+        "complement": ["complement", fig5_path],
+    }[command]
+    code, out, err = run(capsys, *argv, "-o", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {missing}: ")
+
+
 def test_written_files_recanonicalize_identically(capsys, tmp_path):
     # the writer's output, re-read and re-written, is byte-identical
     mols_path = tmp_path / "m.txt"

@@ -26,7 +26,7 @@ from hyperec.designs import (
     projective_plane,
     validate_design,
 )
-from hyperec.galois import GaloisError
+from hyperec.galois import GaloisError, field_of_order
 
 # A hand-checked complete family of order 4 (row = cell row, value = symbol).
 ORDER4_SQUARES = (
@@ -162,6 +162,8 @@ def test_design_structure_errors():
         Design(3, 7, 2, 1, ())  # t > k
     with pytest.raises(DesignError, match="int"):
         Design(2, 7, 3, 1, ((0.0, 1, 2),))
+    with pytest.raises(DesignError):
+        Design(2, 7, 3, 1, [(0, 1, 2)])
 
 
 # --- b, r, and block-counting formulas
@@ -260,6 +262,31 @@ def test_inversive_planes(q, v, k, b, request):
     assert (design.t, design.v, design.k, design.lam) == (3, v, k, 1)
     assert design.b == b == q * (q * q + 1)
     assert validate_design(design).valid
+
+
+def _inversive_plane_blocks_from_all_matrices(q):
+    # every invertible matrix, q^2 - 1 of them per map
+    field = field_of_order(q * q)
+    Q = q * q
+    mul, add, neg, inv = field.mul_table, field.add_table, field.neg_table, field.inv_table
+    subline = [x for x in range(Q) if field.pow(x, q) == x]
+
+    def image(a, b, c, d, z):
+        if z == Q:
+            return Q if c == 0 else mul[a][inv[c]]
+        den = add[mul[c][z]][d]
+        return Q if den == 0 else mul[add[mul[a][z]][b]][inv[den]]
+
+    blocks = set()
+    for a, b, c, d in itertools.product(range(Q), repeat=4):
+        if add[mul[a][d]][neg[mul[b][c]]] != 0:
+            blocks.add(tuple(sorted(image(a, b, c, d, z) for z in subline + [Q])))
+    return tuple(sorted(blocks))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_inversive_plane_matches_all_matrices(q):
+    assert inversive_plane(q).blocks == _inversive_plane_blocks_from_all_matrices(q)
 
 
 def test_inversive_plane_rejects_bad_order():

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from hyperec.galois import (
     GaloisError,
-    GfElement,
-    elements,
     field_of_order,
     is_prime,
     make_field,
@@ -117,33 +115,6 @@ def test_group_order(q):
 def test_zero_inverse_rejected():
     with pytest.raises(GaloisError):
         make_field(2, 2).inv(0)
-
-
-def test_elements_listing():
-    assert [e.index for e in elements(make_field(2, 1))] == [0, 1]
-    f4 = elements(make_field(2, 2))
-    assert len(f4) == 4
-    assert elements(make_field(3, 2))[0].index == 0
-
-
-def test_element_operators():
-    f = make_field(3, 2)
-    els = elements(f)
-    a, b = els[4], els[7]
-    assert (a + b).index == f.add(4, 7)
-    assert (a * b).index == f.mul(4, 7)
-    assert (a - b) + b == a
-    assert (-a) + a == els[0]
-    assert (a / b) * b == a
-    assert (a**8).index == f.pow(4, 8)
-    assert b.inverse() * b == els[1]
-
-
-def test_mixed_field_rejected():
-    a = GfElement(make_field(2, 2), 1)
-    b = GfElement(make_field(3, 1), 1)
-    with pytest.raises(GaloisError):
-        a + b
 
 
 def test_coeff_index_round_trip():

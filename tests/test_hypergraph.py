@@ -3,8 +3,10 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+from hyperec.designs import Design, DesignError
 
 from hyperec.hypergraph import (
     Hypergraph,
@@ -89,6 +91,48 @@ def test_raw_dataclass_rejects_non_canonical():
         Hypergraph(3, 5, ((0.0, 1, 2),))
     with pytest.raises(HypergraphError, match="int"):
         Hypergraph(3, 5, ((0, 1, 2), (0, 1, 3.0)))
+    with pytest.raises(HypergraphError):
+        Hypergraph(3, 5, [(0, 1, 2)])  # a list of edges is not hashable
+
+
+_members = st.one_of(
+    st.integers(-1, 8), st.text(max_size=1), st.floats(-1, 8), st.booleans()
+)
+_edge_inputs = st.one_of(
+    st.lists(_members, max_size=4).map(tuple),
+    st.lists(_members, max_size=4),
+    st.integers(),
+    st.none(),
+)
+
+
+def _canonical(rows, width, n):
+    return list(rows) == sorted(rows) and all(
+        type(r) is tuple
+        and len(r) == width
+        and all(type(v) is int for v in r)
+        and list(r) == sorted(set(r))
+        and 0 <= r[0] <= r[-1] < n
+        for r in rows
+    )
+
+
+@given(st.lists(_edge_inputs, max_size=4))
+@example([("a", "b", "c")])
+@example([("a", 1, 2)])
+def test_malformed_edges_meet_one_gate(edges):
+    # the factory, the raw dataclass and a design's blocks either give a
+    # valid value or refuse with their own error, never a bare TypeError
+    for build in (new_hypergraph, Hypergraph):
+        try:
+            hg = build(3, 5, tuple(edges))
+        except HypergraphError:
+            continue
+        assert _canonical(hg.edges, 3, 5) and len(set(hg.edges)) == hg.edge_count
+    try:
+        assert _canonical(Design(2, 7, 3, 1, tuple(edges)).blocks, 3, 7)
+    except DesignError:
+        pass
 
 
 # --- membership and degree
