@@ -23,6 +23,7 @@ witness query into a handful of bitwise operations on large integers;
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,8 +31,6 @@ from math import comb
 from typing import Iterable, Optional
 
 from .hypergraph import Hypergraph
-
-ENGINES = ("optimized", "naive")
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -225,10 +224,11 @@ def _scan_chunk_naive(hg: Hypergraph, n: int, start: int, stop: int, record: boo
 
 
 _SCANNERS = {"optimized": _scan_chunk_optimized, "naive": _scan_chunk_naive}
+ENGINES = tuple(_SCANNERS)
 
 
 def _chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total)) if total else 1
+    parts = min(parts, total)
     size, extra = divmod(total, parts)
     bounds = []
     lo = 0
@@ -249,8 +249,10 @@ def is_nec(
     """Decide whether the hypergraph is n-existentially closed.
 
     n larger than m-h+1 makes every witness query unsatisfiable, so the
-    verdict is False (with a note) rather than an error.  Results, including
-    the counterexample and candidate count, do not depend on ``threads``.
+    verdict is False (with a note) rather than an error.  ``threads`` > 1
+    splits the S-range into up to that many chunks, scanned by a process
+    pool of at most one worker per CPU.  Results, including the
+    counterexample and candidate count, do not depend on ``threads``.
     """
     if n < 1:
         raise CheckerUsageError(f"n must be >= 1, got {n}")
@@ -268,18 +270,16 @@ def is_nec(
         return CheckResult(False, n, None, stats, {} if record_witnesses else None)
 
     scanner = _SCANNERS[engine]
-    total = comb(hg.m, n)
-    if threads > 1 and engine == "optimized" and total > 1:
-        chunks = _chunk_bounds(total, threads)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            outcomes = list(
-                pool.map(
-                    _scan_worker,
-                    [(hg, n, lo, hi, record_witnesses) for lo, hi in chunks],
-                )
-            )
+    chunks = _chunk_bounds(comb(hg.m, n), threads)
+    lows, highs = zip(*chunks)
+    calls = (itertools.repeat(hg), itertools.repeat(n), lows, highs,
+             itertools.repeat(record_witnesses))
+    if len(chunks) == 1:
+        outcomes = list(map(scanner, *calls))
     else:
-        outcomes = [scanner(hg, n, 0, total, record_witnesses)]
+        # Under fork the pool starts all its workers at once, so cap it at the CPUs.
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+            outcomes = list(pool.map(scanner, *calls))
 
     failure = None
     examined = 0
@@ -302,11 +302,6 @@ def is_nec(
     return CheckResult(False, n, (s_tuple, t_tuple), stats, log)
 
 
-def _scan_worker(args):
-    hg, n, lo, hi, record = args
-    return _scan_chunk_optimized(hg, n, lo, hi, record)
-
-
 def max_ec(hg: Hypergraph, engine: str = "optimized", threads: int = 1) -> int:
     """Largest n for which the hypergraph is n-e.c., or 0.
 
@@ -318,29 +313,3 @@ def max_ec(hg: Hypergraph, engine: str = "optimized", threads: int = 1) -> int:
         n += 1
     return n
 
-
-def format_report(hg: Hypergraph, result: CheckResult) -> str:
-    """Line-oriented key:value report for a check outcome."""
-    if result.counterexample is None:
-        s_text = t_text = "-"
-    else:
-        s_text = _format_set(result.counterexample[0])
-        t_text = _format_set(result.counterexample[1])
-    lines = [
-        f"holds: {'true' if result.holds else 'false'}",
-        f"n: {result.n}",
-        f"h: {hg.h}",
-        f"m: {hg.m}",
-        f"edges: {hg.edge_count}",
-        f"counterexample_S: {s_text}",
-        f"counterexample_T: {t_text}",
-        f"candidates_examined: {result.stats.candidates_examined}",
-        f"elapsed_ms: {result.stats.elapsed_ms:.1f}",
-    ]
-    if result.stats.note:
-        lines.append(f"note: {result.stats.note}")
-    return "\n".join(lines) + "\n"
-
-
-def _format_set(vertices: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(v) for v in vertices) + "}"

@@ -5,8 +5,9 @@ Exit codes: 0 when the command succeeds and any checked property holds,
 parse errors.  Each reporting command builds one report dict.  ``--json``
 prints it as one JSON document; otherwise each entry becomes a ``key: value``
 line, with booleans as ``true``/``false``, ``None`` as ``-`` and vertex
-lists as ``{a,b}``.  ``check`` prints its text form with
-:func:`checker.format_report`.
+lists as ``{a,b}``.  Every library error (bad input, an unreadable or
+unwritable file, a violated precondition) reaches :func:`main`, which prints
+it once as ``error: <message>`` on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import builders, checker, designs, hypergraph, randomhg
-from .checker import CheckerUsageError, _format_set
+from .checker import CheckerUsageError
 from .designs import DesignError
 from .galois import GaloisError, prime_power
 from .hypergraph import HypergraphError
@@ -30,18 +31,11 @@ class _CliError(Exception):
     """A usage or input error; reported on stderr with exit code 2."""
 
 
-def _read_hypergraph(path: str) -> hypergraph.Hypergraph:
+def _read(reader, kind: str, path: str):
     try:
-        return hypergraph.read_hypergraph(path)
-    except (OSError, HypergraphError) as exc:
-        raise _CliError(f"cannot read hypergraph {path}: {exc}") from exc
-
-
-def _read_design(path: str) -> designs.Design:
-    try:
-        return designs.read_design(path)
-    except (OSError, DesignError) as exc:
-        raise _CliError(f"cannot read design {path}: {exc}") from exc
+        return reader(path)
+    except (OSError, HypergraphError, DesignError) as exc:
+        raise _CliError(f"cannot read {kind} {path}: {exc}") from exc
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -70,6 +64,10 @@ def _emit(doc: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
+def _format_set(vertices) -> str:
+    return "{" + ",".join(str(v) for v in vertices) + "}"
+
+
 def _counterexample(ce) -> dict:
     return {
         "counterexample_S": list(ce[0]) if ce else None,
@@ -93,36 +91,36 @@ def _parse_vertices(text: str) -> list[int]:
 
 
 def _cmd_check(args) -> int:
-    hg = _read_hypergraph(args.input)
+    hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
     result = checker.is_nec(
         hg, args.n, engine=args.engine, threads=args.threads,
         record_witnesses=args.witnesses,
     )
+    stats = result.stats
+    doc = {
+        "holds": result.holds,
+        "n": result.n,
+        "h": hg.h,
+        "m": hg.m,
+        "edges": hg.edge_count,
+        **_counterexample(result.counterexample),
+        "candidates_examined": stats.candidates_examined,
+        "elapsed_ms": stats.elapsed_ms if args.json else f"{stats.elapsed_ms:.1f}",
+    }
+    if args.json or stats.note:
+        doc["note"] = stats.note
     witnesses = sorted(result.witness_log.items()) if args.witnesses else []
-    if args.json:
-        doc = {
-            "holds": result.holds,
-            "n": result.n,
-            "h": hg.h,
-            "m": hg.m,
-            "edges": hg.edge_count,
-            **_counterexample(result.counterexample),
-            "candidates_examined": result.stats.candidates_examined,
-            "elapsed_ms": result.stats.elapsed_ms,
-            "note": result.stats.note,
-        }
-        if args.witnesses:
-            doc["witnesses"] = [{"S": list(s), "T": list(t), "X": list(x)} for (s, t), x in witnesses]
-        _emit(doc, True)
-    else:
-        sys.stdout.write(checker.format_report(hg, result))
+    if args.json and args.witnesses:
+        doc["witnesses"] = [{"S": list(s), "T": list(t), "X": list(x)} for (s, t), x in witnesses]
+    _emit(doc, args.json)
+    if not args.json:
         for (s, t), x in witnesses:
             print(f"witness: S={_format_set(s)} T={_format_set(t)} X={_format_set(x)}")
     return 0 if result.holds else PROPERTY_FAILED
 
 
 def _cmd_maxec(args) -> int:
-    hg = _read_hypergraph(args.input)
+    hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
     best = checker.max_ec(hg, engine=args.engine, threads=args.threads)
     failing = checker.is_nec(hg, best + 1, engine=args.engine, threads=args.threads)
     _emit({
@@ -143,41 +141,35 @@ def _cmd_construct(args) -> int:
             raise _CliError(f"construct {kind} requires -q")
         if prime_power(q) is None:
             raise _CliError(f"q={q} is not a prime power")
-    try:
-        if kind == "mols":
-            mols = designs.complete_mols(q)
-            text = designs.format_mols(mols, [f"constructed: complete mols q={q}"])
-            summary = f"{mols.count} squares of order {q}"
+    if kind == "mols":
+        mols = designs.complete_mols(q)
+        text = designs.format_mols(mols, [f"constructed: complete mols q={q}"])
+        summary = f"{mols.count} squares of order {q}"
+    else:
+        if kind == "fano":
+            design, label = designs.fano(), "fano"
+        elif kind == "pg":
+            design, label = designs.projective_plane(q), f"pg q={q}"
         else:
-            if kind == "fano":
-                design, label = designs.fano(), "fano"
-            elif kind == "pg":
-                design, label = designs.projective_plane(q), f"pg q={q}"
-            else:
-                design, label = designs.inversive_plane(q), f"inversive q={q}"
-            text = designs.format_design(design, [f"constructed: {label}"])
-            summary = f"{design.t}-({design.v},{design.k},{design.lam}), {design.b} blocks"
-    except (DesignError, GaloisError) as exc:
-        raise _CliError(str(exc)) from exc
+            design, label = designs.inversive_plane(q), f"inversive q={q}"
+        text = designs.format_design(design, [f"constructed: {label}"])
+        summary = f"{design.t}-({design.v},{design.k},{design.lam}), {design.b} blocks"
     _write_output(text, args.out)
     print(f"written: {args.out} ({summary})")
     return 0
 
 
 def _cmd_build(args) -> int:
-    try:
-        if args.kind == "from-mols":
-            mols = designs.read_mols(args.input)
-            if args.h is not None and args.h != mols.order - 1:
-                raise _CliError(f"from-mols fixes h = order-1 = {mols.order - 1}, got --h {args.h}")
-            built = builders.build_from_mols(mols)
-        else:
-            if args.h is None:
-                raise _CliError("build from-design requires --h")
-            design = _read_design(args.input)
-            built = builders.build_from_design(design, args.h)
-    except (DesignError, OSError) as exc:
-        raise _CliError(str(exc)) from exc
+    if args.kind == "from-mols":
+        mols = designs.read_mols(args.input)
+        if args.h is not None and args.h != mols.order - 1:
+            raise _CliError(f"from-mols fixes h = order-1 = {mols.order - 1}, got --h {args.h}")
+        built = builders.build_from_mols(mols)
+    else:
+        if args.h is None:
+            raise _CliError("build from-design requires --h")
+        design = _read(designs.read_design, "design", args.input)
+        built = builders.build_from_design(design, args.h)
     try:
         hypergraph.write_hypergraph(args.out, built.hypergraph, [built.provenance])
     except OSError as exc:
@@ -192,12 +184,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    try:
-        model = randomhg.RandomModel(args.h, args.m, args.p, args.seed)
-        bound_log = randomhg.union_bound_log(args.n, args.h, args.m, args.p)
-        outcome = randomhg.estimate_ec_fraction(model, args.n, args.trials, threads=args.threads)
-    except randomhg.RandomModelError as exc:
-        raise _CliError(str(exc)) from exc
+    model = randomhg.RandomModel(args.h, args.m, args.p, args.seed)
+    bound_log = randomhg.union_bound_log(args.n, args.h, args.m, args.p)
+    outcome = randomhg.estimate_ec_fraction(model, args.n, args.trials, threads=args.threads)
     doc = {
         "h": args.h,
         "m": args.m,
@@ -218,7 +207,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    design = _read_design(args.input)
+    design = _read(designs.read_design, "design", args.input)
     report = designs.validate_design(design)
     doc: dict = {
         "valid": report.valid,
@@ -244,30 +233,24 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_complement(args) -> int:
-    hg = _read_hypergraph(args.input)
+    hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
     result = hg.complement()
     _write_output(hypergraph.format_hypergraph(result, ["complement"]), args.out)
     return 0
 
 
 def _cmd_induce(args) -> int:
-    hg = _read_hypergraph(args.input)
+    hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
     vertices = _parse_vertices(args.vertices)
-    try:
-        result, relabel = hg.induced(vertices)
-    except HypergraphError as exc:
-        raise _CliError(str(exc)) from exc
+    result, relabel = hg.induced(vertices)
     comments = ["induced"] + [f"relabel {old} -> {new}" for old, new in sorted(relabel.items())]
     _write_output(hypergraph.format_hypergraph(result, comments), args.out)
     return 0
 
 
 def _cmd_delete_vertex(args) -> int:
-    hg = _read_hypergraph(args.input)
-    try:
-        result, relabel = hg.delete_vertex(args.vertex)
-    except HypergraphError as exc:
-        raise _CliError(str(exc)) from exc
+    hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
+    result, relabel = hg.delete_vertex(args.vertex)
     comments = [f"deleted vertex {args.vertex}"]
     comments += [f"relabel {old} -> {new}" for old, new in sorted(relabel.items())]
     _write_output(hypergraph.format_hypergraph(result, comments), args.out)
@@ -360,7 +343,8 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise _CliError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
-    except (_CliError, CheckerUsageError) as exc:
+    except (_CliError, CheckerUsageError, DesignError, GaloisError, HypergraphError,
+            randomhg.RandomModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -47,6 +47,8 @@ class LatinSquare:
     grid: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not (int_tuples(self.grid) and type(self.order) is int and len(self.grid) == self.order):
+            raise DesignError(f"grid must be a tuple of {self.order!r} tuples of int symbols")
         if not is_latin(self.grid):
             raise DesignError("grid is not a Latin square")
 
@@ -93,6 +95,10 @@ class MolsSet:
     squares: tuple[LatinSquare, ...]
 
     def __post_init__(self):
+        if type(self.order) is not int or type(self.squares) is not tuple:
+            raise DesignError("order must be an int and squares a tuple")
+        if not all(isinstance(sq, LatinSquare) for sq in self.squares):
+            raise DesignError("every square must be a LatinSquare")
         if len(self.squares) > self.order - 1:
             raise DesignError(f"more than {self.order - 1} MOLS of order {self.order}")
         for sq in self.squares:
@@ -150,6 +156,8 @@ class Design:
     def __post_init__(self):
         if not int_tuples(self.blocks):
             raise DesignError("blocks must be a tuple of tuples of int points")
+        if not int_tuples(((self.t, self.v, self.k, self.lam),)):
+            raise DesignError("t, v, k and lambda must be int")
         if not 1 <= self.t <= self.k <= self.v:
             raise DesignError(f"need 1 <= t <= k <= v, got t={self.t} k={self.k} v={self.v}")
         if self.lam < 1:

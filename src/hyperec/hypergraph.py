@@ -54,6 +54,8 @@ class Hypergraph:
     def __post_init__(self):
         if not int_tuples(self.edges):
             raise HypergraphError("edges must be a tuple of tuples of int vertices")
+        if not int_tuples(((self.h, self.m),)):
+            raise HypergraphError(f"h and m must be int, got h={self.h!r} m={self.m!r}")
         if self.h < 2:
             raise HypergraphError(f"uniformity h must be >= 2, got {self.h}")
         if self.m < self.h:

@@ -1,13 +1,14 @@
 import itertools
+import os
 import random
 
 import pytest
 
+from hyperec import checker
 from hyperec.checker import (
     CheckerUsageError,
     correctly_joined,
     find_witness,
-    format_report,
     is_nec,
     max_ec,
     min_edges_bound,
@@ -229,20 +230,50 @@ def test_engines_agree_on_witness_logs():
         assert fast.witness_log == slow.witness_log
 
 
-def test_parallel_matches_serial(mols4_build):
+@pytest.mark.parametrize("engine", ["optimized", "naive"])
+def test_parallel_matches_serial(mols4_build, engine):
     hg = mols4_build.hypergraph
-    serial = is_nec(hg, 2, threads=1)
-    parallel = is_nec(hg, 2, threads=4)
+    serial = is_nec(hg, 2, engine=engine, threads=1)
+    parallel = is_nec(hg, 2, engine=engine, threads=4)
     assert serial.holds == parallel.holds
     assert serial.counterexample == parallel.counterexample
     assert serial.stats.candidates_examined == parallel.stats.candidates_examined
 
 
-def test_parallel_matches_serial_on_failure(two_triple):
-    serial = is_nec(two_triple, 2, threads=1)
-    parallel = is_nec(two_triple, 2, threads=3)
+@pytest.mark.parametrize("engine", ["optimized", "naive"])
+def test_parallel_matches_serial_on_failure(two_triple, engine):
+    serial = is_nec(two_triple, 2, engine=engine, threads=1)
+    parallel = is_nec(two_triple, 2, engine=engine, threads=3)
     assert (serial.holds, serial.counterexample) == (parallel.holds, parallel.counterexample)
     assert serial.stats.candidates_examined == parallel.stats.candidates_examined
+
+
+def test_pool_size_capped_at_cpu_count(mols4_build, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs map in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    hg = mols4_build.hypergraph
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = is_nec(hg, 2, threads=1)
+    many = is_nec(hg, 2, threads=10_000)  # C(16, 2) = 120 chunks
+    assert sizes == [3]
+    assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
+    assert many.stats.candidates_examined == serial.stats.candidates_examined
 
 
 def test_sampled_model_instances_agree_across_engines():
@@ -280,21 +311,3 @@ def test_bound_consistency_on_certified_instances(k3k3, mols4_build):
         assert is_nec(hg, n).holds
         assert hg.edge_count >= min_edges_bound(n)
         assert hg.m >= min_vertices_bound(n, hg.h)
-
-
-# --- report format
-
-
-def test_format_report_keys(two_triple):
-    result = is_nec(two_triple, 2)
-    report = format_report(two_triple, result)
-    lines = dict(line.split(": ", 1) for line in report.strip().splitlines())
-    assert lines["holds"] == "false"
-    assert lines["n"] == "2"
-    assert lines["h"] == "3"
-    assert lines["m"] == "4"
-    assert lines["edges"] == "2"
-    assert lines["counterexample_S"] == "{0,1}"
-    assert lines["counterexample_T"] == "{}"
-    assert int(lines["candidates_examined"]) >= 1
-    assert float(lines["elapsed_ms"]) >= 0

@@ -146,6 +146,13 @@ def test_construct_rejects_non_prime_power(capsys, tmp_path):
     assert "prime power" in err
 
 
+def test_construct_field_over_cap_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "x"
+    code, out, err = run(capsys, "construct", "mols", "-q", "131072", "-o", str(out_path))
+    assert (code, out, err) == (2, "", "error: field order 2^17 exceeds cap 65536\n")
+    assert not out_path.exists()
+
+
 def test_construct_requires_q(capsys, tmp_path):
     code, _, err = run(capsys, "construct", "pg", "-o", str(tmp_path / "x"))
     assert code == 2

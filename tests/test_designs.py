@@ -65,6 +65,32 @@ def test_latin_square_type_validates():
         LatinSquare(3, ((0, 1, 2), (1, 2, 0), (0, 1, 2)))
 
 
+@pytest.mark.parametrize(
+    "order, grid",
+    [
+        (4, ((0, 1, 2), (1, 2, 0), (2, 0, 1))),  # a Latin square, but of order 3
+        (3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+        (2, ((0.0, 1), (1, 0))),
+        (2, (("a", "b"), ("b", "a"))),
+        (2, ((True, False), (False, True))),
+        (2.0, ((0, 1), (1, 0))),
+    ],
+)
+def test_latin_square_rejects_malformed_grid(order, grid):
+    with pytest.raises(DesignError):
+        LatinSquare(order, grid)
+
+
+def test_mols_set_rejects_malformed_members():
+    square = LatinSquare(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    with pytest.raises(DesignError):
+        MolsSet(3, (1, 2))
+    with pytest.raises(DesignError):
+        MolsSet(3, [square])
+    with pytest.raises(DesignError):
+        MolsSet("3", ())
+
+
 def test_orthogonality_of_known_family():
     squares = [LatinSquare(4, g) for g in ORDER4_SQUARES]
     for a, b in itertools.combinations(squares, 2):
@@ -164,6 +190,12 @@ def test_design_structure_errors():
         Design(2, 7, 3, 1, ((0.0, 1, 2),))
     with pytest.raises(DesignError):
         Design(2, 7, 3, 1, [(0, 1, 2)])
+    with pytest.raises(DesignError, match="int"):
+        Design("2", 7, 3, 1, ())
+    with pytest.raises(DesignError, match="int"):
+        Design(2, 7, 3, 1.5, ())
+    with pytest.raises(DesignError, match="int"):
+        Design(True, 7, 3, 1, ())
 
 
 # --- b, r, and block-counting formulas

@@ -93,6 +93,10 @@ def test_raw_dataclass_rejects_non_canonical():
         Hypergraph(3, 5, ((0, 1, 2), (0, 1, 3.0)))
     with pytest.raises(HypergraphError):
         Hypergraph(3, 5, [(0, 1, 2)])  # a list of edges is not hashable
+    with pytest.raises(HypergraphError, match="int"):
+        Hypergraph("3", 5, ())
+    with pytest.raises(HypergraphError, match="int"):
+        Hypergraph(3, 5.0, ())
 
 
 _members = st.one_of(
