@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Optional
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, listable
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -146,8 +146,8 @@ class _BitmapContext:
 
     def __init__(self, hg: Hypergraph):
         m, h = hg.m, hg.h
+        ncand = listable(m, h - 1, CheckerUsageError)
         self.cands = tuple(itertools.combinations(range(m), h - 1))
-        ncand = len(self.cands)
         index = {c: i for i, c in enumerate(self.cands)}
         nbytes = (ncand + 7) // 8 or 1
         join_bits = [bytearray(nbytes) for _ in range(m)]
@@ -165,18 +165,22 @@ class _BitmapContext:
         self.full = (1 << ncand) - 1
 
 
+def _subset(s_tuple: tuple[int, ...], tmask: int) -> tuple[int, ...]:
+    """The members of S whose bits are set in ``tmask``."""
+    return tuple(v for i, v in enumerate(s_tuple) if (tmask >> i) & 1)
+
+
 def _scan_chunk_optimized(hg: Hypergraph, n: int, start: int, stop: int, record: bool):
     """Scan S-indices [start, stop); stop early at the first failure.
 
-    Returns (failure, examined, log) where failure is
-    (s_index, S, tmask) or None, and examined counts candidates tested up to
-    the stop point.
+    Returns (failure, examined, log) where failure is the first failing
+    (S, T) or None, and examined counts candidates tested up to the stop
+    point.
     """
     ctx = _BitmapContext(hg)
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
-    subsets = itertools.islice(itertools.combinations(range(hg.m), n), start, stop)
-    for offset, s_tuple in enumerate(subsets):
+    for s_tuple in itertools.islice(itertools.combinations(range(hg.m), n), start, stop):
         allowed = ctx.full
         for v in s_tuple:
             allowed &= ~ctx.touches[v]
@@ -191,11 +195,10 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, start: int, stop: int, record:
                 low = w & -w
                 examined += (allowed & (low - 1)).bit_count() + 1
                 if record:
-                    t_tuple = tuple(s_tuple[i] for i in range(n) if (tmask >> i) & 1)
-                    log[(s_tuple, t_tuple)] = ctx.cands[low.bit_length() - 1]
+                    log[(s_tuple, _subset(s_tuple, tmask))] = ctx.cands[low.bit_length() - 1]
             else:
                 examined += allowed.bit_count()
-                return (start + offset, s_tuple, tmask), examined, log
+                return (s_tuple, _subset(s_tuple, tmask)), examined, log
     return None, examined, log
 
 
@@ -204,8 +207,7 @@ def _scan_chunk_naive(hg: Hypergraph, n: int, start: int, stop: int, record: boo
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
     edge_set = hg.edge_set
-    subsets = itertools.islice(itertools.combinations(range(hg.m), n), start, stop)
-    for offset, s_tuple in enumerate(subsets):
+    for s_tuple in itertools.islice(itertools.combinations(range(hg.m), n), start, stop):
         s_set = set(s_tuple)
         free = [v for v in range(hg.m) if v not in s_set]
         for tmask in range(1 << n):
@@ -216,10 +218,11 @@ def _scan_chunk_naive(hg: Hypergraph, n: int, start: int, stop: int, record: boo
                 if _joined_raw(edge_set, xs, ts, s_set):
                     witness = xs
                     break
+            t_tuple = tuple(sorted(ts))
             if witness is None:
-                return (start + offset, s_tuple, tmask), examined, log
+                return (s_tuple, t_tuple), examined, log
             if record:
-                log[(s_tuple, tuple(sorted(ts)))] = witness
+                log[(s_tuple, t_tuple)] = witness
     return None, examined, log
 
 
@@ -228,15 +231,9 @@ ENGINES = tuple(_SCANNERS)
 
 
 def _chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
+    """[0, total) as min(parts, total) consecutive ranges of near-equal size."""
     parts = min(parts, total)
-    size, extra = divmod(total, parts)
-    bounds = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + size + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
 
 
 def is_nec(
@@ -281,25 +278,16 @@ def is_nec(
         with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(scanner, *calls))
 
-    failure = None
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record_witnesses else None
-    for chunk_failure, chunk_examined, chunk_log in outcomes:
-        if failure is not None:
-            break  # later chunks cannot precede an already-found failure
+    for failure, chunk_examined, chunk_log in outcomes:
         examined += chunk_examined
-        if record_witnesses and chunk_log:
+        if chunk_log:
             log.update(chunk_log)
-        if chunk_failure is not None:
-            failure = chunk_failure
-
+        if failure is not None:
+            break  # later chunks cannot precede this failure
     elapsed = (time.perf_counter() - started) * 1000.0
-    if failure is None:
-        return CheckResult(True, n, None, CheckStats(examined, elapsed, note), log)
-    _, s_tuple, tmask = failure
-    t_tuple = tuple(s_tuple[i] for i in range(n) if (tmask >> i) & 1)
-    stats = CheckStats(examined, elapsed, note)
-    return CheckResult(False, n, (s_tuple, t_tuple), stats, log)
+    return CheckResult(failure is None, n, failure, CheckStats(examined, elapsed, note), log)
 
 
 def max_ec(hg: Hypergraph, engine: str = "optimized", threads: int = 1) -> int:

@@ -161,7 +161,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_build(args) -> int:
     if args.kind == "from-mols":
-        mols = designs.read_mols(args.input)
+        mols = _read(designs.read_mols, "mols", args.input)
         if args.h is not None and args.h != mols.order - 1:
             raise _CliError(f"from-mols fixes h = order-1 = {mols.order - 1}, got --h {args.h}")
         built = builders.build_from_mols(mols)

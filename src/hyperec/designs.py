@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .galois import GaloisError, GfField, field_of_order, prime_power
-from .hypergraph import int_records, int_tuples
+from .hypergraph import int_records, int_tuples, record_text
 
 
 class DesignError(ValueError):
@@ -56,8 +56,8 @@ class LatinSquare:
 def is_latin(grid: Sequence[Sequence[int]]) -> bool:
     """True iff every row and every column holds each symbol exactly once.
 
-    Raises for structurally broken input (non-square grid, symbol out of
-    range); returns False only for genuine Latin violations.
+    Raises for structurally broken input (non-square grid, a symbol that is
+    not an int in range); returns False only for genuine Latin violations.
     """
     q = len(grid)
     if q == 0:
@@ -67,8 +67,8 @@ def is_latin(grid: Sequence[Sequence[int]]) -> bool:
         if len(row) != q:
             raise DesignError("grid is not square")
         for s in row:
-            if not 0 <= s < q:
-                raise DesignError(f"symbol {s} outside [0, {q})")
+            if type(s) is not int or not 0 <= s < q:
+                raise DesignError(f"symbol {s!r} is not an int in [0, {q})")
     for row in grid:
         if set(row) != full:
             return False
@@ -182,7 +182,6 @@ class DesignReport:
     valid: bool
     min_coverage: int
     max_coverage: int
-    subsets_off: int
 
 
 def validate_design(design: Design) -> DesignReport:
@@ -191,18 +190,14 @@ def validate_design(design: Design) -> DesignReport:
     Valid iff all counts equal lambda.  min/max coverage let a failing
     report show how far off the candidate is.
     """
-    coverage = Counter()
-    for block in design.blocks:
-        for sub in itertools.combinations(block, design.t):
-            coverage[sub] += 1
-    total = comb(design.v, design.t)
+    coverage = Counter(
+        sub for block in design.blocks for sub in itertools.combinations(block, design.t)
+    )
     counts = list(coverage.values())
-    if len(coverage) < total:
+    if len(coverage) < comb(design.v, design.t):
         counts.append(0)
     lo, hi = min(counts), max(counts)
-    off = sum(1 for c in coverage.values() if c != design.lam)
-    off += total - len(coverage)
-    return DesignReport(lo == hi == design.lam, lo, hi, off)
+    return DesignReport(lo == hi == design.lam, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -228,11 +223,8 @@ def design_params(design: Design) -> DesignParams:
     v, k, lam = design.v, design.k, design.lam
     b_formula = Fraction(lam * v * (v - 1), k * (k - 1))
     r_formula = Fraction(lam * (v - 1), k - 1)
-    replication = Counter()
-    for block in design.blocks:
-        for point in block:
-            replication[point] += 1
-    reps = [replication.get(p, 0) for p in range(v)]
+    replication = Counter(itertools.chain.from_iterable(design.blocks))
+    reps = [replication[p] for p in range(v)]
     return DesignParams(b_formula, r_formula, design.b, min(reps), max(reps))
 
 
@@ -383,10 +375,7 @@ def read_design(path: str) -> Design:
 
 
 def format_design(design: Design, comments: Sequence[str] = ()) -> str:
-    out = [f"# {c}" for c in comments]
-    out.append(f"{design.t} {design.v} {design.k} {design.lam}")
-    out.extend(" ".join(str(p) for p in block) for block in design.blocks)
-    return "\n".join(out) + "\n"
+    return record_text(comments, [(design.t, design.v, design.k, design.lam), *design.blocks])
 
 
 def parse_mols(lines: Iterable[str]) -> MolsSet:
@@ -414,9 +403,5 @@ def read_mols(path: str) -> MolsSet:
 
 
 def format_mols(mols: MolsSet, comments: Sequence[str] = ()) -> str:
-    out = [f"# {c}" for c in comments]
-    out.append(f"{mols.order} {mols.count}")
-    for i, sq in enumerate(mols.squares):
-        out.append(f"# square {i}")
-        out.extend(" ".join(str(s) for s in row) for row in sq.grid)
-    return "\n".join(out) + "\n"
+    squares = (record_text([f"square {i}"], sq.grid) for i, sq in enumerate(mols.squares))
+    return record_text(comments, [(mols.order, mols.count)]) + "".join(squares)

@@ -15,6 +15,10 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+# The most sets one dense enumeration may list (the checker's index of all
+# (h-1)-sets, the complement's list of all h-sets); mols7's index holds 1.9 M.
+MAX_SETS = 2**22
+
 
 class HypergraphError(ValueError):
     """Invalid hypergraph construction or operation argument."""
@@ -26,6 +30,14 @@ class HypergraphFormatError(HypergraphError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def listable(m: int, k: int, error) -> int:
+    """C(m, k), the number of k-sets of m vertices; ``error`` above :data:`MAX_SETS`."""
+    total = comb(m, k)
+    if total > MAX_SETS:
+        raise error(f"listing all C({m}, {k}) = {total} {k}-sets is above the limit of {MAX_SETS}")
+    return total
 
 
 def int_tuples(rows) -> bool:
@@ -82,20 +94,23 @@ class Hypergraph:
         """True iff the canonical form of ``e`` is an edge."""
         return new_hypergraph(self.h, self.m, [e]).edges[0] in self.edge_set
 
+    def _codegrees(self, v: int) -> list[int]:
+        """Entry u counts the edges holding both u and v; entry v is v's degree."""
+        self._check_vertex(v)
+        counts = [0] * self.m
+        for e in self.edges:
+            if v in e:
+                for u in e:
+                    counts[u] += 1
+        return counts
+
     def degree(self, v: int) -> int:
         """Number of edges containing v."""
-        self._check_vertex(v)
-        return sum(1 for e in self.edges if v in e)
+        return self._codegrees(v)[v]
 
     def neighbourhood(self, v: int) -> frozenset[int]:
         """Vertices occurring together with v in at least one edge."""
-        self._check_vertex(v)
-        out: set[int] = set()
-        for e in self.edges:
-            if v in e:
-                out.update(e)
-        out.discard(v)
-        return frozenset(out)
+        return frozenset(u for u, c in enumerate(self._codegrees(v)) if c and u != v)
 
     def anti_neighbourhood(self, v: int) -> frozenset[int]:
         """Vertices occurring together with v in at least one non-edge.
@@ -104,17 +119,12 @@ class Hypergraph:
         pair co-degrees: u joins v in some non-edge iff fewer than
         C(m-2, h-2) edges contain both, so the complement is never built.
         """
-        self._check_vertex(v)
-        codegree = dict.fromkeys(range(self.m), 0)
-        for e in self.edges:
-            if v in e:
-                for u in e:
-                    codegree[u] += 1
         limit = comb(self.m - 2, self.h - 2)
-        return frozenset(u for u in range(self.m) if u != v and codegree[u] < limit)
+        return frozenset(u for u, c in enumerate(self._codegrees(v)) if c < limit and u != v)
 
     def complement(self) -> "Hypergraph":
         """Hypergraph whose edges are exactly the h-sets that are not edges here."""
+        listable(self.m, self.h, HypergraphError)
         missing = tuple(
             e for e in itertools.combinations(range(self.m), self.h) if e not in self.edge_set
         )
@@ -128,11 +138,7 @@ class Hypergraph:
         self._check_vertex(v)
         if self.m == self.h:
             raise HypergraphError(f"cannot delete a vertex at m == h == {self.h}")
-        relabel = {u: (u if u < v else u - 1) for u in range(self.m) if u != v}
-        kept = tuple(
-            tuple(relabel[u] for u in e) for e in self.edges if v not in e
-        )
-        return Hypergraph(self.h, self.m - 1, kept), relabel
+        return self.induced(u for u in range(self.m) if u != v)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", dict[int, int]]:
         """Restrict to the given vertex set, keeping edges fully inside it.
@@ -237,11 +243,15 @@ def read_hypergraph(path: str) -> Hypergraph:
         return parse_hypergraph(fh)
 
 
+def record_text(comments: Iterable[str], rows: Iterable[Iterable[int]]) -> str:
+    """One ``# c`` line per comment, then one line of space-separated ints per row."""
+    lines = [f"# {c}" for c in comments]
+    lines.extend(" ".join(map(str, row)) for row in rows)
+    return "".join(f"{line}\n" for line in lines)
+
+
 def format_hypergraph(hg: Hypergraph, comments: Sequence[str] = ()) -> str:
-    out = [f"# {c}" for c in comments]
-    out.append(f"{hg.h} {hg.m}")
-    out.extend(" ".join(str(v) for v in e) for e in hg.edges)
-    return "\n".join(out) + "\n"
+    return record_text(comments, [(hg.h, hg.m), *hg.edges])
 
 
 def write_hypergraph(path: str, hg: Hypergraph, comments: Sequence[str] = ()) -> None:

@@ -81,3 +81,9 @@ def mols4_build():
 @pytest.fixture(scope="session")
 def mols5_build():
     return builders.build_from_mols(designs.complete_mols(5))
+
+
+@pytest.fixture(scope="session")
+def mols8_build():
+    """h = 7, m = 64: every dense enumeration of it is over ``MAX_SETS``."""
+    return builders.build_from_mols(designs.complete_mols(8))

@@ -1,8 +1,11 @@
 import itertools
 import os
 import random
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperec import checker
 from hyperec.checker import (
@@ -14,7 +17,7 @@ from hyperec.checker import (
     min_edges_bound,
     min_vertices_bound,
 )
-from hyperec.hypergraph import complete_hypergraph, empty_hypergraph, new_hypergraph
+from hyperec.hypergraph import MAX_SETS, complete_hypergraph, empty_hypergraph, new_hypergraph
 from hyperec.randomhg import RandomModel, sample
 
 
@@ -274,6 +277,24 @@ def test_pool_size_capped_at_cpu_count(mols4_build, monkeypatch):
     assert sizes == [3]
     assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
     assert many.stats.candidates_examined == serial.stats.candidates_examined
+
+
+@given(st.integers(1, 10**6), st.integers(1, 64))
+def test_chunk_bounds_tile_the_range_in_order(total, parts):
+    bounds = checker._chunk_bounds(total, parts)
+    assert len(bounds) == min(total, parts)
+    assert bounds[0][0] == 0 and bounds[-1][1] == total
+    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+    sizes = [hi - lo for lo, hi in bounds]
+    assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_index_over_size_limit_is_refused(mols8_build, threads):
+    hg = mols8_build.hypergraph
+    assert comb(hg.m, hg.h - 1) > MAX_SETS  # C(64, 6) = 75 M candidates
+    with pytest.raises(CheckerUsageError, match="limit"):
+        is_nec(hg, 1, threads=threads)
 
 
 def test_sampled_model_instances_agree_across_engines():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hyperec import designs, read_hypergraph
+from hyperec import designs, read_hypergraph, write_hypergraph
 from hyperec.cli import main
 
 
@@ -298,6 +298,25 @@ def test_complement_round_trip(capsys, fig5_path, tmp_path, two_triple):
     code, _, _ = run(capsys, "complement", fig5_path, "-o", str(out_path))
     assert code == 0
     assert read_hypergraph(str(out_path)) == two_triple.complement()
+
+
+@pytest.fixture(scope="module")
+def hl8_path(tmp_path_factory, mols8_build):
+    path = str(tmp_path_factory.mktemp("hl8") / "hl8.txt")
+    write_hypergraph(path, mols8_build.hypergraph)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "-n", "1", "--threads", "1"],
+    ["check", "-n", "1", "--threads", "2"],
+    ["maxec", "--threads", "2"],
+    ["complement"],
+])
+def test_over_size_limit_is_usage_error(capsys, hl8_path, argv):
+    code, out, err = run(capsys, argv[0], hl8_path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "above the limit of 4194304" in err
 
 
 def test_delete_vertex_cli(capsys, fig5_path, tmp_path):

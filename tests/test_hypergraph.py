@@ -12,6 +12,7 @@ from hyperec.hypergraph import (
     Hypergraph,
     HypergraphError,
     HypergraphFormatError,
+    MAX_SETS,
     complete_hypergraph,
     empty_hypergraph,
     format_hypergraph,
@@ -187,6 +188,13 @@ def test_complement_involution_and_partition(hg):
     comp = hg.complement()
     assert comp.complement() == hg
     assert hg.edge_count + comp.edge_count == comb(hg.m, hg.h)
+
+
+def test_complement_over_size_limit_is_refused(mols8_build):
+    hg = mols8_build.hypergraph
+    assert comb(hg.m, hg.h) > MAX_SETS
+    with pytest.raises(HypergraphError, match="limit"):
+        hg.complement()
 
 
 # --- vertex deletion
