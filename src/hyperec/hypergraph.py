@@ -15,8 +15,9 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-# The most sets one dense enumeration may list (the checker's index of all
-# (h-1)-sets, the complement's list of all h-sets); mols7's index holds 1.9 M.
+# The most sets one enumeration may list: the checker's index of the
+# (h-1)-shadow (mols7 1176, mols8 2016; 64 times this bounds its m x |U|
+# bitmap tables) and the complement's list of all C(m, h) h-sets.
 MAX_SETS = 2**22
 
 
@@ -30,14 +31,6 @@ class HypergraphFormatError(HypergraphError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-def listable(m: int, k: int, error) -> int:
-    """C(m, k), the number of k-sets of m vertices; ``error`` above :data:`MAX_SETS`."""
-    total = comb(m, k)
-    if total > MAX_SETS:
-        raise error(f"listing all C({m}, {k}) = {total} {k}-sets is above the limit of {MAX_SETS}")
-    return total
 
 
 def int_tuples(rows) -> bool:
@@ -124,7 +117,10 @@ class Hypergraph:
 
     def complement(self) -> "Hypergraph":
         """Hypergraph whose edges are exactly the h-sets that are not edges here."""
-        listable(self.m, self.h, HypergraphError)
+        total = comb(self.m, self.h)
+        if total > MAX_SETS:
+            raise HypergraphError(f"listing all C({self.m}, {self.h}) = {total} "
+                                  f"{self.h}-sets is above the limit of {MAX_SETS}")
         missing = tuple(
             e for e in itertools.combinations(range(self.m), self.h) if e not in self.edge_set
         )

@@ -85,5 +85,5 @@ def mols5_build():
 
 @pytest.fixture(scope="session")
 def mols8_build():
-    """h = 7, m = 64: every dense enumeration of it is over ``MAX_SETS``."""
+    """h = 7, m = 64: its 2016-set shadow is within ``MAX_SETS``, its complement is not."""
     return builders.build_from_mols(designs.complete_mols(8))

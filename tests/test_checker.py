@@ -1,13 +1,13 @@
 import itertools
 import os
+import pickle
 import random
-from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyperec import checker
+from hyperec import checker, hypergraph
 from hyperec.checker import (
     CheckerUsageError,
     correctly_joined,
@@ -17,7 +17,7 @@ from hyperec.checker import (
     min_edges_bound,
     min_vertices_bound,
 )
-from hyperec.hypergraph import MAX_SETS, complete_hypergraph, empty_hypergraph, new_hypergraph
+from hyperec.hypergraph import complete_hypergraph, empty_hypergraph, new_hypergraph
 from hyperec.randomhg import RandomModel, sample
 
 
@@ -224,13 +224,65 @@ def test_engines_agree_on_random_instances():
             assert fast.stats.candidates_examined == slow.stats.candidates_examined
 
 
-def test_engines_agree_on_witness_logs():
+def test_engines_agree_on_witness_logs(two_triple, k3k3, mols4_build):
     rng = random.Random(7)
-    for _ in range(10):
-        hg = random_instance(rng, 6, 3)
-        fast = is_nec(hg, 1, engine="optimized", record_witnesses=True)
-        slow = is_nec(hg, 1, engine="naive", record_witnesses=True)
-        assert fast.witness_log == slow.witness_log
+    instances = [random_instance(rng, 6, 3) for _ in range(10)]
+    for hg in instances + [two_triple, k3k3, mols4_build.hypergraph]:
+        for n in (1, 2, 3):
+            fast = is_nec(hg, n, engine="optimized", record_witnesses=True)
+            slow = is_nec(hg, n, engine="naive", record_witnesses=True)
+            assert fast.witness_log == slow.witness_log
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs map in-process.
+
+    Each argument goes through pickle, as it would on its way to a worker.
+    """
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return (fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables))
+
+
+@pytest.fixture
+def monkeypatch_pool(monkeypatch):
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", InProcessPool)
+
+
+@st.composite
+def sparse_hypergraphs(draw):
+    """h = 2..5, m <= 9 and at most 6 edges, so the (h-1)-shadow is mostly incomplete."""
+    h = draw(st.integers(2, 5))
+    m = draw(st.integers(h, 9))
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(range(m), h))), max_size=6))
+    return new_hypergraph(h, m, edges)
+
+
+# The pool stand-in only records sizes, so it can serve every example.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sparse_hypergraphs())
+def test_engines_agree_on_sparse_shadows(monkeypatch_pool, hg):
+    for n in (1, 2, 3):
+        slow = is_nec(hg, n, engine="naive", record_witnesses=True)
+        for threads in (1, 2):
+            fast = is_nec(hg, n, threads=threads, record_witnesses=True)
+            assert fast.holds == slow.holds
+            assert fast.counterexample == slow.counterexample
+            assert fast.stats.candidates_examined == slow.stats.candidates_examined
+            assert fast.witness_log == slow.witness_log
 
 
 @pytest.mark.parametrize("engine", ["optimized", "naive"])
@@ -251,30 +303,12 @@ def test_parallel_matches_serial_on_failure(two_triple, engine):
     assert serial.stats.candidates_examined == parallel.stats.candidates_examined
 
 
-def test_pool_size_capped_at_cpu_count(mols4_build, monkeypatch):
-    sizes = []
-
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records its size, runs map in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
+def test_pool_size_capped_at_cpu_count(mols4_build, monkeypatch_pool, monkeypatch):
     hg = mols4_build.hypergraph
-    monkeypatch.setattr(checker, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = is_nec(hg, 2, threads=1)
     many = is_nec(hg, 2, threads=10_000)  # C(16, 2) = 120 chunks
-    assert sizes == [3]
+    assert InProcessPool.sizes == [3]
     assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
     assert many.stats.candidates_examined == serial.stats.candidates_examined
 
@@ -289,12 +323,53 @@ def test_chunk_bounds_tile_the_range_in_order(total, parts):
     assert max(sizes) - min(sizes) <= 1
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_index_over_size_limit_is_refused(mols8_build, threads):
-    hg = mols8_build.hypergraph
-    assert comb(hg.m, hg.h - 1) > MAX_SETS  # C(64, 6) = 75 M candidates
+def test_index_is_built_once_per_value(mols4_build, monkeypatch_pool, monkeypatch):
+    builds = []
+    build = checker._ShadowIndex.__init__
+
+    def counted(index, hg):
+        builds.append(hg)
+        build(index, hg)
+
+    monkeypatch.setattr(checker._ShadowIndex, "__init__", counted)
+    built = mols4_build.hypergraph
+    hg = new_hypergraph(built.h, built.m, built.edges)  # a value with no index yet
+    assert max_ec(hg, threads=2) == 2
+    assert not is_nec(hg, 3, threads=4).holds
+    # Unpickling skips __init__: the chunks got the parent's index, not a rebuild.
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5000])
+def test_index_over_size_limit_is_refused(two_triple, monkeypatch, threads):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started before the size check")
+
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 4)  # the shadow has 5 pairs
+    hg = new_hypergraph(3, 4, two_triple.edges)  # a value with no index yet
     with pytest.raises(CheckerUsageError, match="limit"):
         is_nec(hg, 1, threads=threads)
+
+
+@pytest.mark.parametrize("m, refused", [(85, False), (86, True)])
+def test_index_tables_over_size_limit_are_refused(monkeypatch, m, refused):
+    """The index keeps m bitmaps over the shadow, so m * |U| is bounded too."""
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 4)  # budget 64 * 4 = 256 set-vertex pairs
+    hg = new_hypergraph(3, m, [(0, 1, 2)])  # a 3-pair shadow: 255 pairs at m = 85
+    if refused:
+        with pytest.raises(CheckerUsageError, match="set-vertex pairs"):
+            is_nec(hg, 1)
+    else:
+        assert not is_nec(hg, 1).holds
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mols8_is_2ec_within_the_limit(mols8_build, threads):
+    hg = mols8_build.hypergraph
+    assert max_ec(hg, threads=threads) == 2
+    failing = is_nec(hg, 3, threads=threads)
+    assert failing.counterexample == ((0, 1, 2), (0, 1))
 
 
 def test_sampled_model_instances_agree_across_engines():

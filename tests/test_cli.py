@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -307,16 +308,34 @@ def hl8_path(tmp_path_factory, mols8_build):
     return path
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "-n", "1", "--threads", "1"],
-    ["check", "-n", "1", "--threads", "2"],
-    ["maxec", "--threads", "2"],
-    ["complement"],
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["check", "-n", "2"], "holds: true", id="check"),
+    pytest.param(["maxec"], "max_ec: 2", id="maxec"),
 ])
-def test_over_size_limit_is_usage_error(capsys, hl8_path, argv):
-    code, out, err = run(capsys, argv[0], hl8_path, *argv[1:])
+def test_mols8_reports_match_across_threads(capsys, hl8_path, argv, line):
+    """mols8's (h-1)-shadow has 2016 sets, well within ``MAX_SETS``."""
+    reports = []
+    for threads in ("1", "2"):
+        code, out, err = run(capsys, argv[0], hl8_path, *argv[1:], "--threads", threads)
+        assert (code, err) == (0, "")
+        reports.append(re.sub(r"elapsed_ms: [0-9.]+\n", "", out))
+    assert line in reports[0].splitlines()
+    assert reports[0] == reports[1]
+
+
+def test_over_size_limit_is_usage_error(capsys, hl8_path):
+    code, out, err = run(capsys, "complement", hl8_path)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "above the limit of 4194304" in err
+
+
+def test_sparse_input_with_many_vertices_is_usage_error(capsys, tmp_path):
+    """2000 disjoint triples on 100000 vertices: a 6000-set shadow, but 6e8 set-vertex pairs."""
+    path = tmp_path / "sparse.txt"
+    path.write_text("3 100000\n" + "".join(f"{3 * i} {3 * i + 1} {3 * i + 2}\n" for i in range(2000)))
+    code, out, err = run(capsys, "check", str(path), "-n", "1", "--threads", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "above the limit of" in err
 
 
 def test_delete_vertex_cli(capsys, fig5_path, tmp_path):
