@@ -5,7 +5,7 @@ A hypergraph is n-e.c. when every n-set S and every T inside S admit an
 vertex of S minus T.  The checker decides this by exhaustive search and
 reports either success or the least counterexample.
 
-Determinism contract (independent of engine and worker count):
+Determinism contract (independent of engine and thread count):
 
 * S ranges over n-subsets of the vertices in lexicographic order.
 * T ranges over subsets of S in bitmask order, bit i standing for the i-th
@@ -234,41 +234,45 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, start: int, stop: int, record:
     to three times faster by popcount.
     """
     index = _shadow_index(hg)
-    sets, complete = index.sets, index.complete
+    sets, complete, joins, touches = index.sets, index.complete, index.joins, index.touches
     k = hg.h - 1
     nfree = hg.m - n
     total = comb(nfree, k)  # free (h-1)-sets of every S
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
+    prefix = None
     for s_tuple in itertools.islice(itertools.combinations(range(hg.m), n), start, stop):
-        allowed = index.full
-        for v in s_tuple:
-            allowed &= ~index.touches[v]
-        # Per vertex of S, the allowed sets that form no edge with it and
-        # those that do; the product picks one of each in T's bitmask order.
-        choices = itertools.product(
-            *[(allowed & ~index.joins[v], allowed & index.joins[v]) for v in reversed(s_tuple)]
-        )
+        if s_tuple[:-1] != prefix:
+            # S-sets in lex order share S minus its last vertex for runs of up
+            # to m-n+1, so split the sets that prefix allows once per run:
+            # split[tmask] holds those joined to the prefix vertices whose bits
+            # are set and to no other.  A chunk may start mid-run.
+            prefix, base = s_tuple[:-1], index.full
+            for v in prefix:
+                base &= ~touches[v]
+            split = [base]
+            for v in prefix:
+                split = [part & ~joins[v] for part in split] + [part & joins[v] for part in split]
+        last = s_tuple[-1]
+        allowed = base & ~touches[last]
+        # parts[tmask]: the allowed sets joined to T and to no other vertex of
+        # S.  A set joined to a vertex never contains it, so the lower half
+        # keeps the prefix's sets that neither touch nor join the last vertex.
+        joined, neither = joins[last], ~(touches[last] | joins[last])
+        parts = [part & neither for part in split] + [part & joined for part in split]
         first = 0
         if not complete:
             # T is empty, where X need not lie in the shadow.
-            unjoined = allowed
-            for factor in next(choices):
-                unjoined &= factor
             free = [v for v in range(hg.m) if v not in s_tuple]
-            hit = _first_unjoined(sets, free, k, allowed, unjoined)
+            hit = _first_unjoined(sets, free, k, allowed, parts[0])
             if hit is None:
                 return (s_tuple, ()), examined + total, log
             examined += hit[0]
             if record:
                 log[(s_tuple, ())] = hit[1]
             first = 1
-        for tmask, factors in enumerate(choices, first):
-            w = allowed
-            for factor in factors:
-                w &= factor
-                if not w:
-                    break
+        for tmask in range(first, len(parts)):
+            w = parts[tmask]
             if not w:
                 return (s_tuple, _subset(s_tuple, tmask)), examined + total, log
             low = w & -w
@@ -318,6 +322,23 @@ def _chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
     return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
 
 
+def _merge(outcomes, record: bool):
+    """(failure, examined, log) of consecutive chunks' outcomes, read up to the first failure.
+
+    A failure in one chunk precedes any in the chunks after it, so those are
+    never read.
+    """
+    examined = 0
+    log: dict[Pair, tuple[int, ...]] | None = {} if record else None
+    for failure, chunk_examined, chunk_log in outcomes:
+        examined += chunk_examined
+        if chunk_log:
+            log.update(chunk_log)
+        if failure is not None:
+            return failure, examined, log
+    return None, examined, log
+
+
 def is_nec(
     hg: Hypergraph,
     n: int,
@@ -329,8 +350,9 @@ def is_nec(
 
     n larger than m-h+1 makes every witness query unsatisfiable, so the
     verdict is False (with a note) rather than an error.  ``threads`` > 1
-    splits the S-range into up to that many chunks, scanned by a process
-    pool of at most one worker per CPU.  Results, including the
+    splits the S-range into up to that many chunks: the calling process
+    scans the first, and a process pool of at most one worker fewer than the
+    CPUs, but at least one, scans the rest.  Results, including the
     counterexample and candidate count, do not depend on ``threads``.
     """
     if n < 1:
@@ -351,25 +373,22 @@ def is_nec(
     if engine == "optimized":
         _shadow_index(hg)  # refuse an oversized shadow here, before any pool starts
     scanner = _SCANNERS[engine]
-    chunks = _chunk_bounds(comb(hg.m, n), threads)
-    lows, highs = zip(*chunks)
-    calls = (itertools.repeat(hg), itertools.repeat(n), lows, highs,
-             itertools.repeat(record_witnesses))
-    if len(chunks) == 1:
-        outcomes = list(map(scanner, *calls))
+    (low, high), *rest = _chunk_bounds(comb(hg.m, n), threads)
+    if not rest:
+        failure, examined, log = scanner(hg, n, low, high, record_witnesses)
     else:
-        # Under fork the pool starts all its workers at once, so cap it at the CPUs.
-        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(scanner, *calls))
-
-    examined = 0
-    log: dict[Pair, tuple[int, ...]] | None = {} if record_witnesses else None
-    for failure, chunk_examined, chunk_log in outcomes:
-        examined += chunk_examined
-        if chunk_log:
-            log.update(chunk_log)
-        if failure is not None:
-            break  # later chunks cannot precede this failure
+        # The caller scans the first chunk, so the pool needs one worker fewer
+        # than the CPUs; under fork it starts them all at the first submit.
+        pool = ProcessPoolExecutor(max_workers=max(1, min(len(rest), (os.cpu_count() or 1) - 1)))
+        try:
+            lows, highs = zip(*rest)
+            later = pool.map(scanner, itertools.repeat(hg), itertools.repeat(n), lows, highs,
+                             itertools.repeat(record_witnesses))
+            first = scanner(hg, n, low, high, record_witnesses)  # while the pool scans the rest
+            failure, examined, log = _merge(itertools.chain([first], later), record_witnesses)
+        finally:
+            # Chunks after a failure are never read: drop those not yet started.
+            pool.shutdown(cancel_futures=True)
     elapsed = (time.perf_counter() - started) * 1000.0
     return CheckResult(failure is None, n, failure, CheckStats(examined, elapsed, note), log)
 

@@ -269,8 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_check_flags(p):
         p.add_argument("--engine", choices=checker.ENGINES, default="optimized")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count; results are identical for any value (default 1)")
+        p.add_argument("--threads", type=int, default=1, metavar="N",
+                       help="split the scan into up to N chunks: this process scans the first, "
+                            "a pool of at most CPUs-1 workers (at least 1) the rest; results "
+                            "are identical for any N (default 1)")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
 
     p = sub.add_parser("check", help="decide whether a hypergraph is n-e.c.")
@@ -307,7 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True,
                    help="base seed; all randomness flows from it")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, metavar="N",
+                   help="split each trial's check as check --threads N does; above 1, every "
+                        "trial starts its own process pool, so at small m 1 is faster "
+                        "(default 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_random)
 

@@ -2,9 +2,11 @@ import itertools
 import os
 import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
+from math import comb
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hyperec import checker, hypergraph
@@ -32,8 +34,6 @@ def test_min_edges_bound():
 
 def smallest_l(n, h):
     # independent scan used to pin the vertex-bound values
-    from math import comb
-
     l = 1
     while comb(l, h - 1) < 2**n:
         l += 1
@@ -245,11 +245,8 @@ class InProcessPool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
     def map(self, fn, *iterables):
         return (fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables))
@@ -285,6 +282,47 @@ def test_engines_agree_on_sparse_shadows(monkeypatch_pool, hg):
             assert fast.witness_log == slow.witness_log
 
 
+@st.composite
+def dense_hypergraphs(draw):
+    """h = 3, m = 5..8, each triple an edge with probability 0.7; the 2-shadow is complete."""
+    m = draw(st.integers(5, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    hg = new_hypergraph(3, m, [e for e in itertools.combinations(range(m), 3) if rng.random() < 0.7])
+    assume(checker._shadow_index(hg).complete)
+    return hg
+
+
+def assert_every_split_matches(hg):
+    """[0, k) then [k, C(m, n)) gives the whole scan's outcome, for every k and n = 1..4.
+
+    The optimized scanner shares each S-prefix's split of the shadow between
+    the S-sets that have it, and a chunk may start in the middle of such a run.
+    """
+    scan = checker._scan_chunk_optimized
+    for n in range(1, min(4, hg.m) + 1):
+        total = comb(hg.m, n)
+        whole = scan(hg, n, 0, total, True)
+        assert whole == checker._scan_chunk_naive(hg, n, 0, total, True)
+        for k in range(total + 1):
+            failure, examined, log = scan(hg, n, 0, k, True)
+            if failure is None:
+                failure, more, rest = scan(hg, n, k, total, True)
+                examined, log = examined + more, {**log, **rest}
+            assert (failure, examined, log) == whole
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_hypergraphs())
+def test_split_scans_match_on_sparse_shadows(hg):
+    assert_every_split_matches(hg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_hypergraphs())
+def test_split_scans_match_on_complete_shadows(hg):
+    assert_every_split_matches(hg)
+
+
 @pytest.mark.parametrize("engine", ["optimized", "naive"])
 def test_parallel_matches_serial(mols4_build, engine):
     hg = mols4_build.hypergraph
@@ -304,13 +342,45 @@ def test_parallel_matches_serial_on_failure(two_triple, engine):
 
 
 def test_pool_size_capped_at_cpu_count(mols4_build, monkeypatch_pool, monkeypatch):
+    """The pool's workers plus the calling process fit the CPUs, with one worker at least."""
     hg = mols4_build.hypergraph
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = is_nec(hg, 2, threads=1)
-    many = is_nec(hg, 2, threads=10_000)  # C(16, 2) = 120 chunks
-    assert InProcessPool.sizes == [3]
-    assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
-    assert many.stats.candidates_examined == serial.stats.candidates_examined
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        many = is_nec(hg, 2, threads=10_000)  # C(16, 2) = 120 chunks
+        assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
+        assert many.stats.candidates_examined == serial.stats.candidates_examined
+    assert InProcessPool.sizes == [1, 1, 2]
+
+
+class CountedPool(ProcessPoolExecutor):
+    """A real process pool that records the size of each one started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+# Draws of RandomModel(3, 8, 0.5, seed), found by scanning seeds from 0: at
+# seed 3 with n = 2 only the second half of the S-range fails, and at seed 0
+# with n = 3 both halves do, so the caller's failure in the first must win.
+@pytest.mark.parametrize("engine", ["optimized", "naive"])
+@pytest.mark.parametrize("seed, n, first_half_fails", [(3, 2, False), (0, 3, True)])
+def test_real_pool_reduces_chunks_in_order(monkeypatch, engine, seed, n, first_half_fails):
+    monkeypatch.setattr(CountedPool, "sizes", [])
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", CountedPool)
+    hg = sample(RandomModel(3, 8, 0.5, seed))
+    halves = checker._chunk_bounds(comb(hg.m, n), 2)
+    first, second = (checker._scan_chunk_naive(hg, n, lo, hi, False)[0] for lo, hi in halves)
+    assert (first is not None, second is not None) == (first_half_fails, True)
+    serial = is_nec(hg, n, engine=engine, threads=1)
+    parallel = is_nec(hg, n, engine=engine, threads=2)
+    assert CountedPool.sizes == [1]
+    assert parallel.counterexample == (first or second)
+    assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined) == (
+        serial.holds, serial.counterexample, serial.stats.candidates_examined)
 
 
 @given(st.integers(1, 10**6), st.integers(1, 64))
