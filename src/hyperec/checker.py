@@ -234,45 +234,41 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, start: int, stop: int, record:
     to three times faster by popcount.
     """
     index = _shadow_index(hg)
-    sets, complete, joins, touches = index.sets, index.complete, index.joins, index.touches
+    sets, complete = index.sets, index.complete
     k = hg.h - 1
     nfree = hg.m - n
     total = comb(nfree, k)  # free (h-1)-sets of every S
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
-    prefix = None
     for s_tuple in itertools.islice(itertools.combinations(range(hg.m), n), start, stop):
-        if s_tuple[:-1] != prefix:
-            # S-sets in lex order share S minus its last vertex for runs of up
-            # to m-n+1, so split the sets that prefix allows once per run:
-            # split[tmask] holds those joined to the prefix vertices whose bits
-            # are set and to no other.  A chunk may start mid-run.
-            prefix, base = s_tuple[:-1], index.full
-            for v in prefix:
-                base &= ~touches[v]
-            split = [base]
-            for v in prefix:
-                split = [part & ~joins[v] for part in split] + [part & joins[v] for part in split]
-        last = s_tuple[-1]
-        allowed = base & ~touches[last]
-        # parts[tmask]: the allowed sets joined to T and to no other vertex of
-        # S.  A set joined to a vertex never contains it, so the lower half
-        # keeps the prefix's sets that neither touch nor join the last vertex.
-        joined, neither = joins[last], ~(touches[last] | joins[last])
-        parts = [part & neither for part in split] + [part & joined for part in split]
+        allowed = index.full
+        for v in s_tuple:
+            allowed &= ~index.touches[v]
+        # Per vertex of S, the allowed sets that form no edge with it and
+        # those that do; the product picks one of each in T's bitmask order.
+        choices = itertools.product(
+            *[(allowed & ~index.joins[v], allowed & index.joins[v]) for v in reversed(s_tuple)]
+        )
         first = 0
         if not complete:
             # T is empty, where X need not lie in the shadow.
+            unjoined = allowed
+            for factor in next(choices):
+                unjoined &= factor
             free = [v for v in range(hg.m) if v not in s_tuple]
-            hit = _first_unjoined(sets, free, k, allowed, parts[0])
+            hit = _first_unjoined(sets, free, k, allowed, unjoined)
             if hit is None:
                 return (s_tuple, ()), examined + total, log
             examined += hit[0]
             if record:
                 log[(s_tuple, ())] = hit[1]
             first = 1
-        for tmask in range(first, len(parts)):
-            w = parts[tmask]
+        for tmask, factors in enumerate(choices, first):
+            w = allowed
+            for factor in factors:
+                w &= factor
+                if not w:
+                    break
             if not w:
                 return (s_tuple, _subset(s_tuple, tmask)), examined + total, log
             low = w & -w
@@ -350,10 +346,11 @@ def is_nec(
 
     n larger than m-h+1 makes every witness query unsatisfiable, so the
     verdict is False (with a note) rather than an error.  ``threads`` > 1
-    splits the S-range into up to that many chunks: the calling process
-    scans the first, and a process pool of at most one worker fewer than the
-    CPUs, but at least one, scans the rest.  Results, including the
-    counterexample and candidate count, do not depend on ``threads``.
+    splits the S-range into one chunk per process, at most ``threads`` and
+    at most the CPUs, but at least two: the calling process scans the first
+    chunk and a process pool of one worker per remaining chunk scans the
+    rest.  Results, including the counterexample and candidate count, do
+    not depend on ``threads``.
     """
     if n < 1:
         raise CheckerUsageError(f"n must be >= 1, got {n}")
@@ -373,22 +370,21 @@ def is_nec(
     if engine == "optimized":
         _shadow_index(hg)  # refuse an oversized shadow here, before any pool starts
     scanner = _SCANNERS[engine]
-    (low, high), *rest = _chunk_bounds(comb(hg.m, n), threads)
+    # One chunk per process: more chunks than CPUs would leave some for a
+    # second round after the caller's own chunk is done.
+    parts = min(threads, max(2, os.cpu_count() or 1))
+    (low, high), *rest = _chunk_bounds(comb(hg.m, n), parts)
     if not rest:
         failure, examined, log = scanner(hg, n, low, high, record_witnesses)
     else:
-        # The caller scans the first chunk, so the pool needs one worker fewer
-        # than the CPUs; under fork it starts them all at the first submit.
-        pool = ProcessPoolExecutor(max_workers=max(1, min(len(rest), (os.cpu_count() or 1) - 1)))
-        try:
+        # The caller scans the first chunk and each worker one of the rest;
+        # under fork the pool starts them all at the first submit.
+        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
             lows, highs = zip(*rest)
             later = pool.map(scanner, itertools.repeat(hg), itertools.repeat(n), lows, highs,
                              itertools.repeat(record_witnesses))
             first = scanner(hg, n, low, high, record_witnesses)  # while the pool scans the rest
             failure, examined, log = _merge(itertools.chain([first], later), record_witnesses)
-        finally:
-            # Chunks after a failure are never read: drop those not yet started.
-            pool.shutdown(cancel_futures=True)
     elapsed = (time.perf_counter() - started) * 1000.0
     return CheckResult(failure is None, n, failure, CheckStats(examined, elapsed, note), log)
 

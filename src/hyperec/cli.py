@@ -270,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common_check_flags(p):
         p.add_argument("--engine", choices=checker.ENGINES, default="optimized")
         p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="split the scan into up to N chunks: this process scans the first, "
-                            "a pool of at most CPUs-1 workers (at least 1) the rest; results "
-                            "are identical for any N (default 1)")
+                       help="above 1, split the scan into one chunk per process, N but at most "
+                            "the CPUs (at least 2): this process scans the first, a pool of "
+                            "one worker per chunk the rest; results are identical for any N "
+                            "(default 1)")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
 
     p = sub.add_parser("check", help="decide whether a hypergraph is n-e.c.")

@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperec import checker, hypergraph
@@ -235,26 +235,34 @@ def test_engines_agree_on_witness_logs(two_triple, k3k3, mols4_build):
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs map in-process.
+    """Stands in for ProcessPoolExecutor: records its size and the chunks it is
+    handed, and runs map in-process.
 
     Each argument goes through pickle, as it would on its way to a worker.
     """
 
     sizes: list[int] = []
+    chunks: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        pass
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
 
     def map(self, fn, *iterables):
-        return (fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables))
+        calls = list(zip(*iterables))  # submitted at once, as the real pool does
+        self.chunks.append(len(calls))
+        return (fn(*pickle.loads(pickle.dumps(args))) for args in calls)
 
 
 @pytest.fixture
 def monkeypatch_pool(monkeypatch):
     monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(InProcessPool, "chunks", [])
     monkeypatch.setattr(checker, "ProcessPoolExecutor", InProcessPool)
 
 
@@ -282,47 +290,6 @@ def test_engines_agree_on_sparse_shadows(monkeypatch_pool, hg):
             assert fast.witness_log == slow.witness_log
 
 
-@st.composite
-def dense_hypergraphs(draw):
-    """h = 3, m = 5..8, each triple an edge with probability 0.7; the 2-shadow is complete."""
-    m = draw(st.integers(5, 8))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    hg = new_hypergraph(3, m, [e for e in itertools.combinations(range(m), 3) if rng.random() < 0.7])
-    assume(checker._shadow_index(hg).complete)
-    return hg
-
-
-def assert_every_split_matches(hg):
-    """[0, k) then [k, C(m, n)) gives the whole scan's outcome, for every k and n = 1..4.
-
-    The optimized scanner shares each S-prefix's split of the shadow between
-    the S-sets that have it, and a chunk may start in the middle of such a run.
-    """
-    scan = checker._scan_chunk_optimized
-    for n in range(1, min(4, hg.m) + 1):
-        total = comb(hg.m, n)
-        whole = scan(hg, n, 0, total, True)
-        assert whole == checker._scan_chunk_naive(hg, n, 0, total, True)
-        for k in range(total + 1):
-            failure, examined, log = scan(hg, n, 0, k, True)
-            if failure is None:
-                failure, more, rest = scan(hg, n, k, total, True)
-                examined, log = examined + more, {**log, **rest}
-            assert (failure, examined, log) == whole
-
-
-@settings(max_examples=40, deadline=None)
-@given(sparse_hypergraphs())
-def test_split_scans_match_on_sparse_shadows(hg):
-    assert_every_split_matches(hg)
-
-
-@settings(max_examples=40, deadline=None)
-@given(dense_hypergraphs())
-def test_split_scans_match_on_complete_shadows(hg):
-    assert_every_split_matches(hg)
-
-
 @pytest.mark.parametrize("engine", ["optimized", "naive"])
 def test_parallel_matches_serial(mols4_build, engine):
     hg = mols4_build.hypergraph
@@ -342,15 +309,18 @@ def test_parallel_matches_serial_on_failure(two_triple, engine):
 
 
 def test_pool_size_capped_at_cpu_count(mols4_build, monkeypatch_pool, monkeypatch):
-    """The pool's workers plus the calling process fit the CPUs, with one worker at least."""
+    """The pool's workers plus the calling process fit the CPUs, with one worker at least,
+    and each worker gets one chunk, so none waits for a second round."""
     hg = mols4_build.hypergraph
     serial = is_nec(hg, 2, threads=1)
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-        many = is_nec(hg, 2, threads=10_000)  # C(16, 2) = 120 chunks
-        assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
-        assert many.stats.candidates_examined == serial.stats.candidates_examined
-    assert InProcessPool.sizes == [1, 1, 2]
+    for threads in (2, 3, 10_000):
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            many = is_nec(hg, 2, threads=threads)  # C(16, 2) = 120 S-sets
+            assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
+            assert many.stats.candidates_examined == serial.stats.candidates_examined
+    # One worker per chunk after the caller's, and at most CPUs - 1 of them.
+    assert InProcessPool.sizes == InProcessPool.chunks == [1, 1, 1, 1, 1, 2, 1, 1, 2]
 
 
 class CountedPool(ProcessPoolExecutor):
@@ -440,6 +410,20 @@ def test_mols8_is_2ec_within_the_limit(mols8_build, threads):
     assert max_ec(hg, threads=threads) == 2
     failing = is_nec(hg, 3, threads=threads)
     assert failing.counterexample == ((0, 1, 2), (0, 1))
+
+
+@pytest.mark.parametrize("n", [30, 57])
+def test_large_n_matches_naive(mols8_build, n):
+    """Large n stays a lazy walk over T: at n = 30 a table of all 2^n T-parts
+    would hold 2^30 shadow bitmaps of 2016 bits."""
+    hg = mols8_build.hypergraph
+    fast = is_nec(hg, n)
+    slow = is_nec(hg, n, engine="naive")
+    # n = 30 fails at T = {0}: no edge through vertex 0 avoids the rest of S.
+    # n = 57 fails at T = empty: each of the 7 free 6-sets forms an edge with S.
+    assert fast.counterexample == (tuple(range(n)), (0,) if n == 30 else ())
+    assert (fast.holds, fast.counterexample, fast.stats.candidates_examined) == (
+        slow.holds, slow.counterexample, slow.stats.candidates_examined)
 
 
 def test_sampled_model_instances_agree_across_engines():
