@@ -72,6 +72,7 @@ CASES = [
     ["validate", "inv3.txt", "--json"],
     ["validate", "broken.txt"],
     ["validate", "broken.txt", "--json"],
+    ["validate", "fano8.txt"],
     ["complement", "fig5.txt"],
     ["complement", "fig5.txt", "-o", "out.txt"],
     ["induce", "k3k3.txt", "--vertices", "0,1,3,4"],
@@ -143,6 +144,8 @@ def make_inputs(root: Path) -> None:
         "pg3.txt": designs.format_design(designs.projective_plane(3)),
         "inv3.txt": designs.format_design(designs.inversive_plane(3)),
         "broken.txt": designs.format_design(designs.Design(2, 7, 3, 1, fano.blocks[1:])),
+        # a 2-(8,3,1) candidate: b = 28/3 and r = 7/2 are not integers
+        "fano8.txt": designs.format_design(designs.Design(2, 8, 3, 1, fano.blocks)),
         "mols4.txt": designs.format_mols(mols4),
         "hl4.txt": format_hypergraph(builders.build_from_mols(mols4).hypergraph),
         **BAD_FILES,
