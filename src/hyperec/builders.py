@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .designs import Design, DesignError, MolsSet, validate_design
@@ -93,12 +94,6 @@ def _design_guarantee(design: Design, h: int) -> Optional[int]:
     t, v, k, lam = design.t, design.v, design.k, design.lam
     if lam == 1 and k >= 2 * t and v >= k + t and t + 1 <= h <= k - t + 1:
         return t
-    if h == k and v > k and not _is_complete_design(design):
+    if h == k and v > k and len(set(design.blocks)) < comb(v, k):
         return 1
     return None
-
-
-def _is_complete_design(design: Design) -> bool:
-    from math import comb
-
-    return len(set(design.blocks)) == comb(design.v, design.k)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import builders, checker, designs, hypergraph, randomhg
 from .checker import CheckerUsageError
@@ -73,10 +72,6 @@ def _counterexample(ce) -> dict:
         "counterexample_S": list(ce[0]) if ce else None,
         "counterexample_T": list(ce[1]) if ce else None,
     }
-
-
-def _format_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _parse_vertices(text: str) -> list[int]:
@@ -170,10 +165,7 @@ def _cmd_build(args) -> int:
             raise _CliError("build from-design requires --h")
         design = _read(designs.read_design, "design", args.input)
         built = builders.build_from_design(design, args.h)
-    try:
-        hypergraph.write_hypergraph(args.out, built.hypergraph, [built.provenance])
-    except OSError as exc:
-        raise _CliError(f"cannot write {args.out}: {exc}") from exc
+    _write_output(hypergraph.format_hypergraph(built.hypergraph, [built.provenance]), args.out)
     _emit({
         "written": args.out,
         "raw_edges": built.raw_edges,
@@ -221,13 +213,13 @@ def _cmd_validate(args) -> int:
     }
     if design.t == 2:
         params = designs.design_params(design)
-        doc["b_formula"] = _format_frac(params.b_formula)
-        doc["r_formula"] = _format_frac(params.r_formula)
+        doc["b_formula"] = str(params.b_formula)
+        doc["r_formula"] = str(params.r_formula)
         doc["replication_min"] = params.replication_min
         doc["replication_max"] = params.replication_max
     for i in range(design.t + 1):
         for j in range(design.t + 1 - i):
-            doc[f"lambda_{i}_{j}"] = _format_frac(designs.lambda_ij(design, i, j))
+            doc[f"lambda_{i}_{j}"] = str(designs.lambda_ij(design, i, j))
     _emit(doc, args.json)
     return 0 if report.valid else PROPERTY_FAILED
 

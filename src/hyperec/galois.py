@@ -25,14 +25,7 @@ class GaloisError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_power(n) == (n, 1)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
