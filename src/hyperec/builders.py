@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .designs import Design, DesignError, MolsSet, validate_design
+from .designs import Design, DesignError, MolsSet, check_block_subsets, validate_design
 from .hypergraph import Hypergraph, new_hypergraph
 
 
@@ -66,13 +66,15 @@ def build_from_mols(mols: MolsSet) -> BuildResult:
 def build_from_design(design: Design, h: int) -> BuildResult:
     """Edges: all h-subsets of every block; vertices are the design's points.
 
-    The design must pass validation first.  A t-(v,k,1) design yields a
+    The design must pass validation first, and its blocks may have at most
+    ``hypergraph.MAX_SETS`` h-subsets in all.  A t-(v,k,1) design yields a
     t-e.c. hypergraph when k >= 2t, v >= k+t and t+1 <= h <= k-t+1; at
     h = k the result is the design itself, 1-e.c. whenever v > k and the
     blocks are not all k-subsets.
     """
     if not 3 <= h <= design.k:
         raise DesignError(f"need 3 <= h <= k={design.k}, got h={h}")
+    check_block_subsets(design, h)
     report = validate_design(design)
     if not report.valid:
         raise DesignError(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -221,8 +221,8 @@ def _first_unjoined(sets, free, k: int, allowed: int, w: int):
     return None
 
 
-def _scan_chunk_optimized(hg: Hypergraph, n: int, start: int, stop: int, record: bool):
-    """Scan S-indices [start, stop); stop early at the first failure.
+def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool):
+    """Scan the S-sets whose least vertex is in [lo, hi); stop early at the first failure.
 
     Returns (failure, examined, log) where failure is the first failing
     (S, T) or None, and examined counts candidates tested up to the stop
@@ -240,7 +240,8 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, start: int, stop: int, record:
     total = comb(nfree, k)  # free (h-1)-sets of every S
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
-    for s_tuple in itertools.islice(itertools.combinations(range(hg.m), n), start, stop):
+    for s_tuple in ((v,) + rest for v in range(lo, hi)
+                    for rest in itertools.combinations(range(v + 1, hg.m), n - 1)):
         allowed = index.full
         for v in s_tuple:
             allowed &= ~index.touches[v]
@@ -284,12 +285,13 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, start: int, stop: int, record:
     return None, examined, log
 
 
-def _scan_chunk_naive(hg: Hypergraph, n: int, start: int, stop: int, record: bool):
+def _scan_chunk_naive(hg: Hypergraph, n: int, lo: int, hi: int, record: bool):
     """Reference scan: direct loops over S, T, and X, shared with nothing."""
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
     edge_set = hg.edge_set
-    for s_tuple in itertools.islice(itertools.combinations(range(hg.m), n), start, stop):
+    for s_tuple in ((v,) + rest for v in range(lo, hi)
+                    for rest in itertools.combinations(range(v + 1, hg.m), n - 1)):
         s_set = set(s_tuple)
         free = [v for v in range(hg.m) if v not in s_set]
         for tmask in range(1 << n):
@@ -312,10 +314,26 @@ _SCANNERS = {"optimized": _scan_chunk_optimized, "naive": _scan_chunk_naive}
 ENGINES = tuple(_SCANNERS)
 
 
-def _chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
-    """[0, total) as min(parts, total) consecutive ranges of near-equal size."""
-    parts = min(parts, total)
-    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
+def _chunk_bounds(m: int, n: int, parts: int) -> list[tuple[int, int]]:
+    """Least-vertex ranges [lo, hi) that split the n-subsets of m vertices in lex order.
+
+    The S-sets with least vertex below b number C(m, n) - C(m - b, n), so a
+    chunk starts at its first S-set directly.  Each cut is the b whose count
+    is nearest to C(m, n) * i / parts, the lower on a tie; cuts that coincide
+    merge, so there are at most ``parts`` ranges, none empty, covering
+    [0, m - n + 1).
+    """
+    total, stop = comb(m, n), m - n + 1
+
+    def gap(b: int, i: int) -> int:  # parts * (the count below b - the i-th target)
+        return parts * (total - comb(m - b, n)) - total * i
+
+    ends = {0, stop}
+    for i in range(1, parts):
+        above = bisect_right(range(stop + 1), 0, key=lambda b: gap(b, i))
+        ends.add(above - 1 if -gap(above - 1, i) <= gap(above, i) else above)
+    ends = sorted(ends)
+    return list(zip(ends, ends[1:]))
 
 
 def _merge(outcomes, record: bool):
@@ -349,8 +367,12 @@ def is_nec(
     splits the S-range into one chunk per process, at most ``threads`` and
     at most the CPUs, but at least two: the calling process scans the first
     chunk and a process pool of one worker per remaining chunk scans the
-    rest.  Results, including the counterexample and candidate count, do
-    not depend on ``threads``.
+    rest.  A chunk is a range of least vertices of S, cut where the S-set
+    counts are nearest to equal, so there may be fewer chunks than
+    processes, and each process starts at its first S-set directly: a check
+    that fails early in each chunk returns as fast at any thread count.
+    Results, including the counterexample and candidate count, do not
+    depend on ``threads``.
     """
     if n < 1:
         raise CheckerUsageError(f"n must be >= 1, got {n}")
@@ -373,7 +395,7 @@ def is_nec(
     # One chunk per process: more chunks than CPUs would leave some for a
     # second round after the caller's own chunk is done.
     parts = min(threads, max(2, os.cpu_count() or 1))
-    (low, high), *rest = _chunk_bounds(comb(hg.m, n), parts)
+    (low, high), *rest = _chunk_bounds(hg.m, n, parts)
     if not rest:
         failure, examined, log = scanner(hg, n, low, high, record_witnesses)
     else:

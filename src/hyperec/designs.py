@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
+from . import hypergraph
 from .galois import GaloisError, GfField, field_of_order, prime_power
 from .hypergraph import int_records, int_tuples, record_text
 
@@ -184,12 +185,22 @@ class DesignReport:
     max_coverage: int
 
 
+def check_block_subsets(design: Design, size: int) -> None:
+    """Refuse a listing of every block's size-subsets longer than ``hypergraph.MAX_SETS``."""
+    total, limit = design.b * comb(design.k, size), hypergraph.MAX_SETS
+    if total > limit:
+        raise DesignError(f"listing the {design.b} * C({design.k}, {size}) = {total} "
+                          f"{size}-subsets of the blocks is above the limit of {limit}")
+
+
 def validate_design(design: Design) -> DesignReport:
     """Count, for every t-subset of points, how many blocks contain it.
 
     Valid iff all counts equal lambda.  min/max coverage let a failing
-    report show how far off the candidate is.
+    report show how far off the candidate is.  Raises :class:`DesignError`
+    when the blocks have more than ``hypergraph.MAX_SETS`` t-subsets in all.
     """
+    check_block_subsets(design, design.t)
     coverage = Counter(
         sub for block in design.blocks for sub in itertools.combinations(block, design.t)
     )

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 # The most sets one enumeration may list: the checker's index of the
 # (h-1)-shadow (mols7 1176, mols8 2016; 64 times this bounds its m x |U|
-# bitmap tables) and the complement's list of all C(m, h) h-sets.
+# bitmap tables), the complement's list of all C(m, h) h-sets, and the
+# t- or h-subsets of a design's blocks that validation and building list.
 MAX_SETS = 2**22
 
 

@@ -3,9 +3,18 @@ from math import comb
 
 import pytest
 
+from hyperec import builders, hypergraph
 from hyperec.builders import build_from_design, build_from_mols
 from hyperec.checker import is_nec, max_ec
-from hyperec.designs import Design, DesignError, LatinSquare, MolsSet, complete_mols, fano
+from hyperec.designs import (
+    Design,
+    DesignError,
+    LatinSquare,
+    MolsSet,
+    complete_mols,
+    fano,
+    projective_plane,
+)
 
 from test_designs import ORDER4_SQUARES
 
@@ -137,3 +146,15 @@ def test_provenance_strings(mols4_build, fano):
     assert mols4_build.provenance == "built-from: mols q=4 squares=3"
     built = build_from_design(fano, 3)
     assert built.provenance == "built-from: design t=2 v=7 k=3 lambda=1 h=3"
+
+
+def test_build_over_size_limit_is_refused_before_validation(monkeypatch):
+    """pg5's 31 blocks have 31 * C(6, 2) = 465 pairs to validate, but 620 triples."""
+    def no_validation(design):
+        raise AssertionError("the design was validated before the size check")
+
+    design = projective_plane(5)
+    monkeypatch.setattr(builders, "validate_design", no_validation)
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 619)
+    with pytest.raises(DesignError, match="= 620 3-subsets of the blocks is above the limit"):
+        build_from_design(design, 3)

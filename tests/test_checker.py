@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hyperec import checker, hypergraph
@@ -334,15 +334,16 @@ class CountedPool(ProcessPoolExecutor):
 
 
 # Draws of RandomModel(3, 8, 0.5, seed), found by scanning seeds from 0: at
-# seed 3 with n = 2 only the second half of the S-range fails, and at seed 0
-# with n = 3 both halves do, so the caller's failure in the first must win.
+# seed 3 with n = 2 only the second chunk (least vertex 2..6) fails, and at
+# seed 0 with n = 3 both chunks do, so the caller's failure in the first must win.
 @pytest.mark.parametrize("engine", ["optimized", "naive"])
 @pytest.mark.parametrize("seed, n, first_half_fails", [(3, 2, False), (0, 3, True)])
 def test_real_pool_reduces_chunks_in_order(monkeypatch, engine, seed, n, first_half_fails):
     monkeypatch.setattr(CountedPool, "sizes", [])
     monkeypatch.setattr(checker, "ProcessPoolExecutor", CountedPool)
     hg = sample(RandomModel(3, 8, 0.5, seed))
-    halves = checker._chunk_bounds(comb(hg.m, n), 2)
+    halves = checker._chunk_bounds(hg.m, n, 2)
+    assert len(halves) == 2
     first, second = (checker._scan_chunk_naive(hg, n, lo, hi, False)[0] for lo, hi in halves)
     assert (first is not None, second is not None) == (first_half_fails, True)
     serial = is_nec(hg, n, engine=engine, threads=1)
@@ -353,14 +354,22 @@ def test_real_pool_reduces_chunks_in_order(monkeypatch, engine, seed, n, first_h
         serial.holds, serial.counterexample, serial.stats.candidates_examined)
 
 
-@given(st.integers(1, 10**6), st.integers(1, 64))
-def test_chunk_bounds_tile_the_range_in_order(total, parts):
-    bounds = checker._chunk_bounds(total, parts)
-    assert len(bounds) == min(total, parts)
-    assert bounds[0][0] == 0 and bounds[-1][1] == total
+@given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 64))
+def test_chunk_bounds_tile_the_range_in_order(m, n, parts):
+    """At most ``parts`` non-empty least-vertex ranges, contiguous, covering every S."""
+    assume(n <= m)
+    bounds = checker._chunk_bounds(m, n, parts)
+    assert 1 <= len(bounds) <= parts
+    assert bounds[0][0] == 0 and bounds[-1][1] == m - n + 1
+    assert all(lo < hi for lo, hi in bounds)
     assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-    sizes = [hi - lo for lo, hi in bounds]
-    assert max(sizes) - min(sizes) <= 1
+    # Each cut is nearest to some i-th equal share: the S-set count below a
+    # cut grows with it, so moving it one vertex either way takes it no closer.
+    total = comb(m, n)
+    for _, cut in bounds[:-1]:
+        gaps = [[abs(parts * (total - comb(m - b, n)) - total * i) for b in (cut - 1, cut, cut + 1)]
+                for i in range(1, parts)]
+        assert any(here <= min(lower, higher) for lower, here, higher in gaps)
 
 
 def test_index_is_built_once_per_value(mols4_build, monkeypatch_pool, monkeypatch):

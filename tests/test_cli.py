@@ -1,10 +1,17 @@
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hyperec import designs, read_hypergraph, write_hypergraph
+from hyperec import builders, designs, hypergraph, read_hypergraph, write_hypergraph
 from hyperec.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -336,6 +343,63 @@ def test_sparse_input_with_many_vertices_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path), "-n", "1", "--threads", "2")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "above the limit of" in err
+
+
+def run_isolated(*argv, timeout=60):
+    """The CLI in a child process group, killed whole when it outlasts ``timeout``,
+    so a hung check fails the test and leaves no pool worker behind."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "hyperec.cli", *argv], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"hyperec {' '.join(argv)} ran past {timeout} s")
+    return proc.returncode, re.sub(r"elapsed_ms: [0-9.]+\n", "", out), err
+
+
+def test_large_n_threaded_check_returns_the_serial_report(hl8_path):
+    """Every process starts at its own first S-set: at n = 30 the second of
+    two chunks begins past about 10^17 S-sets, and is not reached by stepping."""
+    serial = run_isolated("check", hl8_path, "-n", "30", "--threads", "1")
+    assert serial[0] == 1 and "counterexample_T: {0}" in serial[1].splitlines()
+    assert run_isolated("check", hl8_path, "-n", "30", "--threads", "2") == serial
+
+
+@pytest.fixture(scope="module")
+def pg8_h4_path(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("pg8") / "pg8-h4.txt")
+    write_hypergraph(path, builders.build_from_design(designs.projective_plane(8), 4).hypergraph)
+    return path
+
+
+def test_s_range_beyond_maxsize_matches_naive(capsys, pg8_h4_path):
+    """C(73, 36) is above ``sys.maxsize``, as no S-index may be."""
+    naive = run(capsys, "check", pg8_h4_path, "-n", "36", "--engine", "naive")
+    assert naive[0] == 1 and naive[2] == ""
+    for threads in ("1", "2"):
+        code, out, err = run(capsys, "check", pg8_h4_path, "-n", "36", "--threads", threads)
+        assert (code, re.sub(r"elapsed_ms: [0-9.]+\n", "", out), err) == (
+            naive[0], re.sub(r"elapsed_ms: [0-9.]+\n", "", naive[1]), naive[2])
+
+
+@pytest.mark.parametrize("argv, limit", [
+    pytest.param(["validate", "{design}"], 20, id="validate"),  # 7 * C(3, 2) = 21 pairs
+    pytest.param(["build", "from-design", "-i", "{design}", "-o", "{out}", "--h", "3"], 6,
+                 id="build"),  # 7 * C(3, 3) = 7 triples
+])
+def test_oversized_design_is_usage_error(capsys, monkeypatch, tmp_path, fano, argv, limit):
+    design, out = tmp_path / "fano.txt", tmp_path / "out.txt"
+    design.write_text(designs.format_design(fano))
+    monkeypatch.setattr(hypergraph, "MAX_SETS", limit)
+    code, stdout, err = run(capsys, *(a.format(design=design, out=out) for a in argv))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: listing the 7 * C(3, ") and err.endswith(f"limit of {limit}\n")
+    assert not out.exists()
 
 
 def test_delete_vertex_cli(capsys, fig5_path, tmp_path):

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from hyperec import hypergraph
 from hyperec.designs import (
     Design,
     DesignError,
@@ -373,3 +374,13 @@ def test_design_parse_errors(text):
 def test_mols_parse_errors(text):
     with pytest.raises(DesignFormatError):
         parse_mols(io.StringIO(text))
+
+
+def test_validate_over_size_limit_is_refused(fano, monkeypatch):
+    """The 7 blocks' 7 * C(3, 2) = 21 pairs are counted only within the limit,
+    read at call time."""
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 20)
+    with pytest.raises(DesignError, match="= 21 2-subsets of the blocks is above the limit of 20"):
+        validate_design(fano)
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 21)
+    assert validate_design(fano).valid
