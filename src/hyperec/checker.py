@@ -19,11 +19,17 @@ Two engines.  ``optimized`` indexes the (h-1)-shadow of the edges, the
 (h-1)-sets that lie inside some edge, at most h times the edge count.  The
 index is built once per hypergraph value, before any process pool starts,
 and kept on the value, so every level of :func:`max_ec` and every pool worker
-shares it.  A witness query with T non-empty is then a handful of bitwise
-operations on large integers, since only a shadow set forms an edge with
-anything; with T empty it is a short lexicographic walk past the shadow
-sets joined to S.  ``naive`` is the direct three-level loop kept as an
-independent oracle.
+shares it.  Only a shadow set forms an edge with anything, so the witnesses
+of T non-empty lie in the shadow.  The S-sets that share an (n-1)-prefix P
+share its T-split, a list of parts, one per T inside P, each holding the
+shadow sets joined to exactly the vertices of that T; each S under P then
+costs one AND per T.  A T whose part is empty fails for every S under P,
+so the list is cut after the first such part and grows no more: it never
+holds more than two parts beyond the shadow's size.  With T empty the
+witness may lie outside the shadow, so that part counts only when the
+shadow holds every (h-1)-set; otherwise the query is a short lexicographic
+walk past the shadow sets joined to S.  ``naive`` is the direct three-level
+loop kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
+from multiprocessing import RawValue
 from typing import Iterable, Optional
 
 from . import hypergraph
@@ -148,10 +155,11 @@ class _ShadowIndex:
     """Bitmaps over the shadow U, the (h-1)-sets that lie inside some edge.
 
     Only a member of U forms an edge with any vertex, so when T is non-empty
-    every witness lies in U.  ``sets`` lists U in lexicographic order;
-    ``joins[v]`` has bit i set when ``sets[i]`` plus v is an edge, and
-    ``touches[v]`` when ``sets[i]`` contains v.  ``complete`` says that U
-    holds every (h-1)-set of the vertices.
+    every witness lies in U.  ``sets`` lists U in lexicographic order, and bit
+    i of each bitmap stands for ``sets[i]``.  Per vertex v, ``free[v]`` holds
+    the sets without v, ``joined[v]`` those of them that form an edge with v
+    and ``unjoined[v]`` the rest.  ``complete`` says that U holds every
+    (h-1)-set of the vertices.
     """
 
     def __init__(self, hg: Hypergraph):
@@ -161,8 +169,8 @@ class _ShadowIndex:
         for e in hg.edges:
             for key, v in zip(itertools.combinations(e, hg.h - 1), reversed(e)):
                 links[key].append(v)
-        # Bound the shadow, and the two tables below of m bitmaps over it: at
-        # most 64 * MAX_SETS bits each (32 MiB), whatever the vertex count.
+        # Bound the shadow, and each of the tables below of m bitmaps over it:
+        # at most 64 * MAX_SETS bits (32 MiB), whatever the vertex count.
         size, budget = len(links), 64 * hypergraph.MAX_SETS
         if size > hypergraph.MAX_SETS or hg.m * size > budget:
             raise CheckerUsageError(
@@ -179,10 +187,12 @@ class _ShadowIndex:
                 join_bits[v][byte] |= bit
             for v in key:
                 touch_bits[v][byte] |= bit
-        self.joins = [int.from_bytes(b, "little") for b in join_bits]
-        self.touches = [int.from_bytes(b, "little") for b in touch_bits]
         self.full = (1 << len(self.sets)) - 1
         self.complete = len(self.sets) == comb(hg.m, hg.h - 1)
+        self.free = [self.full & ~int.from_bytes(b, "little") for b in touch_bits]
+        # A set that forms an edge with v does not hold v.
+        self.joined = [int.from_bytes(b, "little") for b in join_bits]
+        self.unjoined = [f & ~j for f, j in zip(self.free, self.joined)]
 
 
 def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
@@ -221,12 +231,67 @@ def _first_unjoined(sets, free, k: int, allowed: int, w: int):
     return None
 
 
+def _extend(parts: list[int], unjoined: int, joined: int, cut: int) -> list[int]:
+    """The T-parts of a prefix of S extended by one vertex v, from v's two tables.
+
+    The parts without v come first, since v takes the next bit of T.  The
+    list ends at its first empty part at index ``cut`` or above: every S-set
+    under the prefix fails at or before that T.  An empty part stays empty,
+    so a list cut once is cut again within its unjoined half.
+    """
+    parts = [p & unjoined for p in parts] + [p & joined for p in parts]
+    for t in range(cut, len(parts)):
+        if not parts[t]:
+            return parts[: t + 1]
+    return parts
+
+
+def _prefixes(index: _ShadowIndex, n: int, lo: int, hi: int, m: int, cut: int):
+    """(P, parts, allowed) for the (n-1)-prefixes P of the S-sets with least vertex in [lo, hi).
+
+    In lex order.  ``allowed`` holds the shadow sets without a vertex of P,
+    and ``parts[t]`` those of them joined to exactly the vertices of P whose
+    bits are set in t.  A walk with an explicit stack, so any n fits.
+    """
+    if n == 1:
+        yield (), [index.full], index.full
+        return
+    stack = [((), [index.full], index.full)]
+    nexts = [iter(range(lo, hi))]
+    while nexts:
+        v = next(nexts[-1], None)
+        if v is None:
+            nexts.pop()
+            stack.pop()
+            continue
+        prefix, parts, allowed = stack[-1]
+        prefix += (v,)
+        child = (prefix, _extend(parts, index.unjoined[v], index.joined[v], cut),
+                 allowed & index.free[v])
+        if len(prefix) == n - 1:
+            yield child
+        else:
+            stack.append(child)
+            nexts.append(iter(range(v + 1, m - n + len(prefix) + 1)))
+
+
 def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool):
     """Scan the S-sets whose least vertex is in [lo, hi); stop early at the first failure.
 
     Returns (failure, examined, log) where failure is the first failing
     (S, T) or None, and examined counts candidates tested up to the stop
-    point.  A witness found in the shadow counts its lex rank among the free
+    point.  The S-sets that share an (n-1)-prefix P share its T-split: a list
+    whose part t holds the allowed shadow sets joined to exactly the vertices
+    of P in t, so the witnesses of all T for one S cost one AND per T.  A
+    part empty at index ``cut`` or above fails every S under P, so the list
+    is cut after it, and the longer prefixes keep only its unjoined side.
+    Until then its parts from ``cut`` on are non-empty disjoint subsets of
+    the shadow, so it never holds more than the shadow's size plus two
+    parts: mols8 at n = 30 builds no 2^29 of them.  With an incomplete
+    shadow an empty part 0 does not count, because T = empty may be
+    witnessed outside the shadow.
+
+    A witness found in the shadow counts its lex rank among the free
     (h-1)-sets plus one: from a complete shadow by popcount, otherwise by the
     combinatorial number system over the positions of X among the free
     vertices.  The walk and the rank are exact for a complete shadow too, but
@@ -235,53 +300,48 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
     """
     index = _shadow_index(hg)
     sets, complete = index.sets, index.complete
-    k = hg.h - 1
-    nfree = hg.m - n
+    unjoined, joined = index.unjoined, index.joined
+    m, k = hg.m, hg.h - 1
+    nfree = m - n
     total = comb(nfree, k)  # free (h-1)-sets of every S
+    cut = 0 if complete else 1
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
-    for s_tuple in ((v,) + rest for v in range(lo, hi)
-                    for rest in itertools.combinations(range(v + 1, hg.m), n - 1)):
-        allowed = index.full
-        for v in s_tuple:
-            allowed &= ~index.touches[v]
-        # Per vertex of S, the allowed sets that form no edge with it and
-        # those that do; the product picks one of each in T's bitmask order.
-        choices = itertools.product(
-            *[(allowed & ~index.joins[v], allowed & index.joins[v]) for v in reversed(s_tuple)]
-        )
-        first = 0
-        if not complete:
-            # T is empty, where X need not lie in the shadow.
-            unjoined = allowed
-            for factor in next(choices):
-                unjoined &= factor
-            free = [v for v in range(hg.m) if v not in s_tuple]
-            hit = _first_unjoined(sets, free, k, allowed, unjoined)
-            if hit is None:
-                return (s_tuple, ()), examined + total, log
-            examined += hit[0]
-            if record:
-                log[(s_tuple, ())] = hit[1]
-            first = 1
-        for tmask, factors in enumerate(choices, first):
-            w = allowed
-            for factor in factors:
-                w &= factor
+    for prefix, parts, allowed_p in _prefixes(index, n, lo, hi, m, cut):
+        for v in range(prefix[-1] + 1, m) if prefix else range(lo, hi):
+            s_tuple = prefix + (v,)
+            allowed = allowed_p & index.free[v]
+            # Not cut: ws[t] is the witness set of T = t.  Cut: the scan stops
+            # at the list's empty last part, before the joined half, where
+            # the list's missing parts would shift the indices.
+            un, jo = unjoined[v], joined[v]
+            ws = [p & un for p in parts] + [p & jo for p in parts]
+            first = 0
+            if not complete:
+                # T is empty, where X need not lie in the shadow.
+                free = [u for u in range(m) if u not in s_tuple]
+                hit = _first_unjoined(sets, free, k, allowed, ws[0])
+                if hit is None:
+                    return (s_tuple, ()), examined + total, log
+                examined += hit[0]
+                if record:
+                    log[(s_tuple, ())] = hit[1]
+                first = 1
+            for tmask in range(first, len(ws)):
+                w = ws[tmask]
                 if not w:
-                    break
-            if not w:
-                return (s_tuple, _subset(s_tuple, tmask)), examined + total, log
-            low = w & -w
-            if complete:
-                examined += (allowed & (low - 1)).bit_count() + 1
-            else:
-                xs = sets[low.bit_length() - 1]
-                examined += total - sum(
-                    comb(nfree - 1 - x + bisect_left(s_tuple, x), k - i) for i, x in enumerate(xs)
-                )
-            if record:
-                log[(s_tuple, _subset(s_tuple, tmask))] = sets[low.bit_length() - 1]
+                    return (s_tuple, _subset(s_tuple, tmask)), examined + total, log
+                low = w & -w
+                if complete:
+                    examined += (allowed & (low - 1)).bit_count() + 1
+                else:
+                    xs = sets[low.bit_length() - 1]
+                    examined += total - sum(
+                        comb(nfree - 1 - x + bisect_left(s_tuple, x), k - i)
+                        for i, x in enumerate(xs)
+                    )
+                if record:
+                    log[(s_tuple, _subset(s_tuple, tmask))] = sets[low.bit_length() - 1]
     return None, examined, log
 
 
@@ -353,6 +413,38 @@ def _merge(outcomes, record: bool):
     return None, examined, log
 
 
+# In a pool worker, the index of the lowest chunk known to fail, shared with
+# the other workers and the calling process.  A shared value reaches a process
+# only as it starts, not with a task, so ``_share_failures`` sets it there.
+_failed_chunk = None
+
+
+def _share_failures(failed) -> None:
+    """Pool initializer: keep the shared lowest failed chunk index."""
+    global _failed_chunk
+    _failed_chunk = failed
+
+
+def _scan_later_chunk(scanner, hg: Hypergraph, n: int, lo: int, hi: int, record: bool, chunk: int):
+    """A pool worker's scan of chunk number ``chunk``, one least vertex at a time.
+
+    Before each least vertex it gives up if a lower chunk is known to fail:
+    ``_merge`` reads no chunk after a failure, so the partial outcome it then
+    returns is never used.  On a failure it lowers the shared index to
+    ``chunk``.  Writes are not atomic, but every index written is that of a
+    failed chunk, so a lost update costs time, never a result.
+    """
+    outcomes = []
+    for v in range(lo, hi):
+        if _failed_chunk.value < chunk:
+            break
+        outcomes.append(scanner(hg, n, v, v + 1, record))
+        if outcomes[-1][0] is not None:
+            _failed_chunk.value = min(_failed_chunk.value, chunk)
+            break
+    return _merge(outcomes, record)
+
+
 def is_nec(
     hg: Hypergraph,
     n: int,
@@ -371,7 +463,8 @@ def is_nec(
     counts are nearest to equal, so there may be fewer chunks than
     processes, and each process starts at its first S-set directly: a check
     that fails early in each chunk returns as fast at any thread count.
-    Results, including the counterexample and candidate count, do not
+    Once a chunk fails, the workers of later chunks stop at their next least
+    vertex of S.  Results, including the counterexample and candidate count, do not
     depend on ``threads``.
     """
     if n < 1:
@@ -400,12 +493,18 @@ def is_nec(
         failure, examined, log = scanner(hg, n, low, high, record_witnesses)
     else:
         # The caller scans the first chunk and each worker one of the rest;
-        # under fork the pool starts them all at the first submit.
-        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
+        # under fork the pool starts them all at the first submit.  When the
+        # caller's chunk fails, the workers stop at their next least vertex.
+        failed = RawValue("i", len(rest) + 1)  # no chunk has failed yet
+        with ProcessPoolExecutor(max_workers=len(rest), initializer=_share_failures,
+                                 initargs=(failed,)) as pool:
             lows, highs = zip(*rest)
-            later = pool.map(scanner, itertools.repeat(hg), itertools.repeat(n), lows, highs,
-                             itertools.repeat(record_witnesses))
+            later = pool.map(_scan_later_chunk, itertools.repeat(scanner), itertools.repeat(hg),
+                             itertools.repeat(n), lows, highs,
+                             itertools.repeat(record_witnesses), itertools.count(1))
             first = scanner(hg, n, low, high, record_witnesses)  # while the pool scans the rest
+            if first[0] is not None:
+                failed.value = 0
             failure, examined, log = _merge(itertools.chain([first], later), record_witnesses)
     elapsed = (time.perf_counter() - started) * 1000.0
     return CheckResult(failure is None, n, failure, CheckStats(examined, elapsed, note), log)

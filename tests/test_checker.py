@@ -4,6 +4,7 @@ import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
+from multiprocessing import RawValue
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -244,8 +245,10 @@ class InProcessPool:
     sizes: list[int] = []
     chunks: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)  # in this process: the shared value cannot be pickled
 
     def __enter__(self):
         return self
@@ -264,6 +267,7 @@ def monkeypatch_pool(monkeypatch):
     monkeypatch.setattr(InProcessPool, "sizes", [])
     monkeypatch.setattr(InProcessPool, "chunks", [])
     monkeypatch.setattr(checker, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(checker, "_failed_chunk", None)  # restored after the stand-in's initializer
 
 
 @st.composite
@@ -328,9 +332,9 @@ class CountedPool(ProcessPoolExecutor):
 
     sizes: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         self.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
 
 
 # Draws of RandomModel(3, 8, 0.5, seed), found by scanning seeds from 0: at
@@ -352,6 +356,96 @@ def test_real_pool_reduces_chunks_in_order(monkeypatch, engine, seed, n, first_h
     assert parallel.counterexample == (first or second)
     assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined) == (
         serial.holds, serial.counterexample, serial.stats.candidates_examined)
+
+
+def test_caller_chunk_failure_matches_serial_on_a_real_pool(monkeypatch):
+    """The caller's chunk fails at the first S-set and the worker's holds no
+    failure, so the worker gives up unread; the report is the serial one."""
+    monkeypatch.setattr(CountedPool, "sizes", [])
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", CountedPool)
+    drawn = sample(RandomModel(3, 60, 0.5, 1))
+    edges = [e for e in drawn.edges if 0 not in e]  # vertex 0 forms no edge
+    serial = is_nec(new_hypergraph(3, 60, edges), 3, threads=1, record_witnesses=True)
+    parallel = is_nec(new_hypergraph(3, 60, edges), 3, threads=2, record_witnesses=True)
+    assert CountedPool.sizes == [1]
+    assert serial.counterexample == ((0, 1, 2), (0,))
+    assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined,
+            parallel.witness_log) == (serial.holds, serial.counterexample,
+                                      serial.stats.candidates_examined, serial.witness_log)
+
+
+def test_caller_failure_is_shared_with_the_pool(two_triple, mols4_build, monkeypatch_pool,
+                                                monkeypatch):
+    """The stand-in runs the pool's initializer here, so the shared index is
+    visible: 0 once the caller's chunk fails, and the chunk count, above every
+    chunk, while all pass."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert checker._chunk_bounds(two_triple.m, 2, 2)[0] == (0, 1)
+    assert is_nec(two_triple, 2, threads=2).counterexample == ((0, 1), ())
+    assert checker._failed_chunk.value == 0
+    assert is_nec(mols4_build.hypergraph, 2, threads=2).holds
+    assert checker._failed_chunk.value == 2
+
+
+def test_later_chunk_gives_up_after_a_lower_chunk_failed(monkeypatch):
+    calls = []
+
+    def scanner(hg, n, lo, hi, record):
+        calls.append((lo, hi))
+        return (((lo,), ()) if lo == 7 else None), 1, None
+
+    monkeypatch.setattr(checker, "_failed_chunk", RawValue("i", 1))
+    assert checker._scan_later_chunk(scanner, None, 1, 5, 9, False, 2) == (None, 0, None)
+    assert calls == []
+    # Not below: one least vertex per call, and the failure lowers the index.
+    monkeypatch.setattr(checker, "_failed_chunk", RawValue("i", 3))
+    assert checker._scan_later_chunk(scanner, None, 1, 5, 9, False, 2) == (((7,), ()), 3, None)
+    assert calls == [(5, 6), (6, 7), (7, 8)]
+    assert checker._failed_chunk.value == 2
+
+
+@st.composite
+def dense_hypergraphs(draw):
+    """h = 2..5, m <= 9, each h-set an edge with probability p >= 0.5."""
+    h = draw(st.integers(2, 5))
+    m = draw(st.integers(h, 9))
+    p = draw(st.floats(0.5, 1.0))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return new_hypergraph(h, m, [e for e in itertools.combinations(range(m), h) if rng.random() < p])
+
+
+@pytest.mark.parametrize("hypergraphs", [sparse_hypergraphs, dense_hypergraphs])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), lo=st.sampled_from([0, 1]))
+def test_scanner_matches_naive_chunk(hypergraphs, data, n, lo):
+    """The prefix-shared T-split gives the naive scan's failure, count and witness log."""
+    hg = data.draw(hypergraphs())
+    assume(n <= hg.m)
+    hi = hg.m - n + 1
+    assert checker._scan_chunk_optimized(hg, n, lo, hi, True) == checker._scan_chunk_naive(
+        hg, n, lo, hi, True)
+
+
+def test_part_emptied_below_the_last_vertex_fails_at_its_t(monkeypatch):
+    """Every neighbour of vertex 0 is one of vertex 1, so the prefix (0, 1)
+    has an empty part at T = {0}: its list is cut after that part, and the
+    prefix (0, 1, 2) keeps the same two parts.  S = (0, 1, 2, 3) then fails
+    at that T, after T = {} passes."""
+    extended = []
+    extend = checker._extend
+
+    def spied(*args):
+        extended.append(extend(*args))
+        return extended[-1]
+
+    monkeypatch.setattr(checker, "_extend", spied)
+    hg = new_hypergraph(2, 8, [(0, 4), (1, 4), (1, 5)])  # 6 and 7 form no edge
+    fast = checker._scan_chunk_optimized(hg, 4, 0, 5, True)
+    assert [len(parts) for parts in extended] == [2, 2, 2]
+    assert not extended[1][1] and not extended[2][1]
+    assert fast[0] == ((0, 1, 2, 3), (0,))
+    assert fast[2] == {((0, 1, 2, 3), ()): (6,)}
+    assert fast == checker._scan_chunk_naive(hg, 4, 0, 5, True)
 
 
 @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 64))
@@ -385,8 +479,21 @@ def test_index_is_built_once_per_value(mols4_build, monkeypatch_pool, monkeypatc
     hg = new_hypergraph(built.h, built.m, built.edges)  # a value with no index yet
     assert max_ec(hg, threads=2) == 2
     assert not is_nec(hg, 3, threads=4).holds
-    # Unpickling skips __init__: the chunks got the parent's index, not a rebuild.
+    # The per-vertex tables ride along in the pickle: unpickling skips
+    # __init__, so the chunks got the parent's index, not a rebuild.
+    index = vars(hg)["_shadow_index"]
+    copy = vars(pickle.loads(pickle.dumps(hg)))["_shadow_index"]
+    for table in ("free", "unjoined", "joined"):
+        assert getattr(copy, table) == getattr(index, table)
     assert len(builds) == 1
+    # Bit i of each table stands for sets[i].
+    for v in range(hg.m):
+        for i, key in enumerate(index.sets):
+            free = v not in key
+            joined = free and tuple(sorted(key + (v,))) in hg.edge_set
+            assert bool(index.free[v] >> i & 1) == free
+            assert bool(index.joined[v] >> i & 1) == joined
+            assert bool(index.unjoined[v] >> i & 1) == (free and not joined)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 5000])
