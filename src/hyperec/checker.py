@@ -42,7 +42,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
-from multiprocessing import RawValue
+from multiprocessing import Barrier, RawValue, Value
 from typing import Iterable, Optional
 
 from . import hypergraph
@@ -199,10 +199,11 @@ def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
     """The index of ``hg``, built on first use and kept on the value.
 
     It sits in the instance ``__dict__``, as a ``cached_property`` would, so
-    every later check of the same value reuses it and the pickled copies sent
-    to pool workers carry it.  Raises :class:`CheckerUsageError` when the
-    shadow has more than ``hypergraph.MAX_SETS`` sets, or the vertex count
-    times its size is above 64 times that.
+    every later check of the same value reuses it, and pool workers, forked
+    with the value or sent a pickled copy of it, carry it.  Raises
+    :class:`CheckerUsageError` when the shadow has more than
+    ``hypergraph.MAX_SETS`` sets, or the vertex count times its size is above
+    64 times that.
     """
     index = vars(hg).get("_shadow_index")
     if index is None:
@@ -413,16 +414,46 @@ def _merge(outcomes, record: bool):
     return None, examined, log
 
 
-# In a pool worker, the index of the lowest chunk known to fail, shared with
-# the other workers and the calling process.  A shared value reaches a process
-# only as it starts, not with a task, so ``_share_failures`` sets it there.
+# In a pool worker: the index of the lowest chunk known to fail, shared with
+# the other workers and the calling process; the barrier that the reports
+# meet at; and the worker's own (chunk, outcome) or the exception its scan
+# raised.  All three are set by ``_scan_claimed_chunk`` as the worker starts.
 _failed_chunk = None
+_reports_due = None
+_outcome = None
 
 
-def _share_failures(failed) -> None:
-    """Pool initializer: keep the shared lowest failed chunk index."""
-    global _failed_chunk
-    _failed_chunk = failed
+def _scan_claimed_chunk(failed, claims, reports_due, scanner, hg: Hypergraph, n: int,
+                        rest, record: bool) -> None:
+    """Pool initializer: claim the next of the chunks ``rest`` and scan it.
+
+    The job comes with the worker's start, so under fork it is never
+    pickled and no thread of the pool hands it over: the worker scans while
+    the calling process scans chunk 0.  An exception is kept, not raised, so
+    the pool does not break and ``_report`` can raise it in the caller.
+    """
+    global _failed_chunk, _reports_due, _outcome
+    _failed_chunk, _reports_due = failed, reports_due
+    with claims.get_lock():
+        claims.value += 1
+        chunk = claims.value
+    lo, hi = rest[chunk - 1]
+    try:
+        _outcome = chunk, _scan_later_chunk(scanner, hg, n, lo, hi, record, chunk)
+    except Exception as exc:
+        _outcome = exc
+
+
+def _report(_) -> tuple:
+    """The worker's (chunk, outcome); each worker answers exactly one.
+
+    The barrier holds every report until all workers hold one, so no
+    worker takes a second.  Re-raises the exception its scan raised.
+    """
+    _reports_due.wait()
+    if isinstance(_outcome, Exception):
+        raise _outcome
+    return _outcome
 
 
 def _scan_later_chunk(scanner, hg: Hypergraph, n: int, lo: int, hi: int, record: bool, chunk: int):
@@ -463,6 +494,9 @@ def is_nec(
     counts are nearest to equal, so there may be fewer chunks than
     processes, and each process starts at its first S-set directly: a check
     that fails early in each chunk returns as fast at any thread count.
+    Each worker gets the job in the pool initializer's arguments and scans
+    its chunk as it starts, so under fork neither the hypergraph nor the
+    chunk is pickled; one report task per worker then returns its outcome.
     Once a chunk fails, the workers of later chunks stop at their next least
     vertex of S.  Results, including the counterexample and candidate count, do not
     depend on ``threads``.
@@ -492,20 +526,19 @@ def is_nec(
     if not rest:
         failure, examined, log = scanner(hg, n, low, high, record_witnesses)
     else:
-        # The caller scans the first chunk and each worker one of the rest;
-        # under fork the pool starts them all at the first submit.  When the
-        # caller's chunk fails, the workers stop at their next least vertex.
+        # Each worker claims one of the rest and scans it as it forks; when
+        # the caller's chunk fails, they stop at their next least vertex.
         failed = RawValue("i", len(rest) + 1)  # no chunk has failed yet
-        with ProcessPoolExecutor(max_workers=len(rest), initializer=_share_failures,
-                                 initargs=(failed,)) as pool:
-            lows, highs = zip(*rest)
-            later = pool.map(_scan_later_chunk, itertools.repeat(scanner), itertools.repeat(hg),
-                             itertools.repeat(n), lows, highs,
-                             itertools.repeat(record_witnesses), itertools.count(1))
-            first = scanner(hg, n, low, high, record_witnesses)  # while the pool scans the rest
+        job = (failed, Value("i", 0), Barrier(len(rest)), scanner, hg, n, rest,
+               record_witnesses)
+        with ProcessPoolExecutor(max_workers=len(rest), initializer=_scan_claimed_chunk,
+                                 initargs=job) as pool:
+            reports = pool.map(_report, range(len(rest)))  # forks the workers
+            first = scanner(hg, n, low, high, record_witnesses)  # while they scan the rest
             if first[0] is not None:
                 failed.value = 0
-            failure, examined, log = _merge(itertools.chain([first], later), record_witnesses)
+            later = [outcome for _, outcome in sorted(reports)]
+            failure, examined, log = _merge([first, *later], record_witnesses)
     elapsed = (time.perf_counter() - started) * 1000.0
     return CheckResult(failure is None, n, failure, CheckStats(examined, elapsed, note), log)
 

@@ -264,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1, metavar="N",
                        help="above 1, split the scan into one chunk of least vertices per "
                             "process, N but at most the CPUs (at least 2): this process scans "
-                            "the first, a pool of one worker per chunk the rest, each from its "
-                            "own first S-set, so a check that fails early in every chunk "
-                            "returns as fast at any N; results are identical for any N "
-                            "(default 1)")
+                            "the first, a pool of one worker per chunk the rest, each worker "
+                            "starting its chunk as it forks, each from its own first S-set, "
+                            "so a check that fails early in every chunk returns as fast at "
+                            "any N; results are identical for any N (default 1)")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
 
     p = sub.add_parser("check", help="decide whether a hypergraph is n-e.c.")

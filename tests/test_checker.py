@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing
 import os
 import pickle
 import random
@@ -236,19 +237,23 @@ def test_engines_agree_on_witness_logs(two_triple, k3k3, mols4_build):
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size and the chunks it is
-    handed, and runs map in-process.
+    """Stands in for ProcessPoolExecutor: records its size and the reports it is
+    asked for, runs the initializer and map in-process.
 
-    Each argument goes through pickle, as it would on its way to a worker.
+    The initializer's arguments stay in this process, as they do under fork;
+    each report goes through pickle, as it would on its way back.  A barrier
+    of two or more workers cannot be met in one process, so the stand-in
+    serves one worker only.
     """
 
     sizes: list[int] = []
     chunks: list[int] = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
+        assert max_workers == 1, "the in-process stand-in serves one worker"
         self.sizes.append(max_workers)
         if initializer is not None:
-            initializer(*initargs)  # in this process: the shared value cannot be pickled
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -259,7 +264,7 @@ class InProcessPool:
     def map(self, fn, *iterables):
         calls = list(zip(*iterables))  # submitted at once, as the real pool does
         self.chunks.append(len(calls))
-        return (fn(*pickle.loads(pickle.dumps(args))) for args in calls)
+        return (pickle.loads(pickle.dumps(fn(*args))) for args in calls)
 
 
 @pytest.fixture
@@ -267,7 +272,11 @@ def monkeypatch_pool(monkeypatch):
     monkeypatch.setattr(InProcessPool, "sizes", [])
     monkeypatch.setattr(InProcessPool, "chunks", [])
     monkeypatch.setattr(checker, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(checker, "_failed_chunk", None)  # restored after the stand-in's initializer
+    # Two CPUs give at most one worker, the one the stand-in can serve.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # Restored after the stand-in's initializer sets them in this process.
+    for name in ("_failed_chunk", "_reports_due", "_outcome"):
+        monkeypatch.setattr(checker, name, None)
 
 
 @st.composite
@@ -312,7 +321,31 @@ def test_parallel_matches_serial_on_failure(two_triple, engine):
     assert serial.stats.candidates_examined == parallel.stats.candidates_examined
 
 
-def test_pool_size_capped_at_cpu_count(mols4_build, monkeypatch_pool, monkeypatch):
+class CountedPool(ProcessPoolExecutor):
+    """A real process pool that records the size of each one started and the
+    reports it is asked for."""
+
+    sizes: list[int] = []
+    chunks: list[int] = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
+
+    def map(self, fn, *iterables, **kwargs):
+        calls = list(zip(*iterables))
+        self.chunks.append(len(calls))
+        return super().map(fn, *zip(*calls), **kwargs)
+
+
+@pytest.fixture
+def counted_pool(monkeypatch):
+    monkeypatch.setattr(CountedPool, "sizes", [])
+    monkeypatch.setattr(CountedPool, "chunks", [])
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", CountedPool)
+
+
+def test_pool_size_capped_at_cpu_count(mols4_build, counted_pool, monkeypatch):
     """The pool's workers plus the calling process fit the CPUs, with one worker at least,
     and each worker gets one chunk, so none waits for a second round."""
     hg = mols4_build.hypergraph
@@ -324,17 +357,7 @@ def test_pool_size_capped_at_cpu_count(mols4_build, monkeypatch_pool, monkeypatc
             assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
             assert many.stats.candidates_examined == serial.stats.candidates_examined
     # One worker per chunk after the caller's, and at most CPUs - 1 of them.
-    assert InProcessPool.sizes == InProcessPool.chunks == [1, 1, 1, 1, 1, 2, 1, 1, 2]
-
-
-class CountedPool(ProcessPoolExecutor):
-    """A real process pool that records the size of each one started."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers, **kwargs):
-        self.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers, **kwargs)
+    assert CountedPool.sizes == CountedPool.chunks == [1, 1, 1, 1, 1, 2, 1, 1, 2]
 
 
 # Draws of RandomModel(3, 8, 0.5, seed), found by scanning seeds from 0: at
@@ -342,9 +365,7 @@ class CountedPool(ProcessPoolExecutor):
 # seed 0 with n = 3 both chunks do, so the caller's failure in the first must win.
 @pytest.mark.parametrize("engine", ["optimized", "naive"])
 @pytest.mark.parametrize("seed, n, first_half_fails", [(3, 2, False), (0, 3, True)])
-def test_real_pool_reduces_chunks_in_order(monkeypatch, engine, seed, n, first_half_fails):
-    monkeypatch.setattr(CountedPool, "sizes", [])
-    monkeypatch.setattr(checker, "ProcessPoolExecutor", CountedPool)
+def test_real_pool_reduces_chunks_in_order(counted_pool, engine, seed, n, first_half_fails):
     hg = sample(RandomModel(3, 8, 0.5, seed))
     halves = checker._chunk_bounds(hg.m, n, 2)
     assert len(halves) == 2
@@ -358,11 +379,9 @@ def test_real_pool_reduces_chunks_in_order(monkeypatch, engine, seed, n, first_h
         serial.holds, serial.counterexample, serial.stats.candidates_examined)
 
 
-def test_caller_chunk_failure_matches_serial_on_a_real_pool(monkeypatch):
+def test_caller_chunk_failure_matches_serial_on_a_real_pool(counted_pool):
     """The caller's chunk fails at the first S-set and the worker's holds no
     failure, so the worker gives up unread; the report is the serial one."""
-    monkeypatch.setattr(CountedPool, "sizes", [])
-    monkeypatch.setattr(checker, "ProcessPoolExecutor", CountedPool)
     drawn = sample(RandomModel(3, 60, 0.5, 1))
     edges = [e for e in drawn.edges if 0 not in e]  # vertex 0 forms no edge
     serial = is_nec(new_hypergraph(3, 60, edges), 3, threads=1, record_witnesses=True)
@@ -374,12 +393,93 @@ def test_caller_chunk_failure_matches_serial_on_a_real_pool(monkeypatch):
                                       serial.stats.candidates_examined, serial.witness_log)
 
 
-def test_caller_failure_is_shared_with_the_pool(two_triple, mols4_build, monkeypatch_pool,
-                                                monkeypatch):
+# Draws of RandomModel(3, 8, 0.5, seed) whose first of three chunks (least
+# vertex 0, 1..2 and 3..6 at n = 2) passes, found by scanning seeds from 0:
+# seed 0 fails in neither worker's chunk, 3 in chunk 1 only, 6 in chunk 2
+# only and 12 in both.
+@pytest.mark.parametrize("engine", ["optimized", "naive"])
+@pytest.mark.parametrize("seed, fails", [(0, (False, False)), (3, (True, False)),
+                                         (6, (False, True)), (12, (True, True))])
+def test_two_workers_report_their_chunks_in_order(counted_pool, monkeypatch, engine, seed, fails):
+    """Each worker claims one chunk as it starts and answers one report; the
+    caller puts the reports back in chunk order, whichever worker ran which."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    hg = sample(RandomModel(3, 8, 0.5, seed))
+    thirds = checker._chunk_bounds(hg.m, 2, 3)
+    assert thirds == [(0, 1), (1, 3), (3, 7)]
+    chunk_fails = [checker._scan_chunk_naive(hg, 2, lo, hi, False)[0] is not None
+                   for lo, hi in thirds]
+    assert chunk_fails == [False, *fails]
+    serial = is_nec(hg, 2, engine=engine, threads=1, record_witnesses=True)
+    parallel = is_nec(hg, 2, engine=engine, threads=3, record_witnesses=True)
+    assert CountedPool.sizes == CountedPool.chunks == [2]
+    assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined,
+            parallel.witness_log) == (serial.holds, serial.counterexample,
+                                      serial.stats.candidates_examined, serial.witness_log)
+
+
+def test_more_workers_than_cores_claim_distinct_chunks(counted_pool, monkeypatch):
+    """Five workers, more than a small host has cores, claim one chunk each: a
+    lost update of the claim counter would scan one chunk twice and leave
+    another out of the witness log."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    hg = sample(RandomModel(3, 12, 0.5, 0))
+    assert len(checker._chunk_bounds(hg.m, 2, 6)) == 6
+    serial = is_nec(hg, 2, threads=1, record_witnesses=True)
+    assert serial.holds
+    for _ in range(3):
+        parallel = is_nec(hg, 2, threads=6, record_witnesses=True)
+        assert (parallel.holds, parallel.stats.candidates_examined, parallel.witness_log) == (
+            serial.holds, serial.stats.candidates_examined, serial.witness_log)
+    assert CountedPool.sizes == CountedPool.chunks == [5, 5, 5]
+
+
+def test_worker_exception_reaches_the_caller(mols4_build, counted_pool, monkeypatch):
+    """A scan that raises in a worker raises the same exception from is_nec,
+    not a broken pool; the caller's chunk passes, so the worker scans."""
+    caller = os.getpid()
+    scan = checker._scan_chunk_optimized
+
+    def scanner(hg, n, lo, hi, record):
+        if os.getpid() != caller:
+            raise ArithmeticError(f"worker scan of least vertex {lo}")
+        return scan(hg, n, lo, hi, record)
+
+    monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
+    hg = mols4_build.hypergraph  # 2-e.c.
+    assert checker._chunk_bounds(hg.m, 2, 2) == [(0, 5), (5, 15)]
+    with pytest.raises(ArithmeticError, match="worker scan of least vertex 5"):
+        is_nec(hg, 2, threads=2)
+    assert CountedPool.sizes == [1]
+
+
+class UnpicklableHypergraph(hypergraph.Hypergraph):
+    """A hypergraph that refuses to be pickled."""
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError("this hypergraph refuses to be pickled")
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the job reaches a worker unpickled only under fork")
+def test_workers_check_a_hypergraph_that_cannot_be_pickled(mols4_build, counted_pool):
+    """Under fork the job travels with the fork, so the hypergraph is never pickled."""
+    built = mols4_build.hypergraph
+    hg = UnpicklableHypergraph(built.h, built.m, built.edges)
+    with pytest.raises(TypeError, match="refuses"):
+        pickle.dumps(hg)
+    serial = is_nec(hg, 2, threads=1, record_witnesses=True)
+    parallel = is_nec(hg, 2, threads=2, record_witnesses=True)
+    assert CountedPool.sizes == [1]
+    assert serial.holds
+    assert (parallel.holds, parallel.stats.candidates_examined, parallel.witness_log) == (
+        serial.holds, serial.stats.candidates_examined, serial.witness_log)
+
+
+def test_caller_failure_is_shared_with_the_pool(two_triple, mols4_build, monkeypatch_pool):
     """The stand-in runs the pool's initializer here, so the shared index is
     visible: 0 once the caller's chunk fails, and the chunk count, above every
     chunk, while all pass."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert checker._chunk_bounds(two_triple.m, 2, 2)[0] == (0, 1)
     assert is_nec(two_triple, 2, threads=2).counterexample == ((0, 1), ())
     assert checker._failed_chunk.value == 0
@@ -479,8 +579,9 @@ def test_index_is_built_once_per_value(mols4_build, monkeypatch_pool, monkeypatc
     hg = new_hypergraph(built.h, built.m, built.edges)  # a value with no index yet
     assert max_ec(hg, threads=2) == 2
     assert not is_nec(hg, 3, threads=4).holds
-    # The per-vertex tables ride along in the pickle: unpickling skips
-    # __init__, so the chunks got the parent's index, not a rebuild.
+    # Under a start method other than fork the workers get the hypergraph
+    # pickled: the per-vertex tables ride along, since unpickling skips
+    # __init__, so they would get the parent's index, not a rebuild.
     index = vars(hg)["_shadow_index"]
     copy = vars(pickle.loads(pickle.dumps(hg)))["_shadow_index"]
     for table in ("free", "unjoined", "joined"):
