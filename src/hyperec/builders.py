@@ -66,8 +66,8 @@ def build_from_mols(mols: MolsSet) -> BuildResult:
 def build_from_design(design: Design, h: int) -> BuildResult:
     """Edges: all h-subsets of every block; vertices are the design's points.
 
-    The design must pass validation first, and its blocks may have at most
-    ``hypergraph.MAX_SETS`` h-subsets in all.  A t-(v,k,1) design yields a
+    The design must pass validation first, and its blocks' h-subsets may
+    hold at most ``hypergraph.MAX_SETS`` points in all.  A t-(v,k,1) design yields a
     t-e.c. hypergraph when k >= 2t, v >= k+t and t+1 <= h <= k-t+1; at
     h = k the result is the design itself, 1-e.c. whenever v > k and the
     blocks are not all k-subsets.

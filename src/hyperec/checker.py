@@ -23,13 +23,13 @@ shares it.  Only a shadow set forms an edge with anything, so the witnesses
 of T non-empty lie in the shadow.  The S-sets that share an (n-1)-prefix P
 share its T-split, a list of parts, one per T inside P, each holding the
 shadow sets joined to exactly the vertices of that T; each S under P then
-costs one AND per T.  A T whose part is empty fails for every S under P,
-so the list is cut after the first such part and grows no more: it never
-holds more than two parts beyond the shadow's size.  With T empty the
-witness may lie outside the shadow, so that part counts only when the
-shadow holds every (h-1)-set; otherwise the query is a short lexicographic
-walk past the shadow sets joined to S.  ``naive`` is the direct three-level
-loop kept as an independent oracle.
+costs one AND per T.  A non-empty T whose part is empty fails for every S
+under P, so the list is cut after the first such part and grows no more: it
+never holds more than two parts beyond the shadow's size.  Part 0 never
+cuts.  With T empty the witness may lie outside the shadow, so that part
+counts only when the shadow holds every (h-1)-set; otherwise the query is a
+short lexicographic walk past the shadow sets joined to S.  ``naive`` is the
+direct three-level loop kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -232,22 +232,23 @@ def _first_unjoined(sets, free, k: int, allowed: int, w: int):
     return None
 
 
-def _extend(parts: list[int], unjoined: int, joined: int, cut: int) -> list[int]:
+def _extend(parts: list[int], unjoined: int, joined: int) -> list[int]:
     """The T-parts of a prefix of S extended by one vertex v, from v's two tables.
 
     The parts without v come first, since v takes the next bit of T.  The
-    list ends at its first empty part at index ``cut`` or above: every S-set
-    under the prefix fails at or before that T.  An empty part stays empty,
-    so a list cut once is cut again within its unjoined half.
+    list ends at its first empty part at index 1 or above: every S-set under
+    the prefix fails at or before that T.  An empty part stays empty, so a
+    list cut once is cut again within its unjoined half.  Part 0 never cuts:
+    each S tests T = {} first.
     """
     parts = [p & unjoined for p in parts] + [p & joined for p in parts]
-    for t in range(cut, len(parts)):
+    for t in range(1, len(parts)):
         if not parts[t]:
             return parts[: t + 1]
     return parts
 
 
-def _prefixes(index: _ShadowIndex, n: int, lo: int, hi: int, m: int, cut: int):
+def _prefixes(index: _ShadowIndex, n: int, lo: int, hi: int, m: int):
     """(P, parts, allowed) for the (n-1)-prefixes P of the S-sets with least vertex in [lo, hi).
 
     In lex order.  ``allowed`` holds the shadow sets without a vertex of P,
@@ -267,7 +268,7 @@ def _prefixes(index: _ShadowIndex, n: int, lo: int, hi: int, m: int, cut: int):
             continue
         prefix, parts, allowed = stack[-1]
         prefix += (v,)
-        child = (prefix, _extend(parts, index.unjoined[v], index.joined[v], cut),
+        child = (prefix, _extend(parts, index.unjoined[v], index.joined[v]),
                  allowed & index.free[v])
         if len(prefix) == n - 1:
             yield child
@@ -284,13 +285,12 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
     point.  The S-sets that share an (n-1)-prefix P share its T-split: a list
     whose part t holds the allowed shadow sets joined to exactly the vertices
     of P in t, so the witnesses of all T for one S cost one AND per T.  A
-    part empty at index ``cut`` or above fails every S under P, so the list
-    is cut after it, and the longer prefixes keep only its unjoined side.
-    Until then its parts from ``cut`` on are non-empty disjoint subsets of
-    the shadow, so it never holds more than the shadow's size plus two
-    parts: mols8 at n = 30 builds no 2^29 of them.  With an incomplete
-    shadow an empty part 0 does not count, because T = empty may be
-    witnessed outside the shadow.
+    part empty at index 1 or above fails every S under P, so the list is cut
+    after it, and the longer prefixes keep only its unjoined side.  Until
+    then its parts from index 1 on are non-empty disjoint subsets of the
+    shadow, so it never holds more than the shadow's size plus two parts:
+    mols8 at n = 30 builds no 2^29 of them.  Part 0 never cuts: each S tests
+    T = {} first, in the shadow or, when it is incomplete, past it.
 
     A witness found in the shadow counts its lex rank among the free
     (h-1)-sets plus one: from a complete shadow by popcount, otherwise by the
@@ -305,10 +305,9 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
     m, k = hg.m, hg.h - 1
     nfree = m - n
     total = comb(nfree, k)  # free (h-1)-sets of every S
-    cut = 0 if complete else 1
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
-    for prefix, parts, allowed_p in _prefixes(index, n, lo, hi, m, cut):
+    for prefix, parts, allowed_p in _prefixes(index, n, lo, hi, m):
         for v in range(prefix[-1] + 1, m) if prefix else range(lo, hi):
             s_tuple = prefix + (v,)
             allowed = allowed_p & index.free[v]
@@ -414,32 +413,52 @@ def _merge(outcomes, record: bool):
     return None, examined, log
 
 
-# In a pool worker: the index of the lowest chunk known to fail, shared with
-# the other workers and the calling process; the barrier that the reports
-# meet at; and the worker's own (chunk, outcome) or the exception its scan
-# raised.  All three are set by ``_scan_claimed_chunk`` as the worker starts.
-_failed_chunk = None
+def _scan_chunk(failed, scanner, hg: Hypergraph, n: int, chunk: int, lo: int, hi: int,
+                record: bool):
+    """Scan chunk number ``chunk``, the least vertices [lo, hi), one least vertex at a time.
+
+    ``failed`` is the index of the lowest chunk known to fail, shared by the
+    calling process and the pool's workers.  Before each least vertex the
+    scan gives up if a lower chunk is known to fail, so chunk 0 never does;
+    ``_merge`` reads no chunk after a failure, so the partial outcome of a
+    scan that gave up is never used.  On a failure it lowers the index to
+    ``chunk``.  Writes are not atomic, but every index written is that of a
+    failed chunk, so a lost update costs time, never a result.
+    """
+    outcomes = []
+    for v in range(lo, hi):
+        if failed.value < chunk:
+            break
+        outcomes.append(scanner(hg, n, v, v + 1, record))
+        if outcomes[-1][0] is not None:
+            failed.value = min(failed.value, chunk)
+            break
+    return _merge(outcomes, record)
+
+
+# In a pool worker: the barrier that the reports meet at, and the worker's
+# own (chunk, outcome) or the exception its scan raised.  Both are set by
+# ``_scan_claimed_chunk`` as the worker starts.
 _reports_due = None
 _outcome = None
 
 
 def _scan_claimed_chunk(failed, claims, reports_due, scanner, hg: Hypergraph, n: int,
-                        rest, record: bool) -> None:
-    """Pool initializer: claim the next of the chunks ``rest`` and scan it.
+                        chunks, record: bool) -> None:
+    """Pool initializer: claim the next of ``chunks`` after the caller's chunk 0 and scan it.
 
     The job comes with the worker's start, so under fork it is never
     pickled and no thread of the pool hands it over: the worker scans while
     the calling process scans chunk 0.  An exception is kept, not raised, so
     the pool does not break and ``_report`` can raise it in the caller.
     """
-    global _failed_chunk, _reports_due, _outcome
-    _failed_chunk, _reports_due = failed, reports_due
+    global _reports_due, _outcome
+    _reports_due = reports_due
     with claims.get_lock():
         claims.value += 1
         chunk = claims.value
-    lo, hi = rest[chunk - 1]
     try:
-        _outcome = chunk, _scan_later_chunk(scanner, hg, n, lo, hi, record, chunk)
+        _outcome = chunk, _scan_chunk(failed, scanner, hg, n, chunk, *chunks[chunk], record)
     except Exception as exc:
         _outcome = exc
 
@@ -456,26 +475,6 @@ def _report(_) -> tuple:
     return _outcome
 
 
-def _scan_later_chunk(scanner, hg: Hypergraph, n: int, lo: int, hi: int, record: bool, chunk: int):
-    """A pool worker's scan of chunk number ``chunk``, one least vertex at a time.
-
-    Before each least vertex it gives up if a lower chunk is known to fail:
-    ``_merge`` reads no chunk after a failure, so the partial outcome it then
-    returns is never used.  On a failure it lowers the shared index to
-    ``chunk``.  Writes are not atomic, but every index written is that of a
-    failed chunk, so a lost update costs time, never a result.
-    """
-    outcomes = []
-    for v in range(lo, hi):
-        if _failed_chunk.value < chunk:
-            break
-        outcomes.append(scanner(hg, n, v, v + 1, record))
-        if outcomes[-1][0] is not None:
-            _failed_chunk.value = min(_failed_chunk.value, chunk)
-            break
-    return _merge(outcomes, record)
-
-
 def is_nec(
     hg: Hypergraph,
     n: int,
@@ -487,19 +486,12 @@ def is_nec(
 
     n larger than m-h+1 makes every witness query unsatisfiable, so the
     verdict is False (with a note) rather than an error.  ``threads`` > 1
-    splits the S-range into one chunk per process, at most ``threads`` and
-    at most the CPUs, but at least two: the calling process scans the first
-    chunk and a process pool of one worker per remaining chunk scans the
-    rest.  A chunk is a range of least vertices of S, cut where the S-set
-    counts are nearest to equal, so there may be fewer chunks than
-    processes, and each process starts at its first S-set directly: a check
-    that fails early in each chunk returns as fast at any thread count.
-    Each worker gets the job in the pool initializer's arguments and scans
-    its chunk as it starts, so under fork neither the hypergraph nor the
-    chunk is pickled; one report task per worker then returns its outcome.
-    Once a chunk fails, the workers of later chunks stop at their next least
-    vertex of S.  Results, including the counterexample and candidate count, do not
-    depend on ``threads``.
+    splits the S-range into chunks of least vertices of S, one per process,
+    at most ``threads`` and at most the CPUs but at least two.  The calling
+    process scans the first chunk and one pool worker scans each of the
+    rest; once a chunk fails, the later chunks stop at their next least
+    vertex.  Results, including the counterexample and candidate count, do
+    not depend on ``threads``.
     """
     if n < 1:
         raise CheckerUsageError(f"n must be >= 1, got {n}")
@@ -522,21 +514,19 @@ def is_nec(
     # One chunk per process: more chunks than CPUs would leave some for a
     # second round after the caller's own chunk is done.
     parts = min(threads, max(2, os.cpu_count() or 1))
-    (low, high), *rest = _chunk_bounds(hg.m, n, parts)
-    if not rest:
-        failure, examined, log = scanner(hg, n, low, high, record_witnesses)
+    chunks = _chunk_bounds(hg.m, n, parts)
+    workers = len(chunks) - 1
+    if not workers:
+        failure, examined, log = scanner(hg, n, *chunks[0], record_witnesses)
     else:
-        # Each worker claims one of the rest and scans it as it forks; when
-        # the caller's chunk fails, they stop at their next least vertex.
-        failed = RawValue("i", len(rest) + 1)  # no chunk has failed yet
-        job = (failed, Value("i", 0), Barrier(len(rest)), scanner, hg, n, rest,
+        # Each worker claims one of chunks 1.. and scans it as it forks.
+        failed = RawValue("i", len(chunks))  # no chunk has failed yet
+        job = (failed, Value("i", 0), Barrier(workers), scanner, hg, n, chunks,
                record_witnesses)
-        with ProcessPoolExecutor(max_workers=len(rest), initializer=_scan_claimed_chunk,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_scan_claimed_chunk,
                                  initargs=job) as pool:
-            reports = pool.map(_report, range(len(rest)))  # forks the workers
-            first = scanner(hg, n, low, high, record_witnesses)  # while they scan the rest
-            if first[0] is not None:
-                failed.value = 0
+            reports = pool.map(_report, range(workers))  # forks the workers
+            first = _scan_chunk(failed, scanner, hg, n, 0, *chunks[0], record_witnesses)
             later = [outcome for _, outcome in sorted(reports)]
             failure, examined, log = _merge([first, *later], record_witnesses)
     elapsed = (time.perf_counter() - started) * 1000.0

@@ -262,12 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common_check_flags(p):
         p.add_argument("--engine", choices=checker.ENGINES, default="optimized")
         p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="above 1, split the scan into one chunk of least vertices per "
-                            "process, N but at most the CPUs (at least 2): this process scans "
-                            "the first, a pool of one worker per chunk the rest, each worker "
-                            "starting its chunk as it forks, each from its own first S-set, "
-                            "so a check that fails early in every chunk returns as fast at "
-                            "any N; results are identical for any N (default 1)")
+                       help="split the scan across up to N processes, at most the CPUs; "
+                            "results are identical for any N (default 1)")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
 
     p = sub.add_parser("check", help="decide whether a hypergraph is n-e.c.")

@@ -186,11 +186,16 @@ class DesignReport:
 
 
 def check_block_subsets(design: Design, size: int) -> None:
-    """Refuse a listing of every block's size-subsets longer than ``hypergraph.MAX_SETS``."""
+    """Refuse a listing of every block's size-subsets of more than ``hypergraph.MAX_SETS`` points.
+
+    The listing holds b * C(k, size) subsets of ``size`` points each, so its
+    memory grows with the points, not the subsets.
+    """
     total, limit = design.b * comb(design.k, size), hypergraph.MAX_SETS
-    if total > limit:
+    if total * size > limit:
         raise DesignError(f"listing the {design.b} * C({design.k}, {size}) = {total} "
-                          f"{size}-subsets of the blocks is above the limit of {limit}")
+                          f"{size}-subsets of the blocks, {total * size} points, is above "
+                          f"the limit of {limit}")
 
 
 def validate_design(design: Design) -> DesignReport:
@@ -198,7 +203,8 @@ def validate_design(design: Design) -> DesignReport:
 
     Valid iff all counts equal lambda.  min/max coverage let a failing
     report show how far off the candidate is.  Raises :class:`DesignError`
-    when the blocks have more than ``hypergraph.MAX_SETS`` t-subsets in all.
+    when the blocks' t-subsets hold more than ``hypergraph.MAX_SETS`` points
+    in all.
     """
     check_block_subsets(design, design.t)
     coverage = Counter(

@@ -149,12 +149,14 @@ def test_provenance_strings(mols4_build, fano):
 
 
 def test_build_over_size_limit_is_refused_before_validation(monkeypatch):
-    """pg5's 31 blocks have 31 * C(6, 2) = 465 pairs to validate, but 620 triples."""
+    """pg5's 31 blocks have 31 * C(6, 2) = 465 pairs, 930 points, to validate,
+    but 620 triples, 1860 points."""
     def no_validation(design):
         raise AssertionError("the design was validated before the size check")
 
     design = projective_plane(5)
     monkeypatch.setattr(builders, "validate_design", no_validation)
-    monkeypatch.setattr(hypergraph, "MAX_SETS", 619)
-    with pytest.raises(DesignError, match="= 620 3-subsets of the blocks is above the limit"):
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 1859)
+    with pytest.raises(DesignError,
+                       match="= 620 3-subsets of the blocks, 1860 points, is above the limit"):
         build_from_design(design, 3)

@@ -237,8 +237,9 @@ def test_engines_agree_on_witness_logs(two_triple, k3k3, mols4_build):
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size and the reports it is
-    asked for, runs the initializer and map in-process.
+    """Stands in for ProcessPoolExecutor: records its size, the initializer's
+    arguments and the reports it is asked for, runs the initializer and map
+    in-process.
 
     The initializer's arguments stay in this process, as they do under fork;
     each report goes through pickle, as it would on its way back.  A barrier
@@ -248,10 +249,12 @@ class InProcessPool:
 
     sizes: list[int] = []
     chunks: list[int] = []
+    initargs: list[tuple] = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         assert max_workers == 1, "the in-process stand-in serves one worker"
         self.sizes.append(max_workers)
+        self.initargs.append(initargs)
         if initializer is not None:
             initializer(*initargs)
 
@@ -271,11 +274,12 @@ class InProcessPool:
 def monkeypatch_pool(monkeypatch):
     monkeypatch.setattr(InProcessPool, "sizes", [])
     monkeypatch.setattr(InProcessPool, "chunks", [])
+    monkeypatch.setattr(InProcessPool, "initargs", [])
     monkeypatch.setattr(checker, "ProcessPoolExecutor", InProcessPool)
     # Two CPUs give at most one worker, the one the stand-in can serve.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     # Restored after the stand-in's initializer sets them in this process.
-    for name in ("_failed_chunk", "_reports_due", "_outcome"):
+    for name in ("_reports_due", "_outcome"):
         monkeypatch.setattr(checker, name, None)
 
 
@@ -477,31 +481,40 @@ def test_workers_check_a_hypergraph_that_cannot_be_pickled(mols4_build, counted_
 
 
 def test_caller_failure_is_shared_with_the_pool(two_triple, mols4_build, monkeypatch_pool):
-    """The stand-in runs the pool's initializer here, so the shared index is
-    visible: 0 once the caller's chunk fails, and the chunk count, above every
-    chunk, while all pass."""
+    """The shared index is the first of the pool initializer's arguments: 0
+    once the caller's chunk fails, and the chunk count, above every chunk,
+    while all pass."""
     assert checker._chunk_bounds(two_triple.m, 2, 2)[0] == (0, 1)
     assert is_nec(two_triple, 2, threads=2).counterexample == ((0, 1), ())
-    assert checker._failed_chunk.value == 0
+    assert InProcessPool.initargs[-1][0].value == 0
     assert is_nec(mols4_build.hypergraph, 2, threads=2).holds
-    assert checker._failed_chunk.value == 2
+    assert InProcessPool.initargs[-1][0].value == 2
 
 
-def test_later_chunk_gives_up_after_a_lower_chunk_failed(monkeypatch):
+def test_later_chunk_gives_up_after_a_lower_chunk_failed():
     calls = []
 
     def scanner(hg, n, lo, hi, record):
         calls.append((lo, hi))
         return (((lo,), ()) if lo == 7 else None), 1, None
 
-    monkeypatch.setattr(checker, "_failed_chunk", RawValue("i", 1))
-    assert checker._scan_later_chunk(scanner, None, 1, 5, 9, False, 2) == (None, 0, None)
+    assert checker._scan_chunk(RawValue("i", 1), scanner, None, 1, 2, 5, 9, False) == (
+        None, 0, None)
     assert calls == []
     # Not below: one least vertex per call, and the failure lowers the index.
-    monkeypatch.setattr(checker, "_failed_chunk", RawValue("i", 3))
-    assert checker._scan_later_chunk(scanner, None, 1, 5, 9, False, 2) == (((7,), ()), 3, None)
+    failed = RawValue("i", 3)
+    assert checker._scan_chunk(failed, scanner, None, 1, 2, 5, 9, False) == (
+        ((7,), ()), 3, None)
     assert calls == [(5, 6), (6, 7), (7, 8)]
-    assert checker._failed_chunk.value == 2
+    assert failed.value == 2
+    # Chunk 0, the caller's, has no lower chunk: it never gives up, and its
+    # failure lowers the index to 0, below a later chunk that failed first.
+    calls.clear()
+    failed = RawValue("i", 1)
+    assert checker._scan_chunk(failed, scanner, None, 1, 0, 5, 9, False) == (
+        ((7,), ()), 3, None)
+    assert calls == [(5, 6), (6, 7), (7, 8)]
+    assert failed.value == 0
 
 
 @st.composite
@@ -546,6 +559,33 @@ def test_part_emptied_below_the_last_vertex_fails_at_its_t(monkeypatch):
     assert fast[0] == ((0, 1, 2, 3), (0,))
     assert fast[2] == {((0, 1, 2, 3), ()): (6,)}
     assert fast == checker._scan_chunk_naive(hg, 4, 0, 5, True)
+
+
+def test_empty_part_0_of_a_complete_shadow_fails_at_t_empty(monkeypatch):
+    """Vertex 0 is joined to every other vertex, so the shadow is complete and
+    the prefix (0,) has an empty part 0.  Part 0 never cuts, so the list keeps
+    growing, within the shadow's size plus two parts, and the first S under
+    the prefix fails at T = {}, as the naive scan finds."""
+    extended = []
+    extend = checker._extend
+
+    def spied(*args):
+        extended.append(extend(*args))
+        return extended[-1]
+
+    monkeypatch.setattr(checker, "_extend", spied)
+    hg = new_hypergraph(2, 6, [(0, v) for v in range(1, 6)])
+    shadow = len(checker._shadow_index(hg).sets)
+    assert checker._shadow_index(hg).complete
+    for n, s_tuple in [(1, (0,)), (2, (0, 1)), (3, (0, 1, 2))]:
+        extended.clear()
+        fast = is_nec(hg, n, record_witnesses=True)
+        slow = is_nec(hg, n, engine="naive", record_witnesses=True)
+        assert fast.counterexample == slow.counterexample == (s_tuple, ())
+        assert fast.stats.candidates_examined == slow.stats.candidates_examined
+        assert fast.witness_log == slow.witness_log
+        assert all(len(parts) <= shadow + 2 for parts in extended)
+    assert [len(parts) for parts in extended] == [2, 3]
 
 
 @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 64))

@@ -388,9 +388,9 @@ def test_s_range_beyond_maxsize_matches_naive(capsys, pg8_h4_path):
 
 
 @pytest.mark.parametrize("argv, limit", [
-    pytest.param(["validate", "{design}"], 20, id="validate"),  # 7 * C(3, 2) = 21 pairs
-    pytest.param(["build", "from-design", "-i", "{design}", "-o", "{out}", "--h", "3"], 6,
-                 id="build"),  # 7 * C(3, 3) = 7 triples
+    pytest.param(["validate", "{design}"], 41, id="validate"),  # 21 pairs, 42 points
+    pytest.param(["build", "from-design", "-i", "{design}", "-o", "{out}", "--h", "3"], 20,
+                 id="build"),  # 7 * C(3, 3) = 7 triples, 21 points
 ])
 def test_oversized_design_is_usage_error(capsys, monkeypatch, tmp_path, fano, argv, limit):
     design, out = tmp_path / "fano.txt", tmp_path / "out.txt"
@@ -400,6 +400,17 @@ def test_oversized_design_is_usage_error(capsys, monkeypatch, tmp_path, fano, ar
     assert (code, stdout) == (2, "")
     assert err.startswith("error: listing the 7 * C(3, ") and err.endswith(f"limit of {limit}\n")
     assert not out.exists()
+
+
+def test_design_listing_over_size_limit_in_points_is_usage_error(capsys, tmp_path):
+    """One 24-point block has C(24, 8) = 735 471 8-subsets, within ``MAX_SETS``,
+    but 5 883 768 points above it."""
+    design = tmp_path / "big.txt"
+    design.write_text("8 24 24 1\n" + " ".join(map(str, range(24))) + "\n")
+    code, stdout, err = run(capsys, "validate", str(design))
+    assert (code, stdout) == (2, "")
+    assert err == ("error: listing the 1 * C(24, 8) = 735471 8-subsets of the blocks, "
+                   "5883768 points, is above the limit of 4194304\n")
 
 
 def test_delete_vertex_cli(capsys, fig5_path, tmp_path):

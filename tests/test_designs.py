@@ -377,10 +377,11 @@ def test_mols_parse_errors(text):
 
 
 def test_validate_over_size_limit_is_refused(fano, monkeypatch):
-    """The 7 blocks' 7 * C(3, 2) = 21 pairs are counted only within the limit,
-    read at call time."""
-    monkeypatch.setattr(hypergraph, "MAX_SETS", 20)
-    with pytest.raises(DesignError, match="= 21 2-subsets of the blocks is above the limit of 20"):
+    """The 7 blocks' 7 * C(3, 2) = 21 pairs, 42 points, are counted only within
+    the limit, read at call time."""
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 41)
+    with pytest.raises(DesignError,
+                       match="= 21 2-subsets of the blocks, 42 points, is above the limit of 41"):
         validate_design(fano)
-    monkeypatch.setattr(hypergraph, "MAX_SETS", 21)
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 42)
     assert validate_design(fano).valid
