@@ -74,7 +74,7 @@ def build_from_design(design: Design, h: int) -> BuildResult:
     """
     if not 3 <= h <= design.k:
         raise DesignError(f"need 3 <= h <= k={design.k}, got h={h}")
-    check_block_subsets(design, h)
+    check_block_subsets(design.b, design.k, h)
     report = validate_design(design)
     if not report.valid:
         raise DesignError(

@@ -13,6 +13,7 @@ it once as ``error: <message>`` on stderr and exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -252,7 +253,13 @@ def _cmd_delete_vertex(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hyperec`` parser, built on the first call and shared by every later one.
+
+    Reuse is safe: ``parse_args`` returns a fresh namespace each time, and
+    ``--help`` and usage errors raise ``SystemExit`` without changing the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperec",
         description="Construct, validate, and certify existentially closed uniform hypergraphs.",
@@ -333,8 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``hyperec`` command and return its exit code.
+
+    May be called any number of times in one process; the parser is built once.
+    """
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
             raise _CliError(f"--threads must be >= 1, got {args.threads}")

@@ -122,17 +122,22 @@ def complete_mols(q: int) -> MolsSet:
 
     Rows and columns are indexed by the field's canonical element order;
     square number i uses multiplier a = the (i+1)-th element.  Deterministic.
+    Refuses, before building the field tables, an order whose (q-1)*q^2 cells
+    are more than ``hypergraph.MAX_SETS``; the tables' q^2 entries are fewer.
     """
     if q < 3:
         raise DesignError(f"order must be >= 3, got {q}")
     field = field_of_order(q)
-    squares = []
-    for a in range(1, q):
-        grid = tuple(
-            tuple(field.add(field.mul(a, x), y) for y in range(q)) for x in range(q)
-        )
-        squares.append(LatinSquare(q, grid))
-    return MolsSet(q, tuple(squares))
+    cells, limit = (q - 1) * q * q, hypergraph.MAX_SETS
+    if cells > limit:
+        raise DesignError(f"listing the {q - 1} squares of order {q}, {cells} cells, "
+                          f"is above the limit of {limit}")
+    mul, add = field.mul_table, field.add_table
+    # Row x of square a is the addition-table row of a*x.
+    squares = tuple(
+        LatinSquare(q, tuple(tuple(add[mul[a][x]]) for x in range(q))) for a in range(1, q)
+    )
+    return MolsSet(q, squares)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +190,16 @@ class DesignReport:
     max_coverage: int
 
 
-def check_block_subsets(design: Design, size: int) -> None:
-    """Refuse a listing of every block's size-subsets of more than ``hypergraph.MAX_SETS`` points.
+def check_block_subsets(b: int, k: int, size: int) -> None:
+    """Refuse a listing of the size-subsets of b blocks of k points of more than
+    ``hypergraph.MAX_SETS`` points.
 
     The listing holds b * C(k, size) subsets of ``size`` points each, so its
     memory grows with the points, not the subsets.
     """
-    total, limit = design.b * comb(design.k, size), hypergraph.MAX_SETS
+    total, limit = b * comb(k, size), hypergraph.MAX_SETS
     if total * size > limit:
-        raise DesignError(f"listing the {design.b} * C({design.k}, {size}) = {total} "
+        raise DesignError(f"listing the {b} * C({k}, {size}) = {total} "
                           f"{size}-subsets of the blocks, {total * size} points, is above "
                           f"the limit of {limit}")
 
@@ -206,7 +212,7 @@ def validate_design(design: Design) -> DesignReport:
     when the blocks' t-subsets hold more than ``hypergraph.MAX_SETS`` points
     in all.
     """
-    check_block_subsets(design, design.t)
+    check_block_subsets(design.b, design.k, design.t)
     coverage = Counter(
         sub for block in design.blocks for sub in itertools.combinations(block, design.t)
     )
@@ -293,11 +299,14 @@ def projective_plane(q: int) -> Design:
 
     Points are the 1-dimensional subspaces of GF(q)^3, represented by the
     scaled vector whose first nonzero coordinate is 1 and sorted by the
-    canonical element order; lines are the 2-dimensional subspaces.
+    canonical element order; lines are the 2-dimensional subspaces.  An order
+    whose validation listing :func:`check_block_subsets` would refuse is
+    refused before the field tables, which are smaller, are built.
     """
     if q < 2:
         raise DesignError(f"order must be >= 2, got {q}")
     field = field_of_order(q)
+    check_block_subsets(q * q + q + 1, q + 1, 2)  # what validation will list
     reps = _projective_point_reps(field)
     point_id = {rep: i for i, rep in enumerate(reps)}
     mul, add = field.mul_table, field.add_table
@@ -328,13 +337,16 @@ def inversive_plane(q: int) -> Design:
     the point at infinity gets index q^2.  Blocks are every image of the
     subline {infinity} + GF(q) under the fractional-linear maps
     z -> (az+b)/(cz+d) of the invertible 2x2 matrices over GF(q^2),
-    deduplicated as point sets.
+    deduplicated as point sets.  An order whose validation listing
+    :func:`check_block_subsets` would refuse is refused before the q^4-entry
+    tables of GF(q^2), which are smaller, are built.
     """
     if prime_power(q) is None:
         raise GaloisError(f"{q} is not a prime power")
     if q < 3:
         raise DesignError(f"order must be >= 3, got {q}")
     field = field_of_order(q * q)
+    check_block_subsets(q * (q * q + 1), q + 1, 3)  # what validation will list
     Q = q * q
     INF = Q
     mul, add, neg, invt = field.mul_table, field.add_table, field.neg_table, field.inv_table

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import hypergraph
 from .checker import is_nec
 from .hypergraph import Hypergraph
 
@@ -35,6 +36,9 @@ class RandomModelError(ValueError):
 
 @dataclass(frozen=True)
 class RandomModel:
+    """The model's parameters.  A sample draws once for each of the C(m, h)
+    h-sets, so more than ``hypergraph.MAX_SETS`` of them are refused."""
+
     h: int
     m: int
     p: float
@@ -47,6 +51,10 @@ class RandomModel:
             raise RandomModelError(f"m={self.m} below h={self.h}")
         if not 0.0 < self.p < 1.0:
             raise RandomModelError(f"p must lie in (0,1), got {self.p}")
+        total, limit = math.comb(self.m, self.h), hypergraph.MAX_SETS
+        if total > limit:
+            raise RandomModelError(f"sampling the C({self.m}, {self.h}) = {total} "
+                                   f"{self.h}-sets is above the limit of {limit}")
 
 
 def derive_seed(base: int, index: int) -> int:

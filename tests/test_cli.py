@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperec import builders, designs, hypergraph, read_hypergraph, write_hypergraph
+from hyperec import builders, cli, designs, hypergraph, read_hypergraph, write_hypergraph
 from hyperec.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -402,6 +402,23 @@ def test_oversized_design_is_usage_error(capsys, monkeypatch, tmp_path, fano, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, limit", [
+    pytest.param(["random", "--h", "3", "--m", "12", "--p", "0.5", "-n", "1", "--trials", "2",
+                  "--seed", "7"], 220, id="random"),  # C(12, 3) h-sets drawn per sample
+    pytest.param(["construct", "mols", "-q", "4", "-o", "{out}"], 48, id="mols"),  # 3 * 4 * 4 cells
+])
+def test_oversized_generation_is_usage_error(capsys, monkeypatch, tmp_path, argv, limit):
+    out = tmp_path / "out.txt"
+    argv = [a.format(out=out) for a in argv]
+    monkeypatch.setattr(hypergraph, "MAX_SETS", limit - 1)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f" is above the limit of {limit - 1}\n")
+    assert not out.exists()
+    monkeypatch.setattr(hypergraph, "MAX_SETS", limit)
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_design_listing_over_size_limit_in_points_is_usage_error(capsys, tmp_path):
     """One 24-point block has C(24, 8) = 735 471 8-subsets, within ``MAX_SETS``,
     but 5 883 768 points above it."""
@@ -411,6 +428,42 @@ def test_design_listing_over_size_limit_in_points_is_usage_error(capsys, tmp_pat
     assert (code, stdout) == (2, "")
     assert err == ("error: listing the 1 * C(24, 8) = 735471 8-subsets of the blocks, "
                    "5883768 points, is above the limit of 4194304\n")
+
+
+# --- one parser per process
+
+
+def test_build_parser_returns_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, re.sub(r"elapsed_ms: [0-9.]+\n", "", captured.out), captured.err
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch, fig5_path, tmp_path):
+    sequence = [
+        ["check", fig5_path, "-n", "1"],
+        ["check", fig5_path],  # -n is required
+        ["maxec", "--help"],
+        ["construct", "mols", "-o", str(tmp_path / "x.txt")],  # -q is required
+        ["random", "--h", "3", "--m", "8", "--p", "0.5", "-n", "1", "--trials", "3", "--seed", "7"],
+        ["check", fig5_path, "-n", "1"],
+    ]
+    cli.build_parser()
+    before = cli.build_parser.cache_info()
+    reused = [_outcome(capsys, argv) for argv in sequence]
+    after = cli.build_parser.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(sequence), 0)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv in sequence]
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 0]
+    assert reused == fresh
 
 
 def test_delete_vertex_cli(capsys, fig5_path, tmp_path):

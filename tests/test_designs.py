@@ -27,7 +27,7 @@ from hyperec.designs import (
     projective_plane,
     validate_design,
 )
-from hyperec.galois import GaloisError, field_of_order
+from hyperec.galois import GaloisError, GfField, field_of_order
 
 # A hand-checked complete family of order 4 (row = cell row, value = symbol).
 ORDER4_SQUARES = (
@@ -132,6 +132,12 @@ def test_complete_mols_exhaustive(q):
         assert is_latin(sq.grid)
     for a, b in itertools.combinations(mols.squares, 2):
         assert are_orthogonal(a, b)
+    # Square a is cell(x, y) = a*x + y by the field's own arithmetic.
+    field = field_of_order(q)
+    assert tuple(sq.grid for sq in mols.squares) == tuple(
+        tuple(tuple(field.add(field.mul(a, x), y) for y in range(q)) for x in range(q))
+        for a in range(1, q)
+    )
 
 
 def test_complete_mols_rejects_non_prime_power():
@@ -385,3 +391,26 @@ def test_validate_over_size_limit_is_refused(fano, monkeypatch):
         validate_design(fano)
     monkeypatch.setattr(hypergraph, "MAX_SETS", 42)
     assert validate_design(fano).valid
+
+
+@pytest.mark.parametrize("build, q, listed, message", [
+    (complete_mols, 4, 48, "listing the 3 squares of order 4, 48 cells"),
+    (projective_plane, 3, 156, "= 78 2-subsets of the blocks, 156 points"),  # 13 * C(4, 2)
+    (inversive_plane, 3, 360, "= 120 3-subsets of the blocks, 360 points"),  # 30 * C(4, 3)
+])
+def test_construction_over_size_limit_is_refused_before_the_tables(
+        monkeypatch, build, q, listed, message):
+    """Each generator bounds what it will list, cells or validated block subsets,
+    and refuses before any field table is built."""
+
+    def no_table(field):
+        raise AssertionError("field table built for a refused order")
+
+    monkeypatch.setattr(GfField, "mul_table", property(no_table))
+    monkeypatch.setattr(GfField, "add_table", property(no_table))
+    monkeypatch.setattr(hypergraph, "MAX_SETS", listed - 1)
+    with pytest.raises(DesignError, match=f"{message}, is above the limit of {listed - 1}"):
+        build(q)
+    monkeypatch.undo()
+    monkeypatch.setattr(hypergraph, "MAX_SETS", listed)
+    build(q)
