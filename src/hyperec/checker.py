@@ -27,9 +27,13 @@ costs one AND per T.  A non-empty T whose part is empty fails for every S
 under P, so the list is cut after the first such part and grows no more: it
 never holds more than two parts beyond the shadow's size.  Part 0 never
 cuts.  With T empty the witness may lie outside the shadow, so that part
-counts only when the shadow holds every (h-1)-set; otherwise the query is a
-short lexicographic walk past the shadow sets joined to S.  ``naive`` is the
-direct three-level loop kept as an independent oracle.
+counts only when the shadow holds every (h-1)-set; otherwise the query tests
+the lex-first free (h-1)-set in one step and, only when that set is joined to
+S, walks on past the shadow sets joined to S.  ``candidates_examined`` adds
+up each witness's lex rank: over a complete shadow a popcount per T,
+otherwise a sum from a table of binomials, taken once per S over the
+witnesses of all its T.  ``naive`` is the direct three-level loop kept as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 from multiprocessing import Barrier, RawValue, Value
+from operator import getitem
 from typing import Iterable, Optional
 
 from . import hypergraph
@@ -159,7 +165,8 @@ class _ShadowIndex:
     i of each bitmap stands for ``sets[i]``.  Per vertex v, ``free[v]`` holds
     the sets without v, ``joined[v]`` those of them that form an edge with v
     and ``unjoined[v]`` the rest.  ``complete`` says that U holds every
-    (h-1)-set of the vertices.
+    (h-1)-set of the vertices; when it does not, ``tails`` is the
+    ``_rank_tails`` table of the scan's witness ranks.
     """
 
     def __init__(self, hg: Hypergraph):
@@ -193,6 +200,7 @@ class _ShadowIndex:
         # A set that forms an edge with v does not hold v.
         self.joined = [int.from_bytes(b, "little") for b in join_bits]
         self.unjoined = [f & ~j for f, j in zip(self.free, self.joined)]
+        self.tails = None if self.complete else _rank_tails(hg.m, hg.h - 1)
 
 
 def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
@@ -277,6 +285,39 @@ def _prefixes(index: _ShadowIndex, n: int, lo: int, hi: int, m: int):
             nexts.append(iter(range(v + 1, m - n + len(prefix) + 1)))
 
 
+def _rank_tails(m: int, k: int) -> list[list[int]]:
+    """The rank table of free k-sets: ``tails[i][a]`` = C(a, k - i), for i < k and a < m.
+
+    By the combinatorial number system, a free k-set whose i-th member has
+    a_i free vertices above it has the sum of ``tails[i][a_i]`` free k-sets
+    after it in lex order.  The table does not depend on S, so one serves
+    every n.
+    """
+    return [[comb(a, k - i) for a in range(m)] for i in range(k)]
+
+
+def _free_above(s_tuple: tuple[int, ...], m: int) -> list[int]:
+    """For each vertex x, the vertices above x less the members of S above x.
+
+    For x outside S that is the number of free vertices above it.  When the
+    last vertex v of S moves on to v + 1, v becomes free and its entry drops
+    by one; no other free vertex's entry changes.
+    """
+    return [m - 1 - x - (len(s_tuple) - bisect_right(s_tuple, x)) for x in range(m)]
+
+
+def _rank_sum(tails: list[list[int]], total: int, above: list[int], found) -> int:
+    """The sum of the 1-based lex ranks of the free k-sets in ``found``, in one C-level chain.
+
+    ``total`` is C(m - n, k), the number of free k-sets, and ``above`` is
+    ``_free_above`` of S.  A set's rank is ``total`` less the sum over
+    ``tails`` of its members' entries in ``above``.
+    """
+    r = len(found)
+    return r * total - sum(
+        map(getitem, tails * r, map(above.__getitem__, chain.from_iterable(found))))
+
+
 def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool):
     """Scan the S-sets whose least vertex is in [lo, hi); stop early at the first failure.
 
@@ -292,12 +333,14 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
     mols8 at n = 30 builds no 2^29 of them.  Part 0 never cuts: each S tests
     T = {} first, in the shadow or, when it is incomplete, past it.
 
-    A witness found in the shadow counts its lex rank among the free
-    (h-1)-sets plus one: from a complete shadow by popcount, otherwise by the
-    combinatorial number system over the positions of X among the free
-    vertices.  The walk and the rank are exact for a complete shadow too, but
-    a dense random sample, whose shadow is nearly always complete, checks two
-    to three times faster by popcount.
+    A witness found in the shadow counts its 1-based lex rank among the free
+    (h-1)-sets.  From a complete shadow that is a popcount per T; otherwise
+    ``_rank_sum`` takes it from the ``_rank_tails`` table, once per S for the
+    witnesses of T = 1, 2, ... up to the first empty part.  There T = {}
+    first tests the lex-first free (h-1)-set in one step.  The table and the
+    walk are exact for a complete shadow too, but a dense random sample,
+    whose shadow is nearly always complete, checks two to three times faster
+    by popcount.
     """
     index = _shadow_index(hg)
     sets, complete = index.sets, index.complete
@@ -305,10 +348,19 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
     m, k = hg.m, hg.h - 1
     nfree = m - n
     total = comb(nfree, k)  # free (h-1)-sets of every S
+    tails = index.tails
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
     for prefix, parts, allowed_p in _prefixes(index, n, lo, hi, m):
-        for v in range(prefix[-1] + 1, m) if prefix else range(lo, hi):
+        vs = range(prefix[-1] + 1, m) if prefix else range(lo, hi)
+        if not complete:
+            # The free vertices of S are the prefix's without v, its free
+            # vertex number v - len(prefix); ``above`` counts them above each
+            # vertex and moves on with v, as ``_free_above`` says.
+            free_p = tuple(u for u in range(m) if u not in prefix)
+            head = free_p[:k]
+            above = _free_above(prefix + (vs.start,), m)
+        for v in vs:
             s_tuple = prefix + (v,)
             allowed = allowed_p & index.free[v]
             # Not cut: ws[t] is the witness set of T = t.  Cut: the scan stops
@@ -316,32 +368,41 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
             # the list's missing parts would shift the indices.
             un, jo = unjoined[v], joined[v]
             ws = [p & un for p in parts] + [p & jo for p in parts]
-            first = 0
-            if not complete:
-                # T is empty, where X need not lie in the shadow.
-                free = [u for u in range(m) if u not in s_tuple]
-                hit = _first_unjoined(sets, free, k, allowed, ws[0])
+            if complete:
+                for tmask, w in enumerate(ws):
+                    if not w:
+                        return (s_tuple, _subset(s_tuple, tmask)), examined + total, log
+                    low = w & -w
+                    examined += (allowed & (low - 1)).bit_count() + 1
+                    if record:
+                        log[(s_tuple, _subset(s_tuple, tmask))] = sets[low.bit_length() - 1]
+                continue
+            # T is empty, where X need not lie in the shadow.  The lex-first
+            # free (h-1)-set qualifies unless it is the first allowed shadow
+            # set and that set is joined to S.
+            j = v - len(prefix)
+            xs = head if j >= k else free_p[:j] + free_p[j + 1:k + 1]
+            low = allowed & -allowed
+            if nfree >= k and (not low or sets[low.bit_length() - 1] != xs or ws[0] & low):
+                examined += 1
+            else:
+                hit = _first_unjoined(sets, free_p[:j] + free_p[j + 1:], k, allowed, ws[0])
                 if hit is None:
                     return (s_tuple, ()), examined + total, log
                 examined += hit[0]
-                if record:
-                    log[(s_tuple, ())] = hit[1]
-                first = 1
-            for tmask in range(first, len(ws)):
-                w = ws[tmask]
-                if not w:
-                    return (s_tuple, _subset(s_tuple, tmask)), examined + total, log
-                low = w & -w
-                if complete:
-                    examined += (allowed & (low - 1)).bit_count() + 1
-                else:
-                    xs = sets[low.bit_length() - 1]
-                    examined += total - sum(
-                        comb(nfree - 1 - x + bisect_left(s_tuple, x), k - i)
-                        for i, x in enumerate(xs)
-                    )
-                if record:
-                    log[(s_tuple, _subset(s_tuple, tmask))] = sets[low.bit_length() - 1]
+                xs = hit[1]
+            if record:
+                log[(s_tuple, ())] = xs
+            # T = 1, 2, ... up to the first empty part, where S fails.
+            end = (ws + [0]).index(0, 1)
+            found = [sets[(w & -w).bit_length() - 1] for w in ws[1:end]]
+            examined += _rank_sum(tails, total, above, found)
+            above[v] -= 1  # v is free in the next S, below its last vertex
+            if record:
+                for tmask, witness in enumerate(found, 1):
+                    log[(s_tuple, _subset(s_tuple, tmask))] = witness
+            if end < len(ws):
+                return (s_tuple, _subset(s_tuple, end)), examined + total, log
     return None, examined, log
 
 

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
 from . import hypergraph
@@ -83,9 +84,20 @@ def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     """True iff superimposing the squares yields q*q distinct ordered pairs."""
     if a.order != b.order:
         raise DesignError(f"order mismatch: {a.order} vs {b.order}")
+    return _orthogonal_to(a, (b,))
+
+
+def _orthogonal_to(a: LatinSquare, others: Iterable[LatinSquare]) -> bool:
+    """True iff ``a`` is orthogonal to each of ``others``, squares of its order.
+
+    A square's symbols are ints in [0, q), so the pair (s, t) is told by
+    s * q + t: each check counts those ints over the flattened grids, with
+    a's grid scaled by q once for all of ``others``.
+    """
     q = a.order
-    pairs = {(a.grid[r][c], b.grid[r][c]) for r in range(q) for c in range(q)}
-    return len(pairs) == q * q
+    scaled = [q * s for row in a.grid for s in row]
+    return all(len(set(map(add, scaled, itertools.chain.from_iterable(b.grid)))) == q * q
+               for b in others)
 
 
 @dataclass(frozen=True)
@@ -105,9 +117,8 @@ class MolsSet:
         for sq in self.squares:
             if sq.order != self.order:
                 raise DesignError("square order mismatch")
-        for x, y in itertools.combinations(self.squares, 2):
-            if not are_orthogonal(x, y):
-                raise DesignError("squares are not pairwise orthogonal")
+        if not all(_orthogonal_to(sq, self.squares[i + 1:]) for i, sq in enumerate(self.squares)):
+            raise DesignError("squares are not pairwise orthogonal")
 
     @property
     def count(self) -> int:

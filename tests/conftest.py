@@ -84,6 +84,11 @@ def mols5_build():
 
 
 @pytest.fixture(scope="session")
+def mols7_build():
+    return builders.build_from_mols(designs.complete_mols(7))
+
+
+@pytest.fixture(scope="session")
 def mols8_build():
     """h = 7, m = 64: its 2016-set shadow is within ``MAX_SETS``, its complement is not."""
     return builders.build_from_mols(designs.complete_mols(8))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hyperec import checker, hypergraph
+from hyperec import builders, checker, hypergraph
 from hyperec.checker import (
     CheckerUsageError,
     correctly_joined,
@@ -681,6 +681,74 @@ def test_large_n_matches_naive(mols8_build, n):
     assert fast.counterexample == (tuple(range(n)), (0,) if n == 30 else ())
     assert (fast.holds, fast.counterexample, fast.stats.candidates_examined) == (
         slow.holds, slow.counterexample, slow.stats.candidates_examined)
+
+
+@pytest.fixture(scope="module")
+def pg4_h4(pg4):
+    return builders.build_from_design(pg4, 4).hypergraph
+
+
+@pytest.mark.parametrize("name", ["mols5", "pg4-h4"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_larger_incomplete_shadows_match_naive(mols5_build, pg4_h4, name, n):
+    """mols5 (25 vertices, a 300-set shadow) and pg4-h4 (21 vertices, 420
+    sets) are past the sizes the generated hypergraphs reach: many T-parts
+    per S, and T = {} walks past shadow sets joined to S."""
+    hg = mols5_build.hypergraph if name == "mols5" else pg4_h4
+    assert not checker._shadow_index(hg).complete
+    slow = is_nec(hg, n, engine="naive", record_witnesses=True)
+    for threads in (1, 2):
+        fast = is_nec(hg, n, threads=threads, record_witnesses=True)
+        assert fast.counterexample == slow.counterexample
+        assert fast.stats.candidates_examined == slow.stats.candidates_examined
+        assert fast.witness_log == slow.witness_log
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("mols7", (4_756_297, 1_134_916_412, 2_541_818)),
+    ("mols8", (238_432_352, 75_726_602_963, 105_820_982)),
+])
+def test_counts_beyond_the_naive_engine(mols7_build, mols8_build, name, counts):
+    """Candidate counts the naive engine cannot reach in a test's time,
+    pinned from the per-T rank that the rank table replaced."""
+    hg = (mols7_build if name == "mols7" else mols8_build).hypergraph
+    for n, count in enumerate(counts, 1):
+        result = is_nec(hg, n)
+        assert result.stats.candidates_examined == count
+        assert result.counterexample == (None if n < 3 else ((0, 1, 2), (0, 1)))
+
+
+def test_rank_table_gives_each_free_set_its_lex_position():
+    """For m <= 14, k <= 6 and a random S of each size, including those that
+    leave fewer than k free vertices: the table rank of each free k-set is
+    its 1-based position in ``combinations(free, k)``."""
+    rng = random.Random(13)
+    for m in range(1, 15):
+        for n in range(1, m + 1):
+            s_tuple = tuple(sorted(rng.sample(range(m), n)))
+            free = [x for x in range(m) if x not in s_tuple]
+            above = checker._free_above(s_tuple, m)
+            assert [above[x] for x in free] == list(range(m - n - 1, -1, -1))
+            for k in range(1, 7):
+                tails = checker._rank_tails(m, k)
+                xs = list(itertools.combinations(free, k))
+                ranks = [checker._rank_sum(tails, comb(m - n, k), above, [x]) for x in xs]
+                assert ranks == list(range(1, len(xs) + 1))
+                assert checker._rank_sum(tails, comb(m - n, k), above, xs) == sum(ranks)
+
+
+@pytest.mark.parametrize("prefix, m", [((), 6), ((1,), 9), ((0, 4), 11)])
+def test_free_counts_follow_the_last_vertex(prefix, m):
+    """The scan keeps one count list per prefix: lowering the old last
+    vertex's entry by one gives the counts for the next S."""
+    start = prefix[-1] + 1 if prefix else 0
+    above = checker._free_above(prefix + (start,), m)
+    for v in range(start, m):
+        s_tuple = prefix + (v,)
+        fresh = checker._free_above(s_tuple, m)
+        assert [above[x] for x in range(m) if x not in s_tuple] == [
+            fresh[x] for x in range(m) if x not in s_tuple]
+        above[v] -= 1
 
 
 def test_sampled_model_instances_agree_across_engines():

@@ -1,5 +1,6 @@
 import io
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -106,6 +107,26 @@ def test_square_not_orthogonal_to_itself():
     assert not are_orthogonal(sq, sq)
 
 
+def test_orthogonality_matches_the_pair_count_on_random_squares():
+    """The count of s * q + t refuses exactly the squares whose superimposed
+    (s, t) pairs repeat: squares with rows, columns and symbols permuted at
+    random, orthogonal pairs and not."""
+    rng = random.Random(3)
+    seen = set()
+    for q in (3, 4, 5, 7):
+        squares = list(complete_mols(q).squares)
+        for _ in range(20):
+            rows, cols, syms = (rng.sample(range(q), q) for _ in range(3))
+            grid = rng.choice(squares).grid
+            squares.append(LatinSquare(q, tuple(
+                tuple(syms[grid[r][c]] for c in cols) for r in rows)))
+        for a, b in itertools.combinations(squares, 2):
+            pairs = {(a.grid[r][c], b.grid[r][c]) for r in range(q) for c in range(q)}
+            assert are_orthogonal(a, b) == (len(pairs) == q * q)
+            seen.add(len(pairs) == q * q)
+    assert seen == {True, False}
+
+
 def test_orthogonality_order_mismatch():
     a = LatinSquare(4, ORDER4_SQUARES[0])
     b = LatinSquare(2, ((0, 1), (1, 0)))
@@ -151,6 +172,10 @@ def test_mols_set_rejects_non_orthogonal():
     sq = LatinSquare(4, ORDER4_SQUARES[0])
     with pytest.raises(DesignError):
         MolsSet(4, (sq, sq))
+    # A repeated square after two good ones: the pairs after the first are checked too.
+    squares = complete_mols(5).squares
+    with pytest.raises(DesignError, match="not pairwise orthogonal"):
+        MolsSet(5, squares[:3] + squares[2:3])
 
 
 def test_mols_set_size_cap():
