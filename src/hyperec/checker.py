@@ -165,8 +165,8 @@ class _ShadowIndex:
     i of each bitmap stands for ``sets[i]``.  Per vertex v, ``free[v]`` holds
     the sets without v, ``joined[v]`` those of them that form an edge with v
     and ``unjoined[v]`` the rest.  ``complete`` says that U holds every
-    (h-1)-set of the vertices; when it does not, ``tails`` is the
-    ``_rank_tails`` table of the scan's witness ranks.
+    (h-1)-set of the vertices; when it does not, ``tails`` holds the
+    ``_RankRow`` rows of the scan's witness ranks.
     """
 
     def __init__(self, hg: Hypergraph):
@@ -200,7 +200,12 @@ class _ShadowIndex:
         # A set that forms an edge with v does not hold v.
         self.joined = [int.from_bytes(b, "little") for b in join_bits]
         self.unjoined = [f & ~j for f, j in zip(self.free, self.joined)]
-        self.tails = None if self.complete else _rank_tails(hg.m, hg.h - 1)
+        # The rank rows start empty and fill as ranks read them.  An empty
+        # shadow ranks no witness and gets none; otherwise there are fewer
+        # rows than shadow sets, since one edge has h of them.
+        k = hg.h - 1
+        self.tails = None if self.complete else [
+            _RankRow(k - i) for i in range(k if self.sets else 0)]
 
 
 def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
@@ -224,20 +229,32 @@ def _subset(s_tuple: tuple[int, ...], tmask: int) -> tuple[int, ...]:
     return tuple(v for i, v in enumerate(s_tuple) if (tmask >> i) & 1)
 
 
-def _first_unjoined(sets, free, k: int, allowed: int, w: int):
+def _first_unjoined(sets, free_p, j: int, k: int, allowed: int, w: int):
     """(lex position + 1, X) of the first free k-set X joined to no vertex of S, or None.
 
-    X qualifies when it lies outside the shadow or its bit is set in ``w``.
-    ``allowed`` holds the free members of the shadow, whose lex order is the
-    order of their bits: walking the free k-sets in lex order, the lowest
-    unconsumed bit is the next shadow set, and any X before it lies outside.
+    The free vertices of S are ``free_p`` less its entry j.  X qualifies
+    when it lies outside the shadow or its bit is set in ``w``.  ``allowed``
+    holds the free members of the shadow, whose lex order is the order of
+    their bits: walking the free k-sets in lex order, the lowest unconsumed
+    bit is the next shadow set, and any X before it lies outside.  The first
+    X is sliced from ``free_p``; the free vertices of S are listed only when
+    the walk goes past it.
     """
-    for steps, xs in enumerate(itertools.combinations(free, k), 1):
+    if len(free_p) <= k:
+        return None  # fewer than k free vertices
+    xs = free_p[:k] if j >= k else free_p[:j] + free_p[j + 1:k + 1]
+    later = None
+    for steps in itertools.count(1):
         low = allowed & -allowed
         if not low or sets[low.bit_length() - 1] != xs or w & low:
             return steps, xs
         allowed ^= low
-    return None
+        if later is None:
+            later = itertools.islice(
+                itertools.combinations(free_p[:j] + free_p[j + 1:], k), 1, None)
+        xs = next(later, None)
+        if xs is None:
+            return None
 
 
 def _extend(parts: list[int], unjoined: int, joined: int) -> list[int]:
@@ -285,15 +302,25 @@ def _prefixes(index: _ShadowIndex, n: int, lo: int, hi: int, m: int):
             nexts.append(iter(range(v + 1, m - n + len(prefix) + 1)))
 
 
-def _rank_tails(m: int, k: int) -> list[list[int]]:
-    """The rank table of free k-sets: ``tails[i][a]`` = C(a, k - i), for i < k and a < m.
+class _RankRow(dict):
+    """C(a, r) by a: row i of the rank table, with r = k - i, for free k-sets.
 
     By the combinatorial number system, a free k-set whose i-th member has
-    a_i free vertices above it has the sum of ``tails[i][a_i]`` free k-sets
-    after it in lex order.  The table does not depend on S, so one serves
-    every n.
+    a_i free vertices above it has the sum over i of C(a_i, k - i) free
+    k-sets after it in lex order.  An entry is worked out when a rank first
+    reads it and kept, so the rows hold only the entries the scans read, at
+    most one per free vertex count, and serve every S and every n.
     """
-    return [[comb(a, k - i) for a in range(m)] for i in range(k)]
+
+    __slots__ = ("r",)
+
+    def __init__(self, r: int):
+        super().__init__()
+        self.r = r
+
+    def __missing__(self, a: int) -> int:
+        value = self[a] = comb(a, self.r)
+        return value
 
 
 def _free_above(s_tuple: tuple[int, ...], m: int) -> list[int]:
@@ -306,12 +333,13 @@ def _free_above(s_tuple: tuple[int, ...], m: int) -> list[int]:
     return [m - 1 - x - (len(s_tuple) - bisect_right(s_tuple, x)) for x in range(m)]
 
 
-def _rank_sum(tails: list[list[int]], total: int, above: list[int], found) -> int:
+def _rank_sum(tails: list[_RankRow], total: int, above: list[int], found) -> int:
     """The sum of the 1-based lex ranks of the free k-sets in ``found``, in one C-level chain.
 
     ``total`` is C(m - n, k), the number of free k-sets, and ``above`` is
-    ``_free_above`` of S.  A set's rank is ``total`` less the sum over
-    ``tails`` of its members' entries in ``above``.
+    ``_free_above`` of S.  A set's rank is ``total`` less the sum of its
+    members' entries of ``tails``, row i at the count in ``above`` of its
+    i-th member.
     """
     r = len(found)
     return r * total - sum(
@@ -335,12 +363,12 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
 
     A witness found in the shadow counts its 1-based lex rank among the free
     (h-1)-sets.  From a complete shadow that is a popcount per T; otherwise
-    ``_rank_sum`` takes it from the ``_rank_tails`` table, once per S for the
-    witnesses of T = 1, 2, ... up to the first empty part.  There T = {}
-    first tests the lex-first free (h-1)-set in one step.  The table and the
-    walk are exact for a complete shadow too, but a dense random sample,
-    whose shadow is nearly always complete, checks two to three times faster
-    by popcount.
+    ``_rank_sum`` takes it from the ``_RankRow`` table, once per S for the
+    witnesses of T = 1, 2, ... up to the first empty part.  T = {} goes to
+    ``_first_unjoined``, which tests the lex-first free (h-1)-set before it
+    lists the free vertices of S.  The table and the walk are exact for a
+    complete shadow too, but a dense random sample, whose shadow is nearly
+    always complete, checks two to three times faster by popcount.
     """
     index = _shadow_index(hg)
     sets, complete = index.sets, index.complete
@@ -358,7 +386,6 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
             # vertex number v - len(prefix); ``above`` counts them above each
             # vertex and moves on with v, as ``_free_above`` says.
             free_p = tuple(u for u in range(m) if u not in prefix)
-            head = free_p[:k]
             above = _free_above(prefix + (vs.start,), m)
         for v in vs:
             s_tuple = prefix + (v,)
@@ -377,22 +404,13 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
                     if record:
                         log[(s_tuple, _subset(s_tuple, tmask))] = sets[low.bit_length() - 1]
                 continue
-            # T is empty, where X need not lie in the shadow.  The lex-first
-            # free (h-1)-set qualifies unless it is the first allowed shadow
-            # set and that set is joined to S.
-            j = v - len(prefix)
-            xs = head if j >= k else free_p[:j] + free_p[j + 1:k + 1]
-            low = allowed & -allowed
-            if nfree >= k and (not low or sets[low.bit_length() - 1] != xs or ws[0] & low):
-                examined += 1
-            else:
-                hit = _first_unjoined(sets, free_p[:j] + free_p[j + 1:], k, allowed, ws[0])
-                if hit is None:
-                    return (s_tuple, ()), examined + total, log
-                examined += hit[0]
-                xs = hit[1]
+            # T is empty, where X need not lie in the shadow.
+            hit = _first_unjoined(sets, free_p, v - len(prefix), k, allowed, ws[0])
+            if hit is None:
+                return (s_tuple, ()), examined + total, log
+            examined += hit[0]
             if record:
-                log[(s_tuple, ())] = xs
+                log[(s_tuple, ())] = hit[1]
             # T = 1, 2, ... up to the first empty part, where S fails.
             end = (ws + [0]).index(0, 1)
             found = [sets[(w & -w).bit_length() - 1] for w in ws[1:end]]

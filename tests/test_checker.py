@@ -730,7 +730,7 @@ def test_rank_table_gives_each_free_set_its_lex_position():
             above = checker._free_above(s_tuple, m)
             assert [above[x] for x in free] == list(range(m - n - 1, -1, -1))
             for k in range(1, 7):
-                tails = checker._rank_tails(m, k)
+                tails = [checker._RankRow(k - i) for i in range(k)]
                 xs = list(itertools.combinations(free, k))
                 ranks = [checker._rank_sum(tails, comb(m - n, k), above, [x]) for x in xs]
                 assert ranks == list(range(1, len(xs) + 1))
@@ -749,6 +749,22 @@ def test_free_counts_follow_the_last_vertex(prefix, m):
         assert [above[x] for x in range(m) if x not in s_tuple] == [
             fresh[x] for x in range(m) if x not in s_tuple]
         above[v] -= 1
+
+
+def test_rank_rows_hold_only_the_entries_read():
+    """The rank rows fill as ranks read them, so many vertices under a large h
+    cost no k x m table of binomials: an edgeless hypergraph gets no rows and
+    fails at once, and one edge of 200 vertices among 20 000 fills one entry
+    per row, not 20 000."""
+    edgeless = hypergraph.parse_hypergraph(["60 100000"])
+    result = is_nec(edgeless, 1)
+    assert result.counterexample == ((0,), (0,))
+    assert checker._shadow_index(edgeless).tails == []
+    one_edge = new_hypergraph(200, 20_000, [range(200)])
+    assert is_nec(one_edge, 1).counterexample == ((200,), (200,))
+    tails = checker._shadow_index(one_edge).tails
+    assert [row.r for row in tails] == list(range(199, 0, -1))
+    assert list(map(len, tails)) == [1] * 199
 
 
 def test_sampled_model_instances_agree_across_engines():
