@@ -170,20 +170,20 @@ class _ShadowIndex:
     """
 
     def __init__(self, hg: Hypergraph):
+        # Each table below holds m bitmaps, however few bits the shadow gives them.
+        hypergraph.check_listing(hg.m, f"a table of {hg.m} bitmaps, one per vertex,",
+                                 CheckerUsageError)
         # Each edge in one pass: its (h-1)-subsets in lex order omit its
         # vertices from the last to the first.
         links: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
         for e in hg.edges:
             for key, v in zip(itertools.combinations(e, hg.h - 1), reversed(e)):
                 links[key].append(v)
-        # Bound the shadow, and each of the tables below of m bitmaps over it:
-        # at most 64 * MAX_SETS bits (32 MiB), whatever the vertex count.
-        size, budget = len(links), 64 * hypergraph.MAX_SETS
-        if size > hypergraph.MAX_SETS or hg.m * size > budget:
-            raise CheckerUsageError(
-                f"the (h-1)-shadow has {size} sets over {hg.m} vertices, above the limit of "
-                f"{hypergraph.MAX_SETS} sets and {budget} set-vertex pairs"
-            )
+        # Bound the shadow, and the 64-bit words of each table below of m bitmaps over it.
+        size, words = len(links), -(-hg.m * len(links) // 64)
+        hypergraph.check_listing(size, f"the (h-1)-shadow, {size} sets,", CheckerUsageError)
+        hypergraph.check_listing(words, f"a table of {hg.m} bitmaps of {size} bits, {words} "
+                                 "64-bit words,", CheckerUsageError)
         self.sets = sorted(links)
         nbytes = (len(self.sets) + 7) // 8 or 1
         join_bits = [bytearray(nbytes) for _ in range(hg.m)]
@@ -214,9 +214,9 @@ def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
     It sits in the instance ``__dict__``, as a ``cached_property`` would, so
     every later check of the same value reuses it, and pool workers, forked
     with the value or sent a pickled copy of it, carry it.  Raises
-    :class:`CheckerUsageError` when the shadow has more than
-    ``hypergraph.MAX_SETS`` sets, or the vertex count times its size is above
-    64 times that.
+    :class:`CheckerUsageError`, before any table is listed, when the vertices
+    (one bitmap each per table), the shadow's sets or a table's 64-bit words,
+    ceil(m * |U| / 64), number more than ``hypergraph.MAX_SETS``.
     """
     index = vars(hg).get("_shadow_index")
     if index is None:

@@ -139,10 +139,9 @@ def complete_mols(q: int) -> MolsSet:
     if q < 3:
         raise DesignError(f"order must be >= 3, got {q}")
     field = field_of_order(q)
-    cells, limit = (q - 1) * q * q, hypergraph.MAX_SETS
-    if cells > limit:
-        raise DesignError(f"listing the {q - 1} squares of order {q}, {cells} cells, "
-                          f"is above the limit of {limit}")
+    cells = (q - 1) * q * q
+    hypergraph.check_listing(cells, f"listing the {q - 1} squares of order {q}, {cells} cells,",
+                             DesignError)
     mul, add = field.mul_table, field.add_table
     # Row x of square a is the addition-table row of a*x.
     squares = tuple(
@@ -202,17 +201,11 @@ class DesignReport:
 
 
 def check_block_subsets(b: int, k: int, size: int) -> None:
-    """Refuse a listing of the size-subsets of b blocks of k points of more than
-    ``hypergraph.MAX_SETS`` points.
-
-    The listing holds b * C(k, size) subsets of ``size`` points each, so its
-    memory grows with the points, not the subsets.
-    """
-    total, limit = b * comb(k, size), hypergraph.MAX_SETS
-    if total * size > limit:
-        raise DesignError(f"listing the {b} * C({k}, {size}) = {total} "
-                          f"{size}-subsets of the blocks, {total * size} points, is above "
-                          f"the limit of {limit}")
+    """Refuse listing the size-subsets of b blocks of k points when their points,
+    b * C(k, size) * size, are over the limit: memory grows with the points."""
+    total = b * comb(k, size)
+    hypergraph.check_listing(total * size, f"listing the {b} * C({k}, {size}) = {total} "
+                             f"{size}-subsets of the blocks, {total * size} points,", DesignError)
 
 
 def validate_design(design: Design) -> DesignReport:
@@ -227,11 +220,16 @@ def validate_design(design: Design) -> DesignReport:
     coverage = Counter(
         sub for block in design.blocks for sub in itertools.combinations(block, design.t)
     )
-    counts = list(coverage.values())
-    if len(coverage) < comb(design.v, design.t):
-        counts.append(0)
-    lo, hi = min(counts), max(counts)
+    lo, hi = _count_range(coverage, comb(design.v, design.t))
     return DesignReport(lo == hi == design.lam, lo, hi)
+
+
+def _count_range(counts: Counter, keys: int) -> tuple[int, int]:
+    """The least and greatest count over ``keys`` keys, those missing from ``counts`` counting 0."""
+    values = list(counts.values())
+    if len(counts) < keys:
+        values.append(0)
+    return min(values), max(values)
 
 
 @dataclass(frozen=True)
@@ -258,8 +256,7 @@ def design_params(design: Design) -> DesignParams:
     b_formula = Fraction(lam * v * (v - 1), k * (k - 1))
     r_formula = Fraction(lam * (v - 1), k - 1)
     replication = Counter(itertools.chain.from_iterable(design.blocks))
-    reps = [replication[p] for p in range(v)]
-    return DesignParams(b_formula, r_formula, design.b, min(reps), max(reps))
+    return DesignParams(b_formula, r_formula, design.b, *_count_range(replication, v))
 
 
 def lambda_ij(design: Design, i: int, j: int) -> Fraction:

@@ -15,15 +15,25 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-# The most sets one enumeration may list: the checker's index of the
-# (h-1)-shadow (mols7 1176, mols8 2016; 64 times this bounds its m x |U|
-# bitmap tables), the complement's list of all C(m, h) h-sets, and the
-# t- or h-subsets of a design's blocks that validation and building list.
 MAX_SETS = 2**22
 
 
 class HypergraphError(ValueError):
     """Invalid hypergraph construction or operation argument."""
+
+
+def check_listing(count: int, what: str, error=HypergraphError) -> None:
+    """Refuse a listing of ``count`` items over ``MAX_SETS``, as "<what> is above the limit".
+
+    The one place the limit is read.  Its users count before they list: the
+    checker's (h-1)-shadow (mols7 1176 sets, mols8 2016), and the bitmaps, one
+    per vertex, and 64-bit words of each index table; the C(m, h) h-sets of
+    the complement and the random model; the (q-1) q^2 cells of a MOLS family;
+    the b C(k, s) s points of the s-subsets of a design's blocks; and the
+    m - 1 vertices a vertex deletion relabels.
+    """
+    if count > MAX_SETS:
+        raise error(f"{what} is above the limit of {MAX_SETS}")
 
 
 class HypergraphFormatError(HypergraphError):
@@ -119,9 +129,7 @@ class Hypergraph:
     def complement(self) -> "Hypergraph":
         """Hypergraph whose edges are exactly the h-sets that are not edges here."""
         total = comb(self.m, self.h)
-        if total > MAX_SETS:
-            raise HypergraphError(f"listing all C({self.m}, {self.h}) = {total} "
-                                  f"{self.h}-sets is above the limit of {MAX_SETS}")
+        check_listing(total, f"listing all C({self.m}, {self.h}) = {total} {self.h}-sets")
         missing = tuple(
             e for e in itertools.combinations(range(self.m), self.h) if e not in self.edge_set
         )
@@ -135,6 +143,7 @@ class Hypergraph:
         self._check_vertex(v)
         if self.m == self.h:
             raise HypergraphError(f"cannot delete a vertex at m == h == {self.h}")
+        check_listing(self.m - 1, f"relabelling the {self.m - 1} vertices left")
         return self.induced(u for u in range(self.m) if u != v)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", dict[int, int]]:

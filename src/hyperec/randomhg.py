@@ -51,10 +51,9 @@ class RandomModel:
             raise RandomModelError(f"m={self.m} below h={self.h}")
         if not 0.0 < self.p < 1.0:
             raise RandomModelError(f"p must lie in (0,1), got {self.p}")
-        total, limit = math.comb(self.m, self.h), hypergraph.MAX_SETS
-        if total > limit:
-            raise RandomModelError(f"sampling the C({self.m}, {self.h}) = {total} "
-                                   f"{self.h}-sets is above the limit of {limit}")
+        total = math.comb(self.m, self.h)
+        hypergraph.check_listing(total, f"sampling the C({self.m}, {self.h}) = {total} "
+                                 f"{self.h}-sets", RandomModelError)
 
 
 def derive_seed(base: int, index: int) -> int:

@@ -651,14 +651,33 @@ def test_index_over_size_limit_is_refused(two_triple, monkeypatch, threads):
 
 @pytest.mark.parametrize("m, refused", [(85, False), (86, True)])
 def test_index_tables_over_size_limit_are_refused(monkeypatch, m, refused):
-    """The index keeps m bitmaps over the shadow, so m * |U| is bounded too."""
-    monkeypatch.setattr(hypergraph, "MAX_SETS", 4)  # budget 64 * 4 = 256 set-vertex pairs
-    hg = new_hypergraph(3, m, [(0, 1, 2)])  # a 3-pair shadow: 255 pairs at m = 85
+    """The index keeps m bitmaps over the shadow, so its ceil(m * |U| / 64)
+    64-bit words per table are bounded too."""
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 100)
+    # 25 disjoint triples: a 75-pair shadow, 6375 bits in 100 words at m = 85
+    # and 6450 bits in 101 words at m = 86.
+    hg = new_hypergraph(3, m, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(25)])
     if refused:
-        with pytest.raises(CheckerUsageError, match="set-vertex pairs"):
+        with pytest.raises(CheckerUsageError, match=(
+                "^a table of 86 bitmaps of 75 bits, 101 64-bit words, is above the limit of 100$")):
             is_nec(hg, 1)
     else:
         assert not is_nec(hg, 1).holds
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_index_over_vertex_limit_is_refused(monkeypatch, threads):
+    """An edgeless hypergraph has an empty shadow, so its tables hold no bits,
+    but each still lists one bitmap per vertex."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started before the size check")
+
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 8)
+    with pytest.raises(CheckerUsageError,
+                       match="^a table of 9 bitmaps, one per vertex, is above the limit of 8$"):
+        is_nec(empty_hypergraph(3, 9), 1, threads=threads)
+    assert is_nec(empty_hypergraph(3, 8), 1).counterexample == ((0,), (0,))
 
 
 @pytest.mark.parametrize("threads", [1, 2])

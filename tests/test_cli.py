@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -345,14 +346,27 @@ def test_sparse_input_with_many_vertices_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and "above the limit of" in err
 
 
-def run_isolated(*argv, timeout=60):
+# The CLI with process pools disabled: a pool started is a traceback and exit 1.
+NO_POOL = ("import sys; from hyperec import checker, cli; "
+           "checker.ProcessPoolExecutor = None; sys.exit(cli.main())")
+
+
+def run_isolated(*argv, timeout=60, address_space=None, pools=True):
     """The CLI in a child process group, killed whole when it outlasts ``timeout``,
-    so a hung check fails the test and leaves no pool worker behind."""
+    so a hung check fails the test and leaves no pool worker behind.
+
+    ``address_space`` caps the child's virtual memory in bytes, as ``ulimit -v``
+    does, so a listing the CLI should refuse fails the test with a
+    ``MemoryError`` instead of filling the host.  With ``pools`` false the
+    child may start no process pool."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "hyperec.cli", *argv], env=env, text=True,
+    cap = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
+    entry = ["-m", "hyperec.cli"] if pools else ["-c", NO_POOL]
+    proc = subprocess.Popen([sys.executable, *entry, *argv], env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            start_new_session=True)
+                            start_new_session=True, preexec_fn=cap)
     try:
         out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -368,6 +382,50 @@ def test_large_n_threaded_check_returns_the_serial_report(hl8_path):
     serial = run_isolated("check", hl8_path, "-n", "30", "--threads", "1")
     assert serial[0] == 1 and "counterexample_T: {0}" in serial[1].splitlines()
     assert run_isolated("check", hl8_path, "-n", "30", "--threads", "2") == serial
+
+
+# A 12-byte file whose header alone declares 10^8 vertices: listing one entry
+# per vertex would take gigabytes, so it is read under a 1 GiB cap.
+WIDE = "3 100000000\n"
+ONE_GIB = 1 << 30
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "-n", "1", "--threads", "1"], id="check-threads-1"),
+    pytest.param(["check", "-n", "1", "--threads", "2"], id="check-threads-2"),
+    pytest.param(["maxec"], id="maxec"),
+])
+def test_vertex_count_of_the_header_alone_is_usage_error(tmp_path, argv):
+    """The shadow is empty, so the index's tables hold no bits, but each would
+    list 10^8 bitmaps: refused before any table or process pool."""
+    path = tmp_path / "wide.txt"
+    path.write_text(WIDE)
+    code, out, err = run_isolated(argv[0], str(path), *argv[1:], address_space=ONE_GIB,
+                                  pools=False)
+    assert (code, out) == (2, "")
+    assert err == ("error: a table of 100000000 bitmaps, one per vertex, "
+                   "is above the limit of 4194304\n")
+
+
+def test_deleting_a_vertex_of_the_header_alone_is_usage_error(tmp_path):
+    path, out = tmp_path / "wide.txt", tmp_path / "out.txt"
+    path.write_text(WIDE)
+    code, stdout, err = run_isolated("delete-vertex", str(path), "--vertex", "0", "-o", str(out),
+                                     address_space=ONE_GIB)
+    assert (code, stdout) == (2, "")
+    assert err == "error: relabelling the 99999999 vertices left is above the limit of 4194304\n"
+    assert not out.exists()
+
+
+def test_validate_counts_replication_without_listing_the_points(tmp_path):
+    """10^15 declared points and one block: the points in no block count 0."""
+    path = tmp_path / "wide-design.txt"
+    path.write_text("2 1000000000000000 3 1\n0 1 2\n")
+    code, out, err = run_isolated("validate", str(path), address_space=ONE_GIB)
+    assert (code, err) == (1, "")
+    report = report_dict(out)
+    assert (report["replication_min"], report["replication_max"]) == ("0", "1")
+    assert (report["min_coverage"], report["max_coverage"]) == ("0", "1")
 
 
 @pytest.fixture(scope="module")

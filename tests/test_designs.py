@@ -259,6 +259,25 @@ def test_design_params_complete_design():
     assert params.matches
 
 
+def test_count_ranges_match_a_count_per_point_and_pair():
+    """Points and pairs in no block count 0."""
+    rng = random.Random(11)
+    ranges = set()
+    for _ in range(200):
+        v = rng.randint(3, 9)
+        blocks = {tuple(sorted(rng.sample(range(v), 3))) for _ in range(rng.randint(0, 6))}
+        design = Design(2, v, 3, 1, tuple(blocks))
+        reps = [sum(p in b for b in design.blocks) for p in range(v)]
+        params = design_params(design)
+        assert (params.replication_min, params.replication_max) == (min(reps), max(reps))
+        cover = [sum(set(pair) <= set(b) for b in design.blocks)
+                 for pair in itertools.combinations(range(v), 2)]
+        report = validate_design(design)
+        assert (report.min_coverage, report.max_coverage) == (min(cover), max(cover))
+        ranges.add((min(reps) > 0, min(cover) > 0))
+    assert ranges == {(False, False), (True, False), (True, True)}
+
+
 def test_design_params_requires_t2(inv3):
     with pytest.raises(DesignError):
         design_params(inv3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hyperec import hypergraph
 from hyperec.designs import Design, DesignError
 
 from hyperec.hypergraph import (
@@ -229,6 +230,15 @@ def test_delete_relabels_above():
 def test_delete_at_minimum_size_rejected():
     with pytest.raises(HypergraphError):
         complete_hypergraph(3, 3).delete_vertex(0)
+
+
+def test_delete_vertex_over_size_limit_is_refused(monkeypatch):
+    """The m - 1 vertices left are listed and relabelled, however few edges there are."""
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 4)
+    with pytest.raises(HypergraphError,
+                       match="^relabelling the 5 vertices left is above the limit of 4$"):
+        empty_hypergraph(3, 6).delete_vertex(0)
+    assert empty_hypergraph(3, 5).delete_vertex(0)[1] == {1: 0, 2: 1, 3: 2, 4: 3}
 
 
 # --- neighbourhoods
