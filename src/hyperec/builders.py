@@ -41,22 +41,14 @@ def build_from_mols(mols: MolsSet) -> BuildResult:
     if q < 4:
         raise DesignError(f"array order must be >= 4 (h >= 3), got {q}")
     h = q - 1
-    groups: list[tuple[int, ...]] = []
-    for r in range(q):
-        groups.append(tuple(r * q + c for c in range(q)))
-    for c in range(q):
-        groups.append(tuple(r * q + c for r in range(q)))
+    cells = range(q * q)
+    groups = [cells[r * q:(r + 1) * q] for r in range(q)] + [cells[c::q] for c in range(q)]
     for sq in mols.squares:
-        positions: dict[int, list[int]] = {s: [] for s in range(q)}
-        for r in range(q):
-            for c in range(q):
-                positions[sq.grid[r][c]].append(r * q + c)
-        for s in range(q):
-            groups.append(tuple(positions[s]))
-
-    edges = []
-    for group in groups:
-        edges.extend(itertools.combinations(group, h))
+        classes: list[list[int]] = [[] for _ in range(q)]
+        for cell, s in enumerate(itertools.chain.from_iterable(sq.grid)):
+            classes[s].append(cell)
+        groups += classes
+    edges = _subsets(groups, h)
     hg = new_hypergraph(h, q * q, edges)
     guaranteed = 2 if mols.is_complete() else None
     provenance = f"built-from: mols q={q} squares={mols.count}"
@@ -81,15 +73,18 @@ def build_from_design(design: Design, h: int) -> BuildResult:
             f"design failed validation: coverage range "
             f"[{report.min_coverage}, {report.max_coverage}], expected {design.lam}"
         )
-    edges = []
-    for block in design.blocks:
-        edges.extend(itertools.combinations(block, h))
+    edges = _subsets(design.blocks, h)
     hg = new_hypergraph(h, design.v, edges)
     provenance = (
         f"built-from: design t={design.t} v={design.v} k={design.k} "
         f"lambda={design.lam} h={h}"
     )
     return BuildResult(hg, len(edges), hg.edge_count, _design_guarantee(design, h), provenance)
+
+
+def _subsets(groups, h: int) -> list[tuple[int, ...]]:
+    """The h-subsets of each group in turn, repeats kept, so their number is the raw edge count."""
+    return list(itertools.chain.from_iterable(itertools.combinations(g, h) for g in groups))
 
 
 def _design_guarantee(design: Design, h: int) -> Optional[int]:

@@ -52,13 +52,10 @@ from operator import getitem
 from typing import Iterable, Optional
 
 from . import hypergraph
+from .errors import CheckerUsageError
 from .hypergraph import Hypergraph
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-class CheckerUsageError(ValueError):
-    """Caller violated an operation precondition (not a property verdict)."""
 
 
 @dataclass(frozen=True)
@@ -170,9 +167,6 @@ class _ShadowIndex:
     """
 
     def __init__(self, hg: Hypergraph):
-        # Each table below holds m bitmaps, however few bits the shadow gives them.
-        hypergraph.check_listing(hg.m, f"a table of {hg.m} bitmaps, one per vertex,",
-                                 CheckerUsageError)
         # Each edge in one pass: its (h-1)-subsets in lex order omit its
         # vertices from the last to the first.
         links: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
@@ -214,9 +208,9 @@ def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
     It sits in the instance ``__dict__``, as a ``cached_property`` would, so
     every later check of the same value reuses it, and pool workers, forked
     with the value or sent a pickled copy of it, carry it.  Raises
-    :class:`CheckerUsageError`, before any table is listed, when the vertices
-    (one bitmap each per table), the shadow's sets or a table's 64-bit words,
-    ceil(m * |U| / 64), number more than ``hypergraph.MAX_SETS``.
+    :class:`CheckerUsageError`, before any table is listed, when the shadow's
+    sets or a table's 64-bit words, ceil(m * |U| / 64), number more than
+    ``hypergraph.MAX_SETS``.  :func:`is_nec` has bounded the vertices already.
     """
     index = vars(hg).get("_shadow_index")
     if index is None:
@@ -587,8 +581,15 @@ def is_nec(
         stats = CheckStats(0, elapsed, note + "; no n-subset of vertices exists")
         return CheckResult(False, n, None, stats, {} if record_witnesses else None)
 
+    # However few the edges, each index table holds a bitmap per vertex and the
+    # naive scan lists the vertices outside each S: bound them before any pool.
     if engine == "optimized":
+        hypergraph.check_listing(hg.m, f"a table of {hg.m} bitmaps, one per vertex,",
+                                 CheckerUsageError)
         _shadow_index(hg)  # refuse an oversized shadow here, before any pool starts
+    else:
+        hypergraph.check_listing(hg.m - n, f"listing the {hg.m - n} vertices outside each S-set",
+                                 CheckerUsageError)
     scanner = _SCANNERS[engine]
     # One chunk per process: more chunks than CPUs would leave some for a
     # second round after the caller's own chunk is done.

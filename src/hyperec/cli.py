@@ -6,8 +6,10 @@ parse errors.  Each reporting command builds one report dict.  ``--json``
 prints it as one JSON document; otherwise each entry becomes a ``key: value``
 line, with booleans as ``true``/``false``, ``None`` as ``-`` and vertex
 lists as ``{a,b}``.  Every library error (bad input, an unreadable or
-unwritable file, a violated precondition) reaches :func:`main`, which prints
-it once as ``error: <message>`` on stderr and exits 2.
+unwritable file, a violated precondition) is a ``HyperecError`` and reaches
+:func:`main`, which prints it once as ``error: <message>`` on stderr and
+exits 2.  Only ``construct``, ``build`` and ``validate`` import the design
+layer (``designs``, ``galois``, ``builders``), inside their own functions.
 """
 
 from __future__ import annotations
@@ -17,11 +19,8 @@ import functools
 import json
 import sys
 
-from . import builders, checker, designs, hypergraph, randomhg
-from .checker import CheckerUsageError
-from .designs import DesignError
-from .galois import GaloisError, prime_power
-from .hypergraph import HypergraphError
+from . import checker, hypergraph, randomhg
+from .errors import DesignError, HyperecError, HypergraphError
 
 USAGE_ERROR = 2
 PROPERTY_FAILED = 1
@@ -131,6 +130,9 @@ def _cmd_maxec(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import designs
+    from .galois import prime_power
+
     kind, q = args.kind, args.q
     if kind != "fano":
         if q is None:
@@ -156,6 +158,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from . import builders, designs
+
     if args.kind == "from-mols":
         mols = _read(designs.read_mols, "mols", args.input)
         if args.h is not None and args.h != mols.order - 1:
@@ -200,6 +204,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import designs
+
     design = _read(designs.read_design, "design", args.input)
     report = designs.validate_design(design)
     doc: dict = {
@@ -214,10 +220,8 @@ def _cmd_validate(args) -> int:
     }
     if design.t == 2:
         params = designs.design_params(design)
-        doc["b_formula"] = str(params.b_formula)
-        doc["r_formula"] = str(params.r_formula)
-        doc["replication_min"] = params.replication_min
-        doc["replication_max"] = params.replication_max
+        doc.update(b_formula=str(params.b_formula), r_formula=str(params.r_formula),
+                   replication_min=params.replication_min, replication_max=params.replication_max)
     for i in range(design.t + 1):
         for j in range(design.t + 1 - i):
             doc[f"lambda_{i}_{j}"] = str(designs.lambda_ij(design, i, j))
@@ -227,26 +231,23 @@ def _cmd_validate(args) -> int:
 
 def _cmd_complement(args) -> int:
     hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
-    result = hg.complement()
-    _write_output(hypergraph.format_hypergraph(result, ["complement"]), args.out)
-    return 0
+    return _write_derived(hg.complement(), {}, "complement", args.out)
 
 
 def _cmd_induce(args) -> int:
     hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
-    vertices = _parse_vertices(args.vertices)
-    result, relabel = hg.induced(vertices)
-    comments = ["induced"] + [f"relabel {old} -> {new}" for old, new in sorted(relabel.items())]
-    _write_output(hypergraph.format_hypergraph(result, comments), args.out)
-    return 0
+    return _write_derived(*hg.induced(_parse_vertices(args.vertices)), "induced", args.out)
 
 
 def _cmd_delete_vertex(args) -> int:
     hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
-    result, relabel = hg.delete_vertex(args.vertex)
-    comments = [f"deleted vertex {args.vertex}"]
-    comments += [f"relabel {old} -> {new}" for old, new in sorted(relabel.items())]
-    _write_output(hypergraph.format_hypergraph(result, comments), args.out)
+    return _write_derived(*hg.delete_vertex(args.vertex), f"deleted vertex {args.vertex}", args.out)
+
+
+def _write_derived(result, relabel: dict, note: str, out: str | None) -> int:
+    """Write a derived hypergraph under its note and one comment per relabelled vertex."""
+    comments = [note] + [f"relabel {old} -> {new}" for old, new in sorted(relabel.items())]
+    _write_output(hypergraph.format_hypergraph(result, comments), out)
     return 0
 
 
@@ -349,8 +350,7 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise _CliError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
-    except (_CliError, CheckerUsageError, DesignError, GaloisError, HypergraphError,
-            randomhg.RandomModelError, OSError) as exc:
+    except (_CliError, HyperecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -23,18 +23,9 @@ from operator import add
 from typing import Iterable, Sequence
 
 from . import hypergraph
-from .galois import GaloisError, GfField, field_of_order, prime_power
+from .errors import DesignError, DesignFormatError, GaloisError
+from .galois import GfField, field_of_order, prime_power
 from .hypergraph import int_records, int_tuples, record_text
-
-
-class DesignError(ValueError):
-    pass
-
-
-class DesignFormatError(DesignError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +62,8 @@ def is_latin(grid: Sequence[Sequence[int]]) -> bool:
         for s in row:
             if type(s) is not int or not 0 <= s < q:
                 raise DesignError(f"symbol {s!r} is not an int in [0, {q})")
-    for row in grid:
-        if set(row) != full:
-            return False
-    for c in range(q):
-        if {row[c] for row in grid} != full:
-            return False
-    return True
+    return (all(set(row) == full for row in grid)
+            and all({row[c] for row in grid} == full for c in range(q)))
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
@@ -114,9 +100,8 @@ class MolsSet:
             raise DesignError("every square must be a LatinSquare")
         if len(self.squares) > self.order - 1:
             raise DesignError(f"more than {self.order - 1} MOLS of order {self.order}")
-        for sq in self.squares:
-            if sq.order != self.order:
-                raise DesignError("square order mismatch")
+        if any(sq.order != self.order for sq in self.squares):
+            raise DesignError("square order mismatch")
         if not all(_orthogonal_to(sq, self.squares[i + 1:]) for i, sq in enumerate(self.squares)):
             raise DesignError("squares are not pairwise orthogonal")
 
@@ -273,16 +258,10 @@ def count_blocks_containing_avoiding(
     design: Design, inside: Iterable[int], avoid: Iterable[int]
 ) -> int:
     """Empirical counterpart of :func:`lambda_ij` for explicit point sets."""
-    inside = frozenset(inside)
-    avoid = frozenset(avoid)
+    inside, avoid = frozenset(inside), frozenset(avoid)
     if inside & avoid:
         raise DesignError("point sets must be disjoint")
-    n = 0
-    for block in design.blocks:
-        members = set(block)
-        if inside <= members and not (avoid & members):
-            n += 1
-    return n
+    return sum(inside.issubset(block) and avoid.isdisjoint(block) for block in design.blocks)
 
 
 def _validated(design: Design, label: str) -> Design:
@@ -316,18 +295,14 @@ def projective_plane(q: int) -> Design:
     field = field_of_order(q)
     check_block_subsets(q * q + q + 1, q + 1, 2)  # what validation will list
     reps = _projective_point_reps(field)
-    point_id = {rep: i for i, rep in enumerate(reps)}
     mul, add = field.mul_table, field.add_table
-    blocks = []
-    for a, b, c in reps:  # lines carry the same canonical coordinates
-        block = tuple(
-            point_id[(x, y, z)]
-            for (x, y, z) in reps
-            if add[add[mul[a][x]][mul[b][y]]][mul[c][z]] == 0
-        )
-        blocks.append(block)
+    # Lines carry the same canonical coordinates as points; point i is reps[i].
+    blocks = tuple(
+        tuple(i for i, (x, y, z) in enumerate(reps)
+              if add[add[mul[a][x]][mul[b][y]]][mul[c][z]] == 0)
+        for a, b, c in reps)
     v = q * q + q + 1
-    return _validated(Design(2, v, q + 1, 1, tuple(blocks)), f"projective plane of order {q}")
+    return _validated(Design(2, v, q + 1, 1, blocks), f"projective plane of order {q}")
 
 
 def _projective_point_reps(field: GfField) -> list[tuple[int, int, int]]:
@@ -355,13 +330,10 @@ def inversive_plane(q: int) -> Design:
         raise DesignError(f"order must be >= 3, got {q}")
     field = field_of_order(q * q)
     check_block_subsets(q * (q * q + 1), q + 1, 3)  # what validation will list
-    Q = q * q
-    INF = Q
+    Q = INF = q * q  # the point at infinity is the one after GF(q^2)
     mul, add, neg, invt = field.mul_table, field.add_table, field.neg_table, field.inv_table
 
-    subfield = [x for x in range(Q) if field.pow(x, q) == x]
-    if len(subfield) != q:
-        raise DesignError(f"subfield extraction failed for q={q}")  # defensive
+    subfield = [x for x in range(Q) if field.pow(x, q) == x]  # GF(q) inside GF(q^2)
 
     # One matrix per map: scaling the bottom row (c, d) to (0, 1) or (1, d)
     # leaves one representative of each class of nonzero scalar multiples.
@@ -425,11 +397,8 @@ def parse_mols(lines: Iterable[str]) -> MolsSet:
     if len(rows) != q * ell:
         raise DesignFormatError(1, f"expected {q * ell} rows for {ell} squares, got {len(rows)}")
     try:
-        squares = tuple(
-            LatinSquare(q, tuple(tuple(r) for r in rows[i * q : (i + 1) * q]))
-            for i in range(ell)
-        )
-        return MolsSet(q, squares)
+        return MolsSet(q, tuple(LatinSquare(q, tuple(map(tuple, rows[i * q:(i + 1) * q])))
+                                for i in range(ell)))
     except DesignError as exc:
         raise DesignFormatError(1, str(exc)) from None
 

@@ -17,11 +17,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import GaloisError
+
 FIELD_ORDER_CAP = 2**16
-
-
-class GaloisError(ValueError):
-    pass
 
 
 def is_prime(n: int) -> bool:
@@ -99,11 +97,7 @@ class GfField:
     def coeffs(self, index: int) -> tuple[int, ...]:
         """Coefficient vector (c0, ..., c_{k-1}), constant term first."""
         self._check(index)
-        out = []
-        for _ in range(self.k):
-            index, c = divmod(index, self.p)
-            out.append(c)
-        return tuple(out)
+        return tuple(index // self.p**i % self.p for i in range(self.k))
 
     def index(self, coeffs: tuple[int, ...] | list[int]) -> int:
         if len(coeffs) != self.k:

@@ -15,11 +15,9 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+from .errors import HypergraphError, HypergraphFormatError
+
 MAX_SETS = 2**22
-
-
-class HypergraphError(ValueError):
-    """Invalid hypergraph construction or operation argument."""
 
 
 def check_listing(count: int, what: str, error=HypergraphError) -> None:
@@ -34,14 +32,6 @@ def check_listing(count: int, what: str, error=HypergraphError) -> None:
     """
     if count > MAX_SETS:
         raise error(f"{what} is above the limit of {MAX_SETS}")
-
-
-class HypergraphFormatError(HypergraphError):
-    """Malformed hypergraph text; carries the offending 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def int_tuples(rows) -> bool:

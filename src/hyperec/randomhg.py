@@ -24,14 +24,11 @@ from dataclasses import dataclass
 
 from . import hypergraph
 from .checker import is_nec
+from .errors import RandomModelError
 from .hypergraph import Hypergraph
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-class RandomModelError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,8 @@ def sample_trial(model: RandomModel, trial: int) -> Hypergraph:
 
 def _sample_seeded(model: RandomModel, seed: int) -> Hypergraph:
     rng = random.Random(seed)
-    edges = tuple(
-        e
-        for e in itertools.combinations(range(model.m), model.h)
-        if rng.random() < model.p
-    )
-    return Hypergraph(model.h, model.m, edges)
+    sets = itertools.combinations(range(model.m), model.h)
+    return Hypergraph(model.h, model.m, tuple(e for e in sets if rng.random() < model.p))
 
 
 def union_bound_log(n: int, h: int, m: int, p: float) -> float:

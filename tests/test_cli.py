@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from hyperec import builders, cli, designs, hypergraph, read_hypergraph, write_hypergraph
+from hyperec import builders, checker, cli, designs, errors, hypergraph, read_hypergraph
+from hyperec import write_hypergraph
 from hyperec.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,6 +63,24 @@ def test_check_malformed_file(capsys, tmp_path):
 
 def test_check_n_below_one_is_usage_error(capsys, fig5_path):
     assert run(capsys, "check", fig5_path, "-n", "0") == (2, "", "error: n must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("error", [
+    errors.HypergraphError("bad hypergraph"),
+    errors.HypergraphFormatError(3, "bad hypergraph text"),
+    errors.CheckerUsageError("bad check"),
+    errors.RandomModelError("bad model"),
+    errors.DesignError("bad design"),
+    errors.DesignFormatError(4, "bad design text"),
+    errors.GaloisError("bad field"),
+], ids=lambda error: type(error).__name__)
+def test_every_library_error_is_a_usage_error(capsys, monkeypatch, fig5_path, error):
+    """``main`` catches the one base class, whichever layer raised."""
+    def raising(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(checker, "is_nec", raising)
+    assert run(capsys, "check", fig5_path, "-n", "1") == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -390,21 +409,26 @@ WIDE = "3 100000000\n"
 ONE_GIB = 1 << 30
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["check", "-n", "1", "--threads", "1"], id="check-threads-1"),
-    pytest.param(["check", "-n", "1", "--threads", "2"], id="check-threads-2"),
-    pytest.param(["maxec"], id="maxec"),
+TABLES = "a table of 100000000 bitmaps, one per vertex,"
+
+
+@pytest.mark.parametrize("argv, what", [
+    pytest.param(["check", "-n", "1", "--threads", "1"], TABLES, id="check-threads-1"),
+    pytest.param(["check", "-n", "1", "--threads", "2"], TABLES, id="check-threads-2"),
+    pytest.param(["maxec"], TABLES, id="maxec"),
+    pytest.param(["check", "-n", "1", "--engine", "naive"],
+                 "listing the 99999999 vertices outside each S-set", id="check-naive"),
 ])
-def test_vertex_count_of_the_header_alone_is_usage_error(tmp_path, argv):
+def test_vertex_count_of_the_header_alone_is_usage_error(tmp_path, argv, what):
     """The shadow is empty, so the index's tables hold no bits, but each would
-    list 10^8 bitmaps: refused before any table or process pool."""
+    list 10^8 bitmaps, and the naive scan would list the vertices outside
+    each S-set: refused before any table, listing or process pool."""
     path = tmp_path / "wide.txt"
     path.write_text(WIDE)
     code, out, err = run_isolated(argv[0], str(path), *argv[1:], address_space=ONE_GIB,
                                   pools=False)
     assert (code, out) == (2, "")
-    assert err == ("error: a table of 100000000 bitmaps, one per vertex, "
-                   "is above the limit of 4194304\n")
+    assert err == f"error: {what} is above the limit of 4194304\n"
 
 
 def test_deleting_a_vertex_of_the_header_alone_is_usage_error(tmp_path):
