@@ -47,7 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
-from multiprocessing import Barrier, RawValue, Value
+from multiprocessing import Barrier, Value
 from operator import getitem
 from typing import Iterable, Optional
 
@@ -447,97 +447,71 @@ _SCANNERS = {"optimized": _scan_chunk_optimized, "naive": _scan_chunk_naive}
 ENGINES = tuple(_SCANNERS)
 
 
-def _chunk_bounds(m: int, n: int, parts: int) -> list[tuple[int, int]]:
-    """Least-vertex ranges [lo, hi) that split the n-subsets of m vertices in lex order.
-
-    The S-sets with least vertex below b number C(m, n) - C(m - b, n), so a
-    chunk starts at its first S-set directly.  Each cut is the b whose count
-    is nearest to C(m, n) * i / parts, the lower on a tie; cuts that coincide
-    merge, so there are at most ``parts`` ranges, none empty, covering
-    [0, m - n + 1).
-    """
-    total, stop = comb(m, n), m - n + 1
-
-    def gap(b: int, i: int) -> int:  # parts * (the count below b - the i-th target)
-        return parts * (total - comb(m - b, n)) - total * i
-
-    ends = {0, stop}
-    for i in range(1, parts):
-        above = bisect_right(range(stop + 1), 0, key=lambda b: gap(b, i))
-        ends.add(above - 1 if -gap(above - 1, i) <= gap(above, i) else above)
-    ends = sorted(ends)
-    return list(zip(ends, ends[1:]))
-
-
 def _merge(outcomes, record: bool):
-    """(failure, examined, log) of consecutive chunks' outcomes, read up to the first failure.
+    """(failure, examined, log) of consecutive least vertices' outcomes, up to the first failure.
 
-    A failure in one chunk precedes any in the chunks after it, so those are
-    never read.
+    A failure at one least vertex precedes any at the vertices after it, so
+    those are never read.
     """
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
-    for failure, chunk_examined, chunk_log in outcomes:
-        examined += chunk_examined
-        if chunk_log:
-            log.update(chunk_log)
+    for failure, vertex_examined, vertex_log in outcomes:
+        examined += vertex_examined
+        if vertex_log:
+            log.update(vertex_log)
         if failure is not None:
             return failure, examined, log
     return None, examined, log
 
 
-def _scan_chunk(failed, scanner, hg: Hypergraph, n: int, chunk: int, lo: int, hi: int,
-                record: bool):
-    """Scan chunk number ``chunk``, the least vertices [lo, hi), one least vertex at a time.
+def _scan_claims(claims, scanner, hg: Hypergraph, n: int, stop: int, record: bool) -> dict:
+    """{v: outcome} for each least vertex v this process takes from ``claims``, below ``stop``.
 
-    ``failed`` is the index of the lowest chunk known to fail, shared by the
-    calling process and the pool's workers.  Before each least vertex the
-    scan gives up if a lower chunk is known to fail, so chunk 0 never does;
-    ``_merge`` reads no chunk after a failure, so the partial outcome of a
-    scan that gave up is never used.  On a failure it lowers the index to
-    ``chunk``.  Writes are not atomic, but every index written is that of a
-    failed chunk, so a lost update costs time, never a result.
+    ``claims`` is the next least vertex to hand out, shared by the calling
+    process and the pool's workers, which all run this loop.  On a failure
+    the counter jumps to ``stop``, so no process takes another vertex.  The
+    counter only grows, so every vertex below a failure was handed out
+    before it and is scanned in full, whichever process found the failure:
+    ``_merge`` over the sorted vertices gives the serial outcome.
     """
-    outcomes = []
-    for v in range(lo, hi):
-        if failed.value < chunk:
-            break
-        outcomes.append(scanner(hg, n, v, v + 1, record))
-        if outcomes[-1][0] is not None:
-            failed.value = min(failed.value, chunk)
-            break
-    return _merge(outcomes, record)
+    outcomes = {}
+    while True:
+        with claims.get_lock():
+            v = claims.value
+            if v >= stop:
+                return outcomes
+            claims.value = v + 1
+        outcomes[v] = scanner(hg, n, v, v + 1, record)
+        if outcomes[v][0] is not None:
+            claims.value = stop
+            return outcomes
 
 
 # In a pool worker: the barrier that the reports meet at, and the worker's
-# own (chunk, outcome) or the exception its scan raised.  Both are set by
-# ``_scan_claimed_chunk`` as the worker starts.
+# own outcomes or the exception its scan raised.  Both are set by
+# ``_scan_worker`` as the worker starts.
 _reports_due = None
 _outcome = None
 
 
-def _scan_claimed_chunk(failed, claims, reports_due, scanner, hg: Hypergraph, n: int,
-                        chunks, record: bool) -> None:
-    """Pool initializer: claim the next of ``chunks`` after the caller's chunk 0 and scan it.
+def _scan_worker(reports_due, *job) -> None:
+    """Pool initializer: take least vertices from the shared counter and scan them.
 
     The job comes with the worker's start, so under fork it is never
     pickled and no thread of the pool hands it over: the worker scans while
-    the calling process scans chunk 0.  An exception is kept, not raised, so
-    the pool does not break and ``_report`` can raise it in the caller.
+    the calling process does.  An exception is kept, not raised, so the pool
+    does not break and ``_report`` can raise it in the caller.
     """
     global _reports_due, _outcome
     _reports_due = reports_due
-    with claims.get_lock():
-        claims.value += 1
-        chunk = claims.value
     try:
-        _outcome = chunk, _scan_chunk(failed, scanner, hg, n, chunk, *chunks[chunk], record)
+        _outcome = _scan_claims(*job)
     except Exception as exc:
         _outcome = exc
 
 
-def _report(_) -> tuple:
-    """The worker's (chunk, outcome); each worker answers exactly one.
+def _report(_) -> dict:
+    """The worker's {v: outcome}; each worker answers exactly one.
 
     The barrier holds every report until all workers hold one, so no
     worker takes a second.  Re-raises the exception its scan raised.
@@ -559,12 +533,13 @@ def is_nec(
 
     n larger than m-h+1 makes every witness query unsatisfiable, so the
     verdict is False (with a note) rather than an error.  ``threads`` > 1
-    splits the S-range into chunks of least vertices of S, one per process,
-    at most ``threads`` and at most the CPUs but at least two.  The calling
-    process scans the first chunk and one pool worker scans each of the
-    rest; once a chunk fails, the later chunks stop at their next least
-    vertex.  Results, including the counterexample and candidate count, do
-    not depend on ``threads``.
+    starts a pool of workers, so that with the calling process at most
+    ``threads`` and at most the CPUs but at least two processes scan.  Each
+    takes the next least vertex of S from one shared counter and scans its
+    S-sets; once one fails, no process takes another.  n = 1 scans in the
+    calling process, since each least vertex holds a single S-set.  Results,
+    including the counterexample and candidate count, do not depend on
+    ``threads``.
     """
     if n < 1:
         raise CheckerUsageError(f"n must be >= 1, got {n}")
@@ -591,24 +566,21 @@ def is_nec(
         hypergraph.check_listing(hg.m - n, f"listing the {hg.m - n} vertices outside each S-set",
                                  CheckerUsageError)
     scanner = _SCANNERS[engine]
-    # One chunk per process: more chunks than CPUs would leave some for a
-    # second round after the caller's own chunk is done.
-    parts = min(threads, max(2, os.cpu_count() or 1))
-    chunks = _chunk_bounds(hg.m, n, parts)
-    workers = len(chunks) - 1
+    stop = hg.m - n + 1  # the least vertices of the S-sets are [0, stop)
+    # No more processes than CPUs: a worker waiting for a CPU holds back the
+    # vertex it took, and the outcome waits for every vertex taken.
+    workers = 0 if n == 1 else min(threads, max(2, os.cpu_count() or 1), stop) - 1
     if not workers:
-        failure, examined, log = scanner(hg, n, *chunks[0], record_witnesses)
+        failure, examined, log = scanner(hg, n, 0, stop, record_witnesses)
     else:
-        # Each worker claims one of chunks 1.. and scans it as it forks.
-        failed = RawValue("i", len(chunks))  # no chunk has failed yet
-        job = (failed, Value("i", 0), Barrier(workers), scanner, hg, n, chunks,
-               record_witnesses)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_scan_claimed_chunk,
-                                 initargs=job) as pool:
+        job = (Value("i", 0), scanner, hg, n, stop, record_witnesses)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_scan_worker,
+                                 initargs=(Barrier(workers), *job)) as pool:
             reports = pool.map(_report, range(workers))  # forks the workers
-            first = _scan_chunk(failed, scanner, hg, n, 0, *chunks[0], record_witnesses)
-            later = [outcome for _, outcome in sorted(reports)]
-            failure, examined, log = _merge([first, *later], record_witnesses)
+            outcomes = _scan_claims(*job)
+            for report in reports:
+                outcomes.update(report)
+        failure, examined, log = _merge(map(outcomes.get, sorted(outcomes)), record_witnesses)
     elapsed = (time.perf_counter() - started) * 1000.0
     return CheckResult(failure is None, n, failure, CheckStats(examined, elapsed, note), log)
 

@@ -9,10 +9,16 @@ probability p.  Randomness is pinned for reproducibility:
 * per-trial seeds: trial i uses ``derive_seed(seed, i)``, the SplitMix64
   finalizer applied to ``seed + (i+1) * 0x9E3779B97F4A7C15`` (all mod 2**64).
 
-Changing either scheme is a breaking change for recorded outputs.  The union
-bound C(m,n) * 2**n * (1 - p**n)**C(m-n, h-1) caps the probability that a
-sample is not n-e.c.; it is evaluated in the log domain because the exponent
-overflows naive floating point well below interesting sizes.
+Changing either scheme is a breaking change for recorded outputs.
+
+A pair (S, T) with |T| = j fails when none of the C(m-n, h-1) sets X outside
+S is correctly joined, and a fixed X is, independently of the others, with
+probability p**j * (1-p)**(n-j).  Summed over the pairs, that gives the
+expected number of failing pairs, which caps the probability that a sample
+is not n-e.c.  Each X's probability is at least q**n with q = min(p, 1-p),
+so the union bound C(m,n) * 2**n * (1 - q**n)**C(m-n, h-1) caps it too, and
+equals it at p = 1/2.  Both are evaluated in the log domain because the
+exponent overflows naive floating point well below interesting sizes.
 """
 
 from __future__ import annotations
@@ -79,15 +85,32 @@ def _sample_seeded(model: RandomModel, seed: int) -> Hypergraph:
     return Hypergraph(model.h, model.m, tuple(e for e in sets if rng.random() < model.p))
 
 
-def union_bound_log(n: int, h: int, m: int, p: float) -> float:
-    """Natural log of the bound on P(sample is not n-e.c.)."""
+def _check_bound_args(n: int, h: int, m: int, p: float) -> int:
+    """C(m-n, h-1), the candidate sets X outside each S, once the arguments are valid."""
     if n < 1 or h < 2 or m <= n:
         raise RandomModelError(f"need n >= 1, h >= 2, m > n; got n={n} h={h} m={m}")
     if not 0.0 < p < 1.0:
         raise RandomModelError(f"p must lie in (0,1), got {p}")
-    choices = math.comb(m, n)
-    exponent = math.comb(m - n, h - 1)
-    return math.log(choices) + n * math.log(2.0) + exponent * math.log1p(-(p**n))
+    return math.comb(m - n, h - 1)
+
+
+def union_bound_log(n: int, h: int, m: int, p: float) -> float:
+    """Natural log of the bound on P(sample is not n-e.c.), with q = min(p, 1-p)."""
+    exponent = _check_bound_args(n, h, m, p)
+    q = min(p, 1.0 - p)
+    return math.log(math.comb(m, n)) + n * math.log(2.0) + exponent * math.log1p(-(q**n))
+
+
+def expected_failures_log(n: int, h: int, m: int, p: float) -> float:
+    """Natural log of the expected number of failing (S, T) pairs, never above the bound.
+
+    That is C(m,n) * sum over j of C(n,j) * (1 - p**j * (1-p)**(n-j))**C(m-n, h-1).
+    """
+    exponent = _check_bound_args(n, h, m, p)
+    terms = [math.log(math.comb(n, j)) + exponent * math.log1p(-(p**j) * (1.0 - p) ** (n - j))
+             for j in range(n + 1)]
+    top = max(terms)
+    return math.log(math.comb(m, n)) + top + math.log(sum(math.exp(t - top) for t in terms))
 
 
 def union_bound(n: int, h: int, m: int, p: float) -> float:

@@ -5,7 +5,6 @@ import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
-from multiprocessing import RawValue
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -244,19 +243,23 @@ class InProcessPool:
     The initializer's arguments stay in this process, as they do under fork;
     each report goes through pickle, as it would on its way back.  A barrier
     of two or more workers cannot be met in one process, so the stand-in
-    serves one worker only.
+    serves one worker only.  Its worker scans as the pool starts, before the
+    caller, or with ``worker_first`` false when its report is first read,
+    after the caller.
     """
 
     sizes: list[int] = []
     chunks: list[int] = []
     initargs: list[tuple] = []
+    worker_first = True
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         assert max_workers == 1, "the in-process stand-in serves one worker"
         self.sizes.append(max_workers)
         self.initargs.append(initargs)
-        if initializer is not None:
-            initializer(*initargs)
+        self.start = lambda: initializer(*initargs) if initializer else None
+        if self.worker_first:
+            self.start()
 
     def __enter__(self):
         return self
@@ -267,7 +270,13 @@ class InProcessPool:
     def map(self, fn, *iterables):
         calls = list(zip(*iterables))  # submitted at once, as the real pool does
         self.chunks.append(len(calls))
-        return (pickle.loads(pickle.dumps(fn(*args))) for args in calls)
+        return self._answers(fn, calls)
+
+    def _answers(self, fn, calls):
+        if not self.worker_first:
+            self.start()
+        for args in calls:
+            yield pickle.loads(pickle.dumps(fn(*args)))
 
 
 @pytest.fixture
@@ -351,7 +360,7 @@ def counted_pool(monkeypatch):
 
 def test_pool_size_capped_at_cpu_count(mols4_build, counted_pool, monkeypatch):
     """The pool's workers plus the calling process fit the CPUs, with one worker at least,
-    and each worker gets one chunk, so none waits for a second round."""
+    and each worker answers one report."""
     hg = mols4_build.hypergraph
     serial = is_nec(hg, 2, threads=1)
     for threads in (2, 3, 10_000):
@@ -360,32 +369,61 @@ def test_pool_size_capped_at_cpu_count(mols4_build, counted_pool, monkeypatch):
             many = is_nec(hg, 2, threads=threads)  # C(16, 2) = 120 S-sets
             assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
             assert many.stats.candidates_examined == serial.stats.candidates_examined
-    # One worker per chunk after the caller's, and at most CPUs - 1 of them.
+    # One report per worker, and at most CPUs - 1 workers.
     assert CountedPool.sizes == CountedPool.chunks == [1, 1, 1, 1, 1, 2, 1, 1, 2]
 
 
+def counted_scans(monkeypatch, engine: str, stop: int):
+    """Make ``engine`` count its scans of each least vertex below ``stop``.
+
+    The counts sit in shared memory, so forked workers count into them too.
+    """
+    scans = multiprocessing.Array("i", stop)
+    scan = checker._SCANNERS[engine]
+
+    def scanner(hg, n, lo, hi, record):
+        with scans.get_lock():
+            scans[lo] += 1
+        return scan(hg, n, lo, hi, record)
+
+    monkeypatch.setitem(checker._SCANNERS, engine, scanner)
+    return scans
+
+
+def assert_claimed_once(scans, failure):
+    """Each least vertex up to the failure's, or every one if none fails, was
+    scanned exactly once, and no vertex twice."""
+    last = failure[0][0] if failure else len(scans) - 1
+    assert scans[:last + 1] == [1] * (last + 1)
+    assert max(scans) == 1
+
+
 # Draws of RandomModel(3, 8, 0.5, seed), found by scanning seeds from 0: at
-# seed 3 with n = 2 only the second chunk (least vertex 2..6) fails, and at
-# seed 0 with n = 3 both chunks do, so the caller's failure in the first must win.
+# seed 3 with n = 2 only least vertex 2 fails, and at seed 0 with n = 3 every
+# least vertex does, so the failure at 0 must win, whichever process finds a
+# failure first.
 @pytest.mark.parametrize("engine", ["optimized", "naive"])
-@pytest.mark.parametrize("seed, n, first_half_fails", [(3, 2, False), (0, 3, True)])
-def test_real_pool_reduces_chunks_in_order(counted_pool, engine, seed, n, first_half_fails):
+@pytest.mark.parametrize("seed, n, fails_at_0", [(3, 2, False), (0, 3, True)])
+def test_real_pool_reduces_chunks_in_order(counted_pool, monkeypatch, engine, seed, n,
+                                           fails_at_0):
     hg = sample(RandomModel(3, 8, 0.5, seed))
-    halves = checker._chunk_bounds(hg.m, n, 2)
-    assert len(halves) == 2
-    first, second = (checker._scan_chunk_naive(hg, n, lo, hi, False)[0] for lo, hi in halves)
-    assert (first is not None, second is not None) == (first_half_fails, True)
+    stop = hg.m - n + 1
+    failures = [checker._scan_chunk_naive(hg, n, v, v + 1, False)[0] for v in range(stop)]
+    assert [f is not None for f in failures] == ([True] * stop if fails_at_0 else
+                                                 [False, False, True] + [False] * (stop - 3))
     serial = is_nec(hg, n, engine=engine, threads=1)
+    scans = counted_scans(monkeypatch, engine, stop)
     parallel = is_nec(hg, n, engine=engine, threads=2)
     assert CountedPool.sizes == [1]
-    assert parallel.counterexample == (first or second)
+    assert parallel.counterexample == next(filter(None, failures))
+    assert_claimed_once(scans, parallel.counterexample)
     assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined) == (
         serial.holds, serial.counterexample, serial.stats.candidates_examined)
 
 
 def test_caller_chunk_failure_matches_serial_on_a_real_pool(counted_pool):
-    """The caller's chunk fails at the first S-set and the worker's holds no
-    failure, so the worker gives up unread; the report is the serial one."""
+    """Least vertex 0 fails at the first S-set and no other least vertex
+    fails; whichever process takes 0, the report is the serial one."""
     drawn = sample(RandomModel(3, 60, 0.5, 1))
     edges = [e for e in drawn.edges if 0 not in e]  # vertex 0 forms no edge
     serial = is_nec(new_hypergraph(3, 60, edges), 3, threads=1, record_witnesses=True)
@@ -397,42 +435,45 @@ def test_caller_chunk_failure_matches_serial_on_a_real_pool(counted_pool):
                                       serial.stats.candidates_examined, serial.witness_log)
 
 
-# Draws of RandomModel(3, 8, 0.5, seed) whose first of three chunks (least
-# vertex 0, 1..2 and 3..6 at n = 2) passes, found by scanning seeds from 0:
-# seed 0 fails in neither worker's chunk, 3 in chunk 1 only, 6 in chunk 2
-# only and 12 in both.
+# Draws of RandomModel(3, 8, 0.5, seed) in which least vertex 0 passes at n = 2,
+# found by scanning seeds from 0.  ``fails`` says whether a least vertex in
+# 1..2, taken by the three processes' first claims along with 0, fails, and
+# whether one in 3..6, taken only after a first scan ends, does: seed 0 fails
+# at none, 3 at 2, 6 at 3 and 12 at 1 and 4.
 @pytest.mark.parametrize("engine", ["optimized", "naive"])
 @pytest.mark.parametrize("seed, fails", [(0, (False, False)), (3, (True, False)),
                                          (6, (False, True)), (12, (True, True))])
 def test_two_workers_report_their_chunks_in_order(counted_pool, monkeypatch, engine, seed, fails):
-    """Each worker claims one chunk as it starts and answers one report; the
-    caller puts the reports back in chunk order, whichever worker ran which."""
+    """Each worker takes least vertices as it starts and answers one report;
+    the caller puts the outcomes back in vertex order, whichever process
+    scanned which vertex."""
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     hg = sample(RandomModel(3, 8, 0.5, seed))
-    thirds = checker._chunk_bounds(hg.m, 2, 3)
-    assert thirds == [(0, 1), (1, 3), (3, 7)]
-    chunk_fails = [checker._scan_chunk_naive(hg, 2, lo, hi, False)[0] is not None
-                   for lo, hi in thirds]
-    assert chunk_fails == [False, *fails]
+    vertex_fails = [checker._scan_chunk_naive(hg, 2, v, v + 1, False)[0] is not None
+                    for v in range(7)]
+    assert (vertex_fails[0], any(vertex_fails[1:3]), any(vertex_fails[3:])) == (False, *fails)
     serial = is_nec(hg, 2, engine=engine, threads=1, record_witnesses=True)
+    scans = counted_scans(monkeypatch, engine, 7)
     parallel = is_nec(hg, 2, engine=engine, threads=3, record_witnesses=True)
     assert CountedPool.sizes == CountedPool.chunks == [2]
+    assert_claimed_once(scans, parallel.counterexample)
     assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined,
             parallel.witness_log) == (serial.holds, serial.counterexample,
                                       serial.stats.candidates_examined, serial.witness_log)
 
 
 def test_more_workers_than_cores_claim_distinct_chunks(counted_pool, monkeypatch):
-    """Five workers, more than a small host has cores, claim one chunk each: a
-    lost update of the claim counter would scan one chunk twice and leave
-    another out of the witness log."""
+    """Five workers, more than a small host has cores, and the caller share
+    the counter: a lost update would scan one least vertex twice."""
     monkeypatch.setattr(os, "cpu_count", lambda: 6)
     hg = sample(RandomModel(3, 12, 0.5, 0))
-    assert len(checker._chunk_bounds(hg.m, 2, 6)) == 6
     serial = is_nec(hg, 2, threads=1, record_witnesses=True)
     assert serial.holds
+    scans = counted_scans(monkeypatch, "optimized", hg.m - 1)
     for _ in range(3):
+        scans[:] = [0] * len(scans)
         parallel = is_nec(hg, 2, threads=6, record_witnesses=True)
+        assert_claimed_once(scans, None)
         assert (parallel.holds, parallel.stats.candidates_examined, parallel.witness_log) == (
             serial.holds, serial.stats.candidates_examined, serial.witness_log)
     assert CountedPool.sizes == CountedPool.chunks == [5, 5, 5]
@@ -440,21 +481,37 @@ def test_more_workers_than_cores_claim_distinct_chunks(counted_pool, monkeypatch
 
 def test_worker_exception_reaches_the_caller(mols4_build, counted_pool, monkeypatch):
     """A scan that raises in a worker raises the same exception from is_nec,
-    not a broken pool; the caller's chunk passes, so the worker scans."""
+    not a broken pool.  The caller waits to scan until the worker has taken
+    a vertex, so the worker cannot find the counter used up."""
     caller = os.getpid()
     scan = checker._scan_chunk_optimized
+    worker_scanned = multiprocessing.Event()
 
     def scanner(hg, n, lo, hi, record):
         if os.getpid() != caller:
+            worker_scanned.set()
             raise ArithmeticError(f"worker scan of least vertex {lo}")
+        assert worker_scanned.wait(timeout=60)
         return scan(hg, n, lo, hi, record)
 
     monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
     hg = mols4_build.hypergraph  # 2-e.c.
-    assert checker._chunk_bounds(hg.m, 2, 2) == [(0, 5), (5, 15)]
-    with pytest.raises(ArithmeticError, match="worker scan of least vertex 5"):
+    with pytest.raises(ArithmeticError, match="worker scan of least vertex") as raised:
         is_nec(hg, 2, threads=2)
+    assert 0 <= int(str(raised.value).split()[-1]) < hg.m - 1
     assert CountedPool.sizes == [1]
+
+
+def test_n_1_scans_in_the_caller_at_any_thread_count(counted_pool):
+    """Each least vertex holds one S-set at n = 1, so a pool would only rebuild
+    the per-S tables once per vertex, m times over: no pool starts."""
+    matching = new_hypergraph(3, 3000, [(v, v + 1, v + 2) for v in range(0, 3000, 3)])
+    serial = is_nec(matching, 1, threads=1, record_witnesses=True)
+    parallel = is_nec(matching, 1, threads=2, record_witnesses=True)
+    assert CountedPool.sizes == []
+    assert serial.holds
+    assert (parallel.holds, parallel.stats.candidates_examined, parallel.witness_log) == (
+        serial.holds, serial.stats.candidates_examined, serial.witness_log)
 
 
 class UnpicklableHypergraph(hypergraph.Hypergraph):
@@ -480,41 +537,73 @@ def test_workers_check_a_hypergraph_that_cannot_be_pickled(mols4_build, counted_
         serial.holds, serial.stats.candidates_examined, serial.witness_log)
 
 
-def test_caller_failure_is_shared_with_the_pool(two_triple, mols4_build, monkeypatch_pool):
-    """The shared index is the first of the pool initializer's arguments: 0
-    once the caller's chunk fails, and the chunk count, above every chunk,
-    while all pass."""
-    assert checker._chunk_bounds(two_triple.m, 2, 2)[0] == (0, 1)
+def test_caller_failure_is_shared_with_the_pool(two_triple, mols4_build, monkeypatch_pool,
+                                                monkeypatch):
+    """The counter is the second of the pool initializer's arguments, after
+    the barrier.  The caller scans first here: its failure at least vertex 0
+    moves the counter to stop, past every vertex, so the worker starting
+    after it takes none; with no failure the caller takes them all."""
+    monkeypatch.setattr(InProcessPool, "worker_first", False)
+    taken = []
+    claim = checker._scan_claims
+
+    def spied(*job):
+        outcomes = claim(*job)
+        taken.append(list(outcomes))
+        return outcomes
+
+    monkeypatch.setattr(checker, "_scan_claims", spied)
     assert is_nec(two_triple, 2, threads=2).counterexample == ((0, 1), ())
-    assert InProcessPool.initargs[-1][0].value == 0
+    assert taken == [[0], []]  # the caller's vertices, then the worker's
+    assert InProcessPool.initargs[-1][1].value == 3
+    taken.clear()
     assert is_nec(mols4_build.hypergraph, 2, threads=2).holds
-    assert InProcessPool.initargs[-1][0].value == 2
+    assert taken == [list(range(15)), []]
+    assert InProcessPool.initargs[-1][1].value == 15
 
 
 def test_later_chunk_gives_up_after_a_lower_chunk_failed():
+    """A process that takes a vertex scans it in full, though a later vertex
+    fails meanwhile, and then takes no other: here the process that takes 5
+    lets a second process take 6 and 7, which fails, while it scans."""
+    calls = []
+    claims = multiprocessing.Value("i", 5)
+
+    def scanner(hg, n, lo, hi, record):
+        calls.append(lo)
+        if lo == 5:
+            assert checker._scan_claims(claims, scanner, None, 1, 9, False) == {
+                6: (None, 1, None), 7: (((7,), ()), 1, None)}
+        return (((lo,), ()) if lo == 7 else None), 1, None
+
+    first = checker._scan_claims(claims, scanner, None, 1, 9, False)
+    assert first == {5: (None, 1, None)}
+    assert calls == [5, 6, 7]
+    assert claims.value == 9
+
+
+def test_scan_claims_hands_out_least_vertices_in_order():
+    """Vertices go out in order, none above a failure, and a second caller
+    on the used-up counter gets nothing."""
     calls = []
 
     def scanner(hg, n, lo, hi, record):
         calls.append((lo, hi))
-        return (((lo,), ()) if lo == 7 else None), 1, None
+        return (((lo,), ()) if lo == 3 else None), 1, None
 
-    assert checker._scan_chunk(RawValue("i", 1), scanner, None, 1, 2, 5, 9, False) == (
-        None, 0, None)
-    assert calls == []
-    # Not below: one least vertex per call, and the failure lowers the index.
-    failed = RawValue("i", 3)
-    assert checker._scan_chunk(failed, scanner, None, 1, 2, 5, 9, False) == (
-        ((7,), ()), 3, None)
-    assert calls == [(5, 6), (6, 7), (7, 8)]
-    assert failed.value == 2
-    # Chunk 0, the caller's, has no lower chunk: it never gives up, and its
-    # failure lowers the index to 0, below a later chunk that failed first.
+    claims = multiprocessing.Value("i", 0)
+    outcomes = checker._scan_claims(claims, scanner, None, 1, 9, False)
+    assert calls == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert list(outcomes) == [0, 1, 2, 3]
+    assert checker._merge(outcomes.values(), False) == (((3,), ()), 4, None)
+    assert claims.value == 9
+    assert checker._scan_claims(claims, scanner, None, 1, 9, False) == {}
+    assert len(calls) == 4
+    # With no failure every vertex below stop goes out once.
     calls.clear()
-    failed = RawValue("i", 1)
-    assert checker._scan_chunk(failed, scanner, None, 1, 0, 5, 9, False) == (
-        ((7,), ()), 3, None)
-    assert calls == [(5, 6), (6, 7), (7, 8)]
-    assert failed.value == 0
+    claims.value = 4
+    assert list(checker._scan_claims(claims, scanner, None, 1, 9, False)) == [4, 5, 6, 7, 8]
+    assert claims.value == 9
 
 
 @st.composite
@@ -586,24 +675,6 @@ def test_empty_part_0_of_a_complete_shadow_fails_at_t_empty(monkeypatch):
         assert fast.witness_log == slow.witness_log
         assert all(len(parts) <= shadow + 2 for parts in extended)
     assert [len(parts) for parts in extended] == [2, 3]
-
-
-@given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 64))
-def test_chunk_bounds_tile_the_range_in_order(m, n, parts):
-    """At most ``parts`` non-empty least-vertex ranges, contiguous, covering every S."""
-    assume(n <= m)
-    bounds = checker._chunk_bounds(m, n, parts)
-    assert 1 <= len(bounds) <= parts
-    assert bounds[0][0] == 0 and bounds[-1][1] == m - n + 1
-    assert all(lo < hi for lo, hi in bounds)
-    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-    # Each cut is nearest to some i-th equal share: the S-set count below a
-    # cut grows with it, so moving it one vertex either way takes it no closer.
-    total = comb(m, n)
-    for _, cut in bounds[:-1]:
-        gaps = [[abs(parts * (total - comb(m - b, n)) - total * i) for b in (cut - 1, cut, cut + 1)]
-                for i in range(1, parts)]
-        assert any(here <= min(lower, higher) for lower, here, higher in gaps)
 
 
 def test_index_is_built_once_per_value(mols4_build, monkeypatch_pool, monkeypatch):

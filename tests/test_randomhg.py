@@ -1,15 +1,19 @@
+import itertools
 import math
 from math import comb
 
 import mpmath
 import pytest
 
+from hyperec.checker import is_nec
+from hyperec.hypergraph import new_hypergraph
 from hyperec.randomhg import (
     EcFractionResult,
     RandomModel,
     RandomModelError,
     derive_seed,
     estimate_ec_fraction,
+    expected_failures_log,
     sample,
     sample_trial,
     union_bound,
@@ -18,12 +22,13 @@ from hyperec.randomhg import (
 
 
 def oracle_log_bound(n, h, m, p):
-    """High-precision evaluation of C(m,n) * 2^n * (1-p^n)^C(m-n,h-1)."""
+    """High-precision evaluation of C(m,n) * 2^n * (1-q^n)^C(m-n,h-1), q = min(p, 1-p)."""
     with mpmath.workdps(60):
+        q = min(mpmath.mpf(p), 1 - mpmath.mpf(p))
         value = (
             mpmath.binomial(m, n)
             * mpmath.mpf(2) ** n
-            * (1 - mpmath.mpf(p) ** n) ** int(comb(m - n, h - 1))
+            * (1 - q**n) ** int(comb(m - n, h - 1))
         )
         return float(mpmath.log(value))
 
@@ -109,6 +114,41 @@ def test_union_bound_log_matches_high_precision(n, h, m, p):
     ours = union_bound_log(n, h, m, p)
     reference = oracle_log_bound(n, h, m, p)
     assert ours == pytest.approx(reference, rel=1e-6)
+
+
+@pytest.mark.parametrize("h, m", [(2, 5), (3, 5)])
+def test_bounds_cap_the_exact_failure_probability(h, m):
+    """Every one of the 1024 h-uniform hypergraphs on 5 vertices, weighted by
+    its probability: P(not 1-e.c.) <= expected failing pairs <= union bound,
+    the last two equal at p = 1/2.  A hypergraph is n-e.c. iff its complement
+    is (swap T and S minus T), so P(fail) is the same at p and 1 - p."""
+    h_sets = list(itertools.combinations(range(m), h))
+    failing = [len(edges) for r in range(len(h_sets) + 1)
+               for edges in itertools.combinations(h_sets, r)
+               if not is_nec(new_hypergraph(h, m, edges), 1).holds]
+
+    def p_fail(p):
+        return sum(p**e * (1 - p) ** (len(h_sets) - e) for e in failing)
+
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        expected = math.exp(expected_failures_log(1, h, m, p))
+        bound = union_bound(1, h, m, p)
+        assert p_fail(p) <= expected * (1 + 1e-12)
+        assert expected <= bound * (1 + 1e-12)
+        assert p_fail(p) == pytest.approx(p_fail(1 - p), rel=1e-12)
+    assert math.exp(expected_failures_log(1, h, m, 0.5)) == pytest.approx(
+        union_bound(1, h, m, 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, h, m, p", [(2, 3, 20, 0.5), (3, 4, 40, 0.3), (4, 3, 200, 0.7)])
+def test_expected_failures_log_matches_high_precision(n, h, m, p):
+    with mpmath.workdps(60):
+        p = mpmath.mpf(p)
+        value = mpmath.binomial(m, n) * sum(
+            mpmath.binomial(n, j) * (1 - p**j * (1 - p) ** (n - j)) ** int(comb(m - n, h - 1))
+            for j in range(n + 1))
+        reference = float(mpmath.log(value))
+    assert expected_failures_log(n, h, m, float(p)) == pytest.approx(reference, rel=1e-9)
 
 
 def test_union_bound_log_strictly_decreasing_in_m():
