@@ -88,10 +88,13 @@ def min_vertices_bound(n: int, h: int) -> int:
     if h < 2:
         raise CheckerUsageError(f"h must be >= 2, got {h}")
     need = 2**n
-    l = 1
-    while comb(l, h - 1) < need:
-        l += 1
-    return n + l
+    lo, hi = 0, 1  # C(l, h-1) grows with l: keep C(lo, h-1) < need <= C(hi, h-1)
+    while comb(hi, h - 1) < need:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if comb(mid, h - 1) < need else (lo, mid)
+    return n + hi
 
 
 def correctly_joined(
@@ -468,11 +471,12 @@ def _scan_claims(claims, scanner, hg: Hypergraph, n: int, stop: int, record: boo
     """{v: outcome} for each least vertex v this process takes from ``claims``, below ``stop``.
 
     ``claims`` is the next least vertex to hand out, shared by the calling
-    process and the pool's workers, which all run this loop.  On a failure
-    the counter jumps to ``stop``, so no process takes another vertex.  The
-    counter only grows, so every vertex below a failure was handed out
-    before it and is scanned in full, whichever process found the failure:
-    ``_merge`` over the sorted vertices gives the serial outcome.
+    process and the pool's workers, which all run this loop.  On a failure,
+    or an exception that a scan raises, the counter jumps to ``stop``, so no
+    process takes another vertex.  The counter only grows, so every vertex
+    below a failure was handed out before it and is scanned in full,
+    whichever process found the failure: ``_merge`` over the sorted vertices
+    gives the serial outcome.
     """
     outcomes = {}
     while True:
@@ -481,7 +485,11 @@ def _scan_claims(claims, scanner, hg: Hypergraph, n: int, stop: int, record: boo
             if v >= stop:
                 return outcomes
             claims.value = v + 1
-        outcomes[v] = scanner(hg, n, v, v + 1, record)
+        try:
+            outcomes[v] = scanner(hg, n, v, v + 1, record)
+        except BaseException:
+            claims.value = stop
+            raise
         if outcomes[v][0] is not None:
             claims.value = stop
             return outcomes

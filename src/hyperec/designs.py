@@ -2,10 +2,11 @@
 
 Generators cover the standard families consumed by the hypergraph builders:
 complete MOLS over GF(q), projective planes PG(2,q), Miquelian inversive
-planes of prime-power order, and the seven-block plane of order two.  Every
-generator validates its own output through :func:`validate_design` (or the
-orthogonality check for MOLS) before returning, so a generation bug cannot
-propagate silently.
+planes of prime-power order q (the orbit of one subline of the projective
+line over GF(q^2) under PGL(2, q^2)), and the seven-block plane of order
+two.  Every generator validates its own output through
+:func:`validate_design` (or the orthogonality check for MOLS) before
+returning, so a generation bug cannot propagate silently.
 
 Counting quantities (b, r, block counts over fixed/avoided point sets) are
 exact rationals so that impossible parameter sets surface as non-integers
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 
 from . import hypergraph
 from .errors import DesignError, DesignFormatError, GaloisError
-from .galois import GfField, field_of_order, prime_power
+from .galois import field_of_order, prime_power
 from .hypergraph import int_records, int_tuples, record_text
 
 
@@ -294,7 +295,8 @@ def projective_plane(q: int) -> Design:
         raise DesignError(f"order must be >= 2, got {q}")
     field = field_of_order(q)
     check_block_subsets(q * q + q + 1, q + 1, 2)  # what validation will list
-    reps = _projective_point_reps(field)
+    reps = [(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+    reps += [(1, y, z) for y in range(q) for z in range(q)]
     mul, add = field.mul_table, field.add_table
     # Lines carry the same canonical coordinates as points; point i is reps[i].
     blocks = tuple(
@@ -305,24 +307,17 @@ def projective_plane(q: int) -> Design:
     return _validated(Design(2, v, q + 1, 1, blocks), f"projective plane of order {q}")
 
 
-def _projective_point_reps(field: GfField) -> list[tuple[int, int, int]]:
-    q = field.order
-    reps = [(0, 0, 1)]
-    reps += [(0, 1, z) for z in range(q)]
-    reps += [(1, y, z) for y in range(q) for z in range(q)]
-    return sorted(reps)
-
-
 def inversive_plane(q: int) -> Design:
     """The Miquelian 3-(q^2+1, q+1, 1) design on the projective line over GF(q^2).
 
     Finite points are labeled by their canonical element index in GF(q^2) and
-    the point at infinity gets index q^2.  Blocks are every image of the
-    subline {infinity} + GF(q) under the fractional-linear maps
-    z -> (az+b)/(cz+d) of the invertible 2x2 matrices over GF(q^2),
-    deduplicated as point sets.  An order whose validation listing
-    :func:`check_block_subsets` would refuse is refused before the q^4-entry
-    tables of GF(q^2), which are smaller, are built.
+    the point at infinity gets index q^2.  The blocks are the orbit of the
+    subline GF(q) + {infinity} under PGL(2, q^2), walked from the subline by
+    generators of the group: the translations by an additive basis and all
+    the scalings generate AGL(1, q^2), and z -> 1/z adds the rest.  An order
+    whose validation listing :func:`check_block_subsets` would refuse is
+    refused before the q^4-entry tables of GF(q^2), which are smaller, are
+    built.
     """
     if prime_power(q) is None:
         raise GaloisError(f"{q} is not a prime power")
@@ -331,30 +326,21 @@ def inversive_plane(q: int) -> Design:
     field = field_of_order(q * q)
     check_block_subsets(q * (q * q + 1), q + 1, 3)  # what validation will list
     Q = INF = q * q  # the point at infinity is the one after GF(q^2)
-    mul, add, neg, invt = field.mul_table, field.add_table, field.neg_table, field.inv_table
+    # Each generator is a permutation of the points, as the list of their images.
+    generators = [field.add_table[field.p**i] + [INF] for i in range(field.k)]
+    generators += [field.mul_table[a] + [INF] for a in range(2, Q)]
+    generators.append([INF] + field.inv_table[1:] + [0])  # 1/z swaps 0 and infinity
 
-    subfield = [x for x in range(Q) if field.pow(x, q) == x]  # GF(q) inside GF(q^2)
-
-    # One matrix per map: scaling the bottom row (c, d) to (0, 1) or (1, d)
-    # leaves one representative of each class of nonzero scalar multiples.
-    blocks: set[frozenset[int]] = set()
-    rng = range(Q)
-    for c, d in [(0, 1)] + [(1, d) for d in rng]:
-        for a in rng:
-            for b in rng:
-                if add[mul[a][d]][neg[mul[b][c]]] == 0:
-                    continue  # singular
-                image = [INF if c == 0 else a]  # the image of INF, a / c
-                for z in subfield:
-                    den = add[mul[c][z]][d]
-                    image.append(INF if den == 0 else mul[add[mul[a][z]][b]][invt[den]])
-                blocks.add(frozenset(image))
-
-    expected = q * (Q + 1)
-    if len(blocks) != expected:
-        raise DesignError(f"inversive plane of order {q}: {len(blocks)} blocks, expected {expected}")
-    block_tuples = tuple(sorted(tuple(sorted(bl)) for bl in blocks))
-    return _validated(Design(3, Q + 1, q + 1, 1, block_tuples), f"inversive plane of order {q}")
+    subline = tuple(x for x in range(Q) if field.pow(x, q) == x) + (INF,)
+    blocks, todo = {subline}, [subline]
+    while todo:
+        block = todo.pop()
+        for g in generators:
+            image = tuple(sorted(map(g.__getitem__, block)))
+            if image not in blocks:
+                blocks.add(image)
+                todo.append(image)
+    return _validated(Design(3, Q + 1, q + 1, 1, tuple(blocks)), f"inversive plane of order {q}")
 
 
 # ---------------------------------------------------------------------------

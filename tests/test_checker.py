@@ -52,6 +52,26 @@ def test_vertex_bound_graph_case(n):
     assert min_vertices_bound(n, 2) == n + 2**n
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("h", range(2, 7))
+def test_vertex_bound_matches_the_linear_scan(n, h):
+    assert min_vertices_bound(n, h) == n + smallest_l(n, h)
+
+
+def test_vertex_bound_takes_few_binomials(monkeypatch):
+    """A linear scan would count l up to 2**64; the search stays far below 10 000 binomials."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        if len(calls) > 10_000:
+            raise AssertionError("min_vertices_bound took over 10 000 binomials")
+        return comb(a, b)
+
+    monkeypatch.setattr(checker, "comb", counted)
+    assert min_vertices_bound(64, 2) == 64 + 2**64
+
+
 def test_bounds_reject_bad_arguments():
     with pytest.raises(CheckerUsageError):
         min_edges_bound(0)
@@ -604,6 +624,26 @@ def test_scan_claims_hands_out_least_vertices_in_order():
     claims.value = 4
     assert list(checker._scan_claims(claims, scanner, None, 1, 9, False)) == [4, 5, 6, 7, 8]
     assert claims.value == 9
+
+
+def test_scan_claims_stops_the_counter_on_an_exception():
+    """A scan that raises ends the hand-out as a failure does, so no process
+    scans on before the error reaches the caller."""
+    calls = []
+
+    def scanner(hg, n, lo, hi, record):
+        calls.append(lo)
+        if lo == 3:
+            raise RuntimeError("scan broke")
+        return None, 1, None
+
+    claims = multiprocessing.Value("i", 0)
+    with pytest.raises(RuntimeError, match="scan broke"):
+        checker._scan_claims(claims, scanner, None, 1, 9, False)
+    assert calls == [0, 1, 2, 3]
+    assert claims.value == 9
+    assert checker._scan_claims(claims, scanner, None, 1, 9, False) == {}
+    assert calls == [0, 1, 2, 3]
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import random
@@ -372,6 +373,17 @@ def _inversive_plane_blocks_from_all_matrices(q):
 @pytest.mark.parametrize("q", [3, 4])
 def test_inversive_plane_matches_all_matrices(q):
     assert inversive_plane(q).blocks == _inversive_plane_blocks_from_all_matrices(q)
+
+
+@pytest.mark.parametrize("q, digest", [
+    (7, "d04dd783355ec6726c75a2a99e9dd0944836fe0acd4f3ec6ac3f49e26d3526b2"),
+    (8, "248e555848a182bc6c589fd7c771d579abda65ed85a856fd4ba7ed15a4516cc5"),
+    (9, "03fc75b826ae8f9b6e60cf6da7650fd907e2ce884cedfe7249ff8eafd585a31b"),
+])
+def test_inversive_plane_text_is_pinned(q, digest):
+    # sha256 of the design text as the matrix enumeration wrote it
+    text = format_design(inversive_plane(q))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_inversive_plane_rejects_bad_order():
