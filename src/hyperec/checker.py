@@ -34,6 +34,9 @@ up each witness's lex rank: over a complete shadow a popcount per T,
 otherwise a sum from a table of binomials, taken once per S over the
 witnesses of all its T.  ``naive`` is the direct three-level loop kept as an
 independent oracle.
+
+Only a pooled check, ``threads`` > 1 at n >= 2, imports ``concurrent.futures``
+and ``multiprocessing``, once per process; a process without a pool never does.
 """
 
 from __future__ import annotations
@@ -43,11 +46,9 @@ import os
 import time
 from bisect import bisect_right
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
-from multiprocessing import Barrier, Value
 from operator import getitem
 from typing import Iterable, Optional
 
@@ -530,6 +531,30 @@ def _report(_) -> dict:
     return _outcome
 
 
+class ProcessPoolExecutor:
+    """The ``concurrent.futures`` pool, imported as the first one is built.
+
+    A stand-in or a subclass replaces the pool at this name.  Leaving a
+    ``with`` block calls ``self.shutdown()``, so a subclass's override runs.
+    """
+
+    def __init__(self, *args, **kwargs):
+        from concurrent import futures
+        self._pool = futures.ProcessPoolExecutor(*args, **kwargs)
+
+    def map(self, *args, **kwargs):
+        return self._pool.map(*args, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        self._pool.shutdown(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+
 def is_nec(
     hg: Hypergraph,
     n: int,
@@ -545,9 +570,10 @@ def is_nec(
     ``threads`` and at most the CPUs but at least two processes scan.  Each
     takes the next least vertex of S from one shared counter and scans its
     S-sets; once one fails, no process takes another.  n = 1 scans in the
-    calling process, since each least vertex holds a single S-set.  Results,
-    including the counterexample and candidate count, do not depend on
-    ``threads``.
+    calling process, since each least vertex holds a single S-set.  The
+    first pooled check of a process imports the pool modules, and its
+    ``elapsed_ms`` includes that import.  Results, including the
+    counterexample and candidate count, do not depend on ``threads``.
     """
     if n < 1:
         raise CheckerUsageError(f"n must be >= 1, got {n}")
@@ -581,6 +607,7 @@ def is_nec(
     if not workers:
         failure, examined, log = scanner(hg, n, 0, stop, record_witnesses)
     else:
+        from multiprocessing import Barrier, Value
         job = (Value("i", 0), scanner, hg, n, stop, record_witnesses)
         with ProcessPoolExecutor(max_workers=workers, initializer=_scan_worker,
                                  initargs=(Barrier(workers), *job)) as pool:

@@ -310,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base seed; all randomness flows from it")
     p.add_argument("--threads", type=int, default=1, metavar="N",
                    help="split each trial's check as check --threads N does; above 1, every "
-                        "trial starts its own process pool, so at small m 1 is faster "
-                        "(default 1)")
+                        "trial starts its own process pool when n >= 2 (at n = 1 it scans in "
+                        "this process), so at small m 1 is faster (default 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_random)
 

@@ -393,6 +393,38 @@ def test_pool_size_capped_at_cpu_count(mols4_build, counted_pool, monkeypatch):
     assert CountedPool.sizes == CountedPool.chunks == [1, 1, 1, 1, 1, 2, 1, 1, 2]
 
 
+class HookedPool(checker.ProcessPoolExecutor):
+    """Subclasses the checker's pool name as a tracer does: ``__init__`` and
+    ``shutdown`` record an event and call through to the real pool."""
+
+    events: list[str] = []
+
+    def __init__(self, *args, **kwargs):
+        self.events.append("init")
+        super().__init__(*args, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        super().shutdown(*args, **kwargs)
+        self.events.append("shutdown")
+
+
+def test_pool_name_takes_a_subclass(mols4_build, monkeypatch):
+    """A subclass patched over ``checker.ProcessPoolExecutor`` is built once
+    per pooled check, its ``shutdown`` runs before the check returns, and the
+    report is the serial one."""
+    monkeypatch.setattr(HookedPool, "events", [])
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", HookedPool)
+    hg = mols4_build.hypergraph
+    serial = is_nec(hg, 2, threads=1, record_witnesses=True)
+    assert HookedPool.events == []
+    parallel = is_nec(hg, 2, threads=2, record_witnesses=True)
+    assert HookedPool.events == ["init", "shutdown"]
+    assert multiprocessing.active_children() == []  # shutdown joined the worker
+    assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined,
+            parallel.witness_log) == (serial.holds, serial.counterexample,
+                                      serial.stats.candidates_examined, serial.witness_log)
+
+
 def counted_scans(monkeypatch, engine: str, stop: int):
     """Make ``engine`` count its scans of each least vertex below ``stop``.
 

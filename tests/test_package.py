@@ -40,6 +40,7 @@ ERRORS = [
 ]
 
 DESIGN_LAYER = ["fractions", "hyperec.builders", "hyperec.designs", "hyperec.galois"]
+POOL_MODULES = ["concurrent.futures", "multiprocessing"]
 
 
 def test_public_names_are_kept_and_resolve():
@@ -71,30 +72,36 @@ def test_every_error_is_a_hyperec_error(module, name):
 
 
 # Runs the CLI's commands in one fresh interpreter and prints, after each
-# stage, which modules of the design layer it has loaded.
+# stage, which modules of the design layer and of the process pool it has
+# loaded.  fig5 has m = 4, so its pooled n = 2 check starts one worker.
 PROBE = """
 import contextlib, io, json, sys
 from hyperec import cli
 fig5, out = sys.argv[1:]
-layer = {layer!r}
-stages = {{"import": [m for m in layer if m in sys.modules]}}
-for argv in (["check", fig5, "-n", "1"], ["maxec", fig5],
-             ["random", "--h", "3", "--m", "6", "--p", "0.5", "-n", "1", "--trials", "2",
-              "--seed", "7"],
-             ["construct", "mols", "-q", "4", "-o", out],
-             ["build", "from-mols", "-i", out, "-o", out + ".hg"]):
+watched = {watched!r}
+stages = {{"import": [m for m in watched if m in sys.modules]}}
+for stage, argv in (
+        ("check", ["check", fig5, "-n", "1"]),
+        ("maxec", ["maxec", fig5]),
+        ("random", ["random", "--h", "3", "--m", "6", "--p", "0.5", "-n", "1", "--trials", "2",
+                    "--seed", "7", "--threads", "1"]),
+        ("pooled check", ["check", fig5, "-n", "2", "--threads", "2"]),
+        ("construct", ["construct", "mols", "-q", "4", "-o", out]),
+        ("build", ["build", "from-mols", "-i", out, "-o", out + ".hg"])):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    stages[argv[0]] = [code, [m for m in layer if m in sys.modules]]
+    stages[stage] = [code, [m for m in watched if m in sys.modules]]
 print(json.dumps(stages))
 """
 
 
 def test_only_design_commands_load_the_design_layer(tmp_path, fig5_path):
+    """The design layer loads with the first design command, the pool modules
+    with the first pooled check, and neither with ``import hyperec.cli``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE.format(layer=DESIGN_LAYER), fig5_path,
+        [sys.executable, "-c", PROBE.format(watched=DESIGN_LAYER + POOL_MODULES), fig5_path,
          str(tmp_path / "mols4.txt")],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     stages = json.loads(done.stdout)
@@ -103,6 +110,7 @@ def test_only_design_commands_load_the_design_layer(tmp_path, fig5_path):
         "check": [0, []],
         "maxec": [0, []],
         "random": [0, []],
-        "construct": [0, ["fractions", "hyperec.designs", "hyperec.galois"]],
-        "build": [0, DESIGN_LAYER],
+        "pooled check": [1, POOL_MODULES],
+        "construct": [0, ["fractions", "hyperec.designs", "hyperec.galois"] + POOL_MODULES],
+        "build": [0, DESIGN_LAYER + POOL_MODULES],
     }
