@@ -35,8 +35,8 @@ otherwise a sum from a table of binomials, taken once per S over the
 witnesses of all its T.  ``naive`` is the direct three-level loop kept as an
 independent oracle.
 
-Only a pooled check, ``threads`` > 1 at n >= 2, imports ``concurrent.futures``
-and ``multiprocessing``, once per process; a process without a pool never does.
+Only a pooled check, ``threads`` > 1 at n >= 2, imports ``multiprocessing``,
+once per process; a process without a pool never does.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import os
 import time
 from bisect import bisect_right
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
@@ -496,57 +497,55 @@ def _scan_claims(claims, scanner, hg: Hypergraph, n: int, stop: int, record: boo
             return outcomes
 
 
-# In a pool worker: the barrier that the reports meet at, and the worker's
-# own outcomes or the exception its scan raised.  Both are set by
-# ``_scan_worker`` as the worker starts.
-_reports_due = None
-_outcome = None
-
-
-def _scan_worker(reports_due, *job) -> None:
-    """Pool initializer: take least vertices from the shared counter and scan them.
-
-    The job comes with the worker's start, so under fork it is never
-    pickled and no thread of the pool hands it over: the worker scans while
-    the calling process does.  An exception is kept, not raised, so the pool
-    does not break and ``_report`` can raise it in the caller.
-    """
-    global _reports_due, _outcome
-    _reports_due = reports_due
+def _send(writer, reader, fn, args) -> None:
+    """A pool worker: send ``fn(*args)``, or the exception it raised, down ``writer``."""
+    reader.close()  # so that a send the caller no longer reads fails, not blocks
     try:
-        _outcome = _scan_claims(*job)
+        result = fn(*args)
     except Exception as exc:
-        _outcome = exc
-
-
-def _report(_) -> dict:
-    """The worker's {v: outcome}; each worker answers exactly one.
-
-    The barrier holds every report until all workers hold one, so no
-    worker takes a second.  Re-raises the exception its scan raised.
-    """
-    _reports_due.wait()
-    if isinstance(_outcome, Exception):
-        raise _outcome
-    return _outcome
+        result = exc
+    with writer, suppress(BrokenPipeError):
+        writer.send(result)
 
 
 class ProcessPoolExecutor:
-    """The ``concurrent.futures`` pool, imported as the first one is built.
+    """``max_workers`` processes that each run ``fn(*args)`` once, from their start,
+    and send the result back on a one-way pipe of their own.
 
-    A stand-in or a subclass replaces the pool at this name.  Leaving a
+    A stand-in or a subclass replaces the pool at this name; leaving a
     ``with`` block calls ``self.shutdown()``, so a subclass's override runs.
     """
 
-    def __init__(self, *args, **kwargs):
-        from concurrent import futures
-        self._pool = futures.ProcessPoolExecutor(*args, **kwargs)
+    def __init__(self, max_workers: int, fn, args: tuple):
+        from multiprocessing import Pipe, Process
+        self._workers = []
+        for _ in range(max_workers):
+            reader, writer = Pipe(duplex=False)
+            worker = Process(target=_send, args=(writer, reader, fn, args))
+            worker.start()
+            writer.close()
+            self._workers.append((worker, reader))
 
-    def map(self, *args, **kwargs):
-        return self._pool.map(*args, **kwargs)
+    def results(self):
+        """The workers' results in worker order; raises the exception a worker sent."""
+        for worker, reader in self._workers:
+            try:
+                result = reader.recv()
+            except EOFError:  # the worker exited without sending
+                worker.join()
+                raise RuntimeError(f"a pool worker exited with code {worker.exitcode} "
+                                   "before it sent its result") from None
+            if isinstance(result, Exception):
+                raise result
+            yield result
 
-    def shutdown(self, *args, **kwargs):
-        self._pool.shutdown(*args, **kwargs)
+    def shutdown(self) -> None:
+        """Close every reader, then join every worker, so RUSAGE_CHILDREN holds their CPU."""
+        for _, reader in self._workers:
+            reader.close()
+        # Only now: a worker forked later holds copies of the readers made before it.
+        for worker, _ in self._workers:
+            worker.join()
 
     def __enter__(self):
         return self
@@ -569,9 +568,10 @@ def is_nec(
     starts a pool of workers, so that with the calling process at most
     ``threads`` and at most the CPUs but at least two processes scan.  Each
     takes the next least vertex of S from one shared counter and scans its
-    S-sets; once one fails, no process takes another.  n = 1 scans in the
-    calling process, since each least vertex holds a single S-set.  The
-    first pooled check of a process imports the pool modules, and its
+    S-sets; once one fails, no process takes another.  The workers scan from
+    their start and each sends its outcomes back down a pipe.  n = 1 scans
+    in the calling process, since each least vertex holds a single S-set.
+    The first pooled check imports ``multiprocessing``, and its
     ``elapsed_ms`` includes that import.  Results, including the
     counterexample and candidate count, do not depend on ``threads``.
     """
@@ -607,13 +607,11 @@ def is_nec(
     if not workers:
         failure, examined, log = scanner(hg, n, 0, stop, record_witnesses)
     else:
-        from multiprocessing import Barrier, Value
+        from multiprocessing import Value
         job = (Value("i", 0), scanner, hg, n, stop, record_witnesses)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_scan_worker,
-                                 initargs=(Barrier(workers), *job)) as pool:
-            reports = pool.map(_report, range(workers))  # forks the workers
+        with ProcessPoolExecutor(workers, _scan_claims, job) as pool:
             outcomes = _scan_claims(*job)
-            for report in reports:
+            for report in pool.results():
                 outcomes.update(report)
         failure, examined, log = _merge(map(outcomes.get, sorted(outcomes)), record_witnesses)
     elapsed = (time.perf_counter() - started) * 1000.0

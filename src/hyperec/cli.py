@@ -33,7 +33,7 @@ class _CliError(Exception):
 def _read(reader, kind: str, path: str):
     try:
         return reader(path)
-    except (OSError, HypergraphError, DesignError) as exc:
+    except (OSError, UnicodeDecodeError, HypergraphError, DesignError) as exc:
         raise _CliError(f"cannot read {kind} {path}: {exc}") from exc
 
 

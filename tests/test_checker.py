@@ -3,7 +3,6 @@ import multiprocessing
 import os
 import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 import pytest
@@ -256,30 +255,24 @@ def test_engines_agree_on_witness_logs(two_triple, k3k3, mols4_build):
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size, the initializer's
-    arguments and the reports it is asked for, runs the initializer and map
-    in-process.
+    """Stands in for ``checker.ProcessPoolExecutor``: records its size and job,
+    and runs ``fn(*args)`` once per worker in this process.
 
-    The initializer's arguments stay in this process, as they do under fork;
-    each report goes through pickle, as it would on its way back.  A barrier
-    of two or more workers cannot be met in one process, so the stand-in
-    serves one worker only.  Its worker scans as the pool starts, before the
-    caller, or with ``worker_first`` false when its report is first read,
-    after the caller.
+    The job stays in this process, as it does under fork; each result goes
+    through pickle, as it would on its way back.  The workers scan one after
+    another as the pool starts, before the caller, or with ``worker_first``
+    false as their results are read, after the caller.
     """
 
     sizes: list[int] = []
-    chunks: list[int] = []
-    initargs: list[tuple] = []
+    jobs: list[tuple] = []
     worker_first = True
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        assert max_workers == 1, "the in-process stand-in serves one worker"
+    def __init__(self, max_workers, fn, args):
         self.sizes.append(max_workers)
-        self.initargs.append(initargs)
-        self.start = lambda: initializer(*initargs) if initializer else None
-        if self.worker_first:
-            self.start()
+        self.jobs.append(args)
+        run = (pickle.loads(pickle.dumps(fn(*args))) for _ in range(max_workers))
+        self.answers = list(run) if self.worker_first else run
 
     def __enter__(self):
         return self
@@ -287,29 +280,15 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        calls = list(zip(*iterables))  # submitted at once, as the real pool does
-        self.chunks.append(len(calls))
-        return self._answers(fn, calls)
-
-    def _answers(self, fn, calls):
-        if not self.worker_first:
-            self.start()
-        for args in calls:
-            yield pickle.loads(pickle.dumps(fn(*args)))
+    def results(self):
+        yield from self.answers
 
 
 @pytest.fixture
 def monkeypatch_pool(monkeypatch):
     monkeypatch.setattr(InProcessPool, "sizes", [])
-    monkeypatch.setattr(InProcessPool, "chunks", [])
-    monkeypatch.setattr(InProcessPool, "initargs", [])
+    monkeypatch.setattr(InProcessPool, "jobs", [])
     monkeypatch.setattr(checker, "ProcessPoolExecutor", InProcessPool)
-    # Two CPUs give at most one worker, the one the stand-in can serve.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    # Restored after the stand-in's initializer sets them in this process.
-    for name in ("_reports_due", "_outcome"):
-        monkeypatch.setattr(checker, name, None)
 
 
 @st.composite
@@ -354,33 +333,24 @@ def test_parallel_matches_serial_on_failure(two_triple, engine):
     assert serial.stats.candidates_examined == parallel.stats.candidates_examined
 
 
-class CountedPool(ProcessPoolExecutor):
-    """A real process pool that records the size of each one started and the
-    reports it is asked for."""
+class CountedPool(checker.ProcessPoolExecutor):
+    """A real process pool that records the size of each one started."""
 
     sizes: list[int] = []
-    chunks: list[int] = []
 
-    def __init__(self, max_workers, **kwargs):
+    def __init__(self, max_workers, fn, args):
         self.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers, **kwargs)
-
-    def map(self, fn, *iterables, **kwargs):
-        calls = list(zip(*iterables))
-        self.chunks.append(len(calls))
-        return super().map(fn, *zip(*calls), **kwargs)
+        super().__init__(max_workers, fn, args)
 
 
 @pytest.fixture
 def counted_pool(monkeypatch):
     monkeypatch.setattr(CountedPool, "sizes", [])
-    monkeypatch.setattr(CountedPool, "chunks", [])
     monkeypatch.setattr(checker, "ProcessPoolExecutor", CountedPool)
 
 
 def test_pool_size_capped_at_cpu_count(mols4_build, counted_pool, monkeypatch):
-    """The pool's workers plus the calling process fit the CPUs, with one worker at least,
-    and each worker answers one report."""
+    """The pool's workers plus the calling process fit the CPUs, with one worker at least."""
     hg = mols4_build.hypergraph
     serial = is_nec(hg, 2, threads=1)
     for threads in (2, 3, 10_000):
@@ -389,8 +359,8 @@ def test_pool_size_capped_at_cpu_count(mols4_build, counted_pool, monkeypatch):
             many = is_nec(hg, 2, threads=threads)  # C(16, 2) = 120 S-sets
             assert (many.holds, many.counterexample) == (serial.holds, serial.counterexample)
             assert many.stats.candidates_examined == serial.stats.candidates_examined
-    # One report per worker, and at most CPUs - 1 workers.
-    assert CountedPool.sizes == CountedPool.chunks == [1, 1, 1, 1, 1, 2, 1, 1, 2]
+    # At most CPUs - 1 workers.
+    assert CountedPool.sizes == [1, 1, 1, 1, 1, 2, 1, 1, 2]
 
 
 class HookedPool(checker.ProcessPoolExecutor):
@@ -423,6 +393,16 @@ def test_pool_name_takes_a_subclass(mols4_build, monkeypatch):
     assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined,
             parallel.witness_log) == (serial.holds, serial.counterexample,
                                       serial.stats.candidates_examined, serial.witness_log)
+
+
+def test_pool_left_unread_ends_its_workers(capfd):
+    """Results the caller never reads, each larger than a pipe holds, do not
+    keep a worker blocked: leaving the pool ends every worker, quietly."""
+    with pytest.raises(ArithmeticError, match="the caller's own scan"):
+        with checker.ProcessPoolExecutor(2, bytes, (1 << 20,)):
+            raise ArithmeticError("the caller's own scan")
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
 
 
 def counted_scans(monkeypatch, engine: str, stop: int):
@@ -496,7 +476,7 @@ def test_caller_chunk_failure_matches_serial_on_a_real_pool(counted_pool):
 @pytest.mark.parametrize("seed, fails", [(0, (False, False)), (3, (True, False)),
                                          (6, (False, True)), (12, (True, True))])
 def test_two_workers_report_their_chunks_in_order(counted_pool, monkeypatch, engine, seed, fails):
-    """Each worker takes least vertices as it starts and answers one report;
+    """Each worker takes least vertices as it starts and sends one result;
     the caller puts the outcomes back in vertex order, whichever process
     scanned which vertex."""
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -507,7 +487,7 @@ def test_two_workers_report_their_chunks_in_order(counted_pool, monkeypatch, eng
     serial = is_nec(hg, 2, engine=engine, threads=1, record_witnesses=True)
     scans = counted_scans(monkeypatch, engine, 7)
     parallel = is_nec(hg, 2, engine=engine, threads=3, record_witnesses=True)
-    assert CountedPool.sizes == CountedPool.chunks == [2]
+    assert CountedPool.sizes == [2]
     assert_claimed_once(scans, parallel.counterexample)
     assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined,
             parallel.witness_log) == (serial.holds, serial.counterexample,
@@ -528,7 +508,7 @@ def test_more_workers_than_cores_claim_distinct_chunks(counted_pool, monkeypatch
         assert_claimed_once(scans, None)
         assert (parallel.holds, parallel.stats.candidates_examined, parallel.witness_log) == (
             serial.holds, serial.stats.candidates_examined, serial.witness_log)
-    assert CountedPool.sizes == CountedPool.chunks == [5, 5, 5]
+    assert CountedPool.sizes == [5, 5, 5]
 
 
 def test_worker_exception_reaches_the_caller(mols4_build, counted_pool, monkeypatch):
@@ -552,6 +532,29 @@ def test_worker_exception_reaches_the_caller(mols4_build, counted_pool, monkeypa
         is_nec(hg, 2, threads=2)
     assert 0 <= int(str(raised.value).split()[-1]) < hg.m - 1
     assert CountedPool.sizes == [1]
+
+
+def test_worker_that_dies_without_a_result_fails_the_check(mols4_build, counted_pool,
+                                                           monkeypatch):
+    """A worker that exits before it sends its result, as a killed one does,
+    raises an error naming its exit code: the check neither hangs nor returns
+    a verdict.  The caller waits to scan until the worker has taken a vertex."""
+    caller = os.getpid()
+    scan = checker._scan_chunk_optimized
+    worker_scanned = multiprocessing.Event()
+
+    def scanner(hg, n, lo, hi, record):
+        if os.getpid() != caller:
+            worker_scanned.set()
+            os._exit(3)
+        assert worker_scanned.wait(timeout=60)
+        return scan(hg, n, lo, hi, record)
+
+    monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
+    with pytest.raises(RuntimeError, match="exited with code 3 before it sent its result"):
+        is_nec(mols4_build.hypergraph, 2, threads=2)
+    assert CountedPool.sizes == [1]
+    assert multiprocessing.active_children() == []
 
 
 def test_n_1_scans_in_the_caller_at_any_thread_count(counted_pool):
@@ -591,10 +594,10 @@ def test_workers_check_a_hypergraph_that_cannot_be_pickled(mols4_build, counted_
 
 def test_caller_failure_is_shared_with_the_pool(two_triple, mols4_build, monkeypatch_pool,
                                                 monkeypatch):
-    """The counter is the second of the pool initializer's arguments, after
-    the barrier.  The caller scans first here: its failure at least vertex 0
-    moves the counter to stop, past every vertex, so the worker starting
-    after it takes none; with no failure the caller takes them all."""
+    """The counter is the first argument of the pool's job.  The caller scans
+    first here: its failure at least vertex 0 moves the counter to stop, past
+    every vertex, so the worker starting after it takes none; with no failure
+    the caller takes them all."""
     monkeypatch.setattr(InProcessPool, "worker_first", False)
     taken = []
     claim = checker._scan_claims
@@ -607,11 +610,11 @@ def test_caller_failure_is_shared_with_the_pool(two_triple, mols4_build, monkeyp
     monkeypatch.setattr(checker, "_scan_claims", spied)
     assert is_nec(two_triple, 2, threads=2).counterexample == ((0, 1), ())
     assert taken == [[0], []]  # the caller's vertices, then the worker's
-    assert InProcessPool.initargs[-1][1].value == 3
+    assert InProcessPool.jobs[-1][0].value == 3
     taken.clear()
     assert is_nec(mols4_build.hypergraph, 2, threads=2).holds
     assert taken == [list(range(15)), []]
-    assert InProcessPool.initargs[-1][1].value == 15
+    assert InProcessPool.jobs[-1][0].value == 15
 
 
 def test_later_chunk_gives_up_after_a_lower_chunk_failed():

@@ -307,6 +307,21 @@ def test_validate_parse_error_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["check", "{path}", "-n", "1"], "hypergraph"),
+    (["validate", "{path}"], "design"),
+    (["build", "from-mols", "-i", "{path}", "-o", "{path}.hg"], "mols"),
+])
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path, argv, kind):
+    """A binary file is an unreadable input, exit 2, not a failed property, exit 1."""
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00\n3 4\n0 1 \xb0\xff\n")
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {kind} {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def test_validate_t3_design(capsys, tmp_path):
     path = tmp_path / "inv3.txt"
     run(capsys, "construct", "inversive", "-q", "3", "-o", str(path))
