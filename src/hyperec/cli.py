@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import checker, hypergraph, randomhg
@@ -26,15 +27,11 @@ USAGE_ERROR = 2
 PROPERTY_FAILED = 1
 
 
-class _CliError(Exception):
-    """A usage or input error; reported on stderr with exit code 2."""
-
-
 def _read(reader, kind: str, path: str):
     try:
         return reader(path)
     except (OSError, UnicodeDecodeError, HypergraphError, DesignError) as exc:
-        raise _CliError(f"cannot read {kind} {path}: {exc}") from exc
+        raise HyperecError(f"cannot read {kind} {path}: {exc}") from exc
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -45,7 +42,7 @@ def _write_output(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(f"cannot write {out}: {exc}") from exc
+        raise HyperecError(f"cannot write {out}: {exc}") from exc
 
 
 def _emit(doc: dict, as_json: bool) -> None:
@@ -78,7 +75,7 @@ def _parse_vertices(text: str) -> list[int]:
     try:
         return [int(f) for f in text.replace(",", " ").split()]
     except ValueError:
-        raise _CliError(f"expected integers, got {text!r}") from None
+        raise HyperecError(f"expected integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +133,9 @@ def _cmd_construct(args) -> int:
     kind, q = args.kind, args.q
     if kind != "fano":
         if q is None:
-            raise _CliError(f"construct {kind} requires -q")
+            raise HyperecError(f"construct {kind} requires -q")
         if prime_power(q) is None:
-            raise _CliError(f"q={q} is not a prime power")
+            raise HyperecError(f"q={q} is not a prime power")
     if kind == "mols":
         mols = designs.complete_mols(q)
         text = designs.format_mols(mols, [f"constructed: complete mols q={q}"])
@@ -163,11 +160,11 @@ def _cmd_build(args) -> int:
     if args.kind == "from-mols":
         mols = _read(designs.read_mols, "mols", args.input)
         if args.h is not None and args.h != mols.order - 1:
-            raise _CliError(f"from-mols fixes h = order-1 = {mols.order - 1}, got --h {args.h}")
+            raise HyperecError(f"from-mols fixes h = order-1 = {mols.order - 1}, got --h {args.h}")
         built = builders.build_from_mols(mols)
     else:
         if args.h is None:
-            raise _CliError("build from-design requires --h")
+            raise HyperecError("build from-design requires --h")
         design = _read(designs.read_design, "design", args.input)
         built = builders.build_from_design(design, args.h)
     _write_output(hypergraph.format_hypergraph(built.hypergraph, [built.provenance]), args.out)
@@ -182,7 +179,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_random(args) -> int:
     model = randomhg.RandomModel(args.h, args.m, args.p, args.seed)
-    bound_log = randomhg.union_bound_log(args.n, args.h, args.m, args.p)
+    bound = randomhg.union_bound(args.n, args.h, args.m, args.p)
     outcome = randomhg.estimate_ec_fraction(model, args.n, args.trials, threads=args.threads)
     doc = {
         "h": args.h,
@@ -191,8 +188,8 @@ def _cmd_random(args) -> int:
         "n": args.n,
         "trials": args.trials,
         "seed": args.seed,
-        "union_bound": randomhg.union_bound(args.n, args.h, args.m, args.p),
-        "union_bound_log": bound_log,
+        "union_bound": bound if math.isfinite(bound) else None,
+        "union_bound_log": randomhg.union_bound_log(args.n, args.h, args.m, args.p),
         "fraction": outcome.fraction,
     }
     if args.json:
@@ -348,9 +345,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
-            raise _CliError(f"--threads must be >= 1, got {args.threads}")
+            raise HyperecError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
-    except (_CliError, HyperecError, OSError) as exc:
+    except (HyperecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -114,8 +114,12 @@ def expected_failures_log(n: int, h: int, m: int, p: float) -> float:
 
 
 def union_bound(n: int, h: int, m: int, p: float) -> float:
-    """The bound itself; underflows to 0.0 once the log drops below ~-745."""
-    return math.exp(union_bound_log(n, h, m, p))
+    """The bound itself; underflows to 0.0 once the log drops below ~-745 and
+    is ``math.inf`` once it rises above ~709.78, the log of the largest float."""
+    try:
+        return math.exp(union_bound_log(n, h, m, p))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

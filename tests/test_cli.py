@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperec import builders, checker, cli, designs, errors, hypergraph, read_hypergraph
+from hyperec import builders, checker, cli, designs, errors, hypergraph, randomhg, read_hypergraph
 from hyperec import write_hypergraph
 from hyperec.cli import main
 
@@ -261,6 +261,22 @@ def test_random_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_random_bound_above_the_largest_float():
+    """The bound overflows a float (its log is about 879): the report shows no
+    bound, in text as ``-`` and in JSON as ``null``, and the log exactly."""
+    argv = ["random", "--h", "2", "--m", "1200", "--p", "1e-9", "-n", "300", "--trials", "1",
+            "--seed", "7"]
+    log = randomhg.union_bound_log(300, 2, 1200, 1e-9)
+    code, out, err = run_isolated(*argv)
+    assert (code, err) == (0, "")
+    report = report_dict(out)
+    assert (report["union_bound"], report["union_bound_log"]) == ("-", repr(log))
+    code, out, err = run_isolated(*argv, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=pytest.fail)  # no Infinity or NaN
+    assert (doc["union_bound"], doc["union_bound_log"]) == (None, log)
 
 
 def test_random_rejects_bad_p(capsys):

@@ -14,6 +14,14 @@ from hyperec import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+
+def _env() -> dict:
+    """The environment with ``src`` first on ``PYTHONPATH``, for a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 # ``sorted(hyperec.__all__)`` from when the package imported every module eagerly.
 PUBLIC = [
     "BuildResult", "CheckResult", "CheckStats", "CheckerUsageError", "Design", "DesignError",
@@ -39,6 +47,7 @@ ERRORS = [
     ("galois", "GaloisError"),
 ]
 
+MODULES = ["builders", "checker", "designs", "galois", "hypergraph", "randomhg"]
 DESIGN_LAYER = ["fractions", "hyperec.builders", "hyperec.designs", "hyperec.galois"]
 POOL_MODULES = ["multiprocessing"]
 # The pool is plain processes and pipes: no command loads the executor module.
@@ -54,16 +63,48 @@ def test_public_names_are_kept_and_resolve():
     assert sorted(set(star) - {"__builtins__"}) == PUBLIC
 
 
-def test_design_layer_names_are_its_modules_own():
-    assert hyperec.designs is importlib.import_module("hyperec.designs")
-    assert hyperec.Design is hyperec.designs.Design
-    assert hyperec.GfField is hyperec.galois.GfField
-    assert hyperec.build_from_mols is hyperec.builders.build_from_mols
+def test_every_public_name_is_its_modules_own():
+    """A module name is the module; any other name is the object that its
+    defining module holds under that name."""
+    for name in hyperec.__all__:
+        value = getattr(hyperec, name)
+        if name in MODULES:
+            assert value is importlib.import_module(f"hyperec.{name}")
+        else:
+            assert value is getattr(sys.modules[value.__module__], name), name
     from hyperec import galois, make_field
 
     assert make_field is galois.make_field
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         hyperec.no_such_name  # noqa: B018
+
+
+# A fresh interpreter runs ``import hyperec`` and one statement, then prints
+# the package's modules it has loaded.
+LOADS = """
+import json, sys
+import hyperec
+{statement}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "hyperec")))
+"""
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    pytest.param("", ["hyperec"], id="import"),
+    pytest.param("hyperec.DesignError", ["hyperec", "hyperec.errors"], id="DesignError"),
+    pytest.param("hyperec.CheckerUsageError, hyperec.GaloisError, hyperec.HypergraphError",
+                 ["hyperec", "hyperec.errors"], id="every-error"),
+    pytest.param("hyperec.is_nec",
+                 ["hyperec", "hyperec.checker", "hyperec.errors", "hyperec.hypergraph"],
+                 id="is_nec"),
+])
+def test_each_name_loads_only_its_module(statement, loaded):
+    """``import hyperec`` loads no module of the package; an error name loads
+    ``errors`` alone, and a checker name the checker and what it imports,
+    neither ``randomhg`` nor the design layer."""
+    done = subprocess.run([sys.executable, "-c", LOADS.format(statement=statement)],
+                          env=_env(), capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(done.stdout) == loaded
 
 
 @pytest.mark.parametrize("module, name", ERRORS, ids=[name for _, name in ERRORS])
@@ -101,12 +142,10 @@ def test_only_design_commands_load_the_design_layer(tmp_path, fig5_path):
     """The design layer loads with the first design command, ``multiprocessing``
     with the first pooled check, neither with ``import hyperec.cli``, and
     ``concurrent.futures`` never."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", PROBE.format(watched=DESIGN_LAYER + POOL_MODULES + NEVER_LOADED), fig5_path,
          str(tmp_path / "mols4.txt")],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
+        env=_env(), capture_output=True, text=True, timeout=60, check=True)
     stages = json.loads(done.stdout)
     assert stages == {
         "import": [],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from math import comb
 
 import mpmath
@@ -149,6 +150,14 @@ def test_expected_failures_log_matches_high_precision(n, h, m, p):
             for j in range(n + 1))
         reference = float(mpmath.log(value))
     assert expected_failures_log(n, h, m, float(p)) == pytest.approx(reference, rel=1e-9)
+
+
+def test_union_bound_above_the_largest_float_is_infinite():
+    """C(1200, 300) * 2^300 is about e^879: the log is finite, the bound is not."""
+    log = union_bound_log(300, 2, 1200, 1e-9)
+    assert log > math.log(sys.float_info.max)
+    assert log == pytest.approx(oracle_log_bound(300, 2, 1200, 1e-9), rel=1e-9)
+    assert union_bound(300, 2, 1200, 1e-9) == math.inf
 
 
 def test_union_bound_log_strictly_decreasing_in_m():
