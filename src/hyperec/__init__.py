@@ -5,10 +5,11 @@ n-e.c. property with witness reporting, and the seeded random model with its
 closure-failure bound.
 
 ``import hyperec`` loads no module of the package.  Each public name, and
-each module, is imported on its first use here, so a process loads only the
-modules it reads: the core (``hypergraph``, ``checker``, ``randomhg``) for
-checking and sampling, the design layer (``designs``, ``galois``,
-``builders``) for constructions, and ``errors`` alone to catch an error.
+each module, is imported on its first use here and kept, so a process loads
+only the modules it reads: the core (``hypergraph``, ``checker``,
+``randomhg``) for checking and sampling, the design layer (``designs``,
+``galois``, ``builders``) for constructions, and ``errors`` alone to catch an
+error.
 """
 
 from importlib import import_module as _import_module
@@ -40,7 +41,9 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = _import_module(f"{__name__}.{module}")
-    return value if name == module else getattr(value, name)
+    if name != module:
+        value = globals()[name] = getattr(value, name)  # later reads skip this function
+    return value
 
 
 __all__ = sorted(set(_LAZY) - {"errors"})

@@ -35,8 +35,9 @@ otherwise a sum from a table of binomials, taken once per S over the
 witnesses of all its T.  ``naive`` is the direct three-level loop kept as an
 independent oracle.
 
-Only a pooled check, ``threads`` > 1 at n >= 2, imports ``multiprocessing``,
-once per process; a process without a pool never does.
+A pooled check, ``threads`` > 1 at n >= 2 where ``os.fork`` exists, forks
+its workers and shares work and results with them through pipes; only it
+imports ``pickle``, once per process.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
 
     It sits in the instance ``__dict__``, as a ``cached_property`` would, so
     every later check of the same value reuses it, and pool workers, forked
-    with the value or sent a pickled copy of it, carry it.  Raises
+    with the value, carry it; so does a pickled copy.  Raises
     :class:`CheckerUsageError`, before any table is listed, when the shadow's
     sets or a table's 64-bit words, ceil(m * |U| / 64), number more than
     ``hypergraph.MAX_SETS``.  :func:`is_nec` has bounded the vertices already.
@@ -469,83 +470,102 @@ def _merge(outcomes, record: bool):
     return None, examined, log
 
 
+def _take(claims, stop: int, jump: bool) -> int:
+    """Take the token v from ``claims``; put back ``stop`` if ``jump``, else v + 1 up to it."""
+    v = int.from_bytes(claims[0].read(8), "little")
+    claims[1].write((stop if jump else min(v + 1, stop)).to_bytes(8, "little"))
+    return v
+
+
 def _scan_claims(claims, scanner, hg: Hypergraph, n: int, stop: int, record: bool) -> dict:
     """{v: outcome} for each least vertex v this process takes from ``claims``, below ``stop``.
 
-    ``claims`` is the next least vertex to hand out, shared by the calling
-    process and the pool's workers, which all run this loop.  On a failure,
-    or an exception that a scan raises, the counter jumps to ``stop``, so no
-    process takes another vertex.  The counter only grows, so every vertex
-    below a failure was handed out before it and is scanned in full,
-    whichever process found the failure: ``_merge`` over the sorted vertices
-    gives the serial outcome.
+    ``claims``, an unbuffered pipe's (reader, writer), is shared by the
+    calling process and the pool's workers, which all run this loop.  It
+    holds one 8-byte token, the next least vertex: a process reads it and
+    writes the next one back before it scans.  On a failure, or an exception
+    that a scan raises, the token jumps to ``stop``, so no process takes
+    another vertex.  The token only grows, so every vertex below a failure
+    was handed out before it and is scanned in full, whichever process found
+    the failure: ``_merge`` over the sorted vertices gives the serial outcome.
     """
     outcomes = {}
-    while True:
-        with claims.get_lock():
-            v = claims.value
-            if v >= stop:
-                return outcomes
-            claims.value = v + 1
+    while (v := _take(claims, stop, False)) < stop:
         try:
             outcomes[v] = scanner(hg, n, v, v + 1, record)
         except BaseException:
-            claims.value = stop
+            _take(claims, stop, True)
             raise
         if outcomes[v][0] is not None:
-            claims.value = stop
-            return outcomes
+            _take(claims, stop, True)
+            break
+    return outcomes
 
 
-def _send(writer, reader, fn, args) -> None:
-    """A pool worker: send ``fn(*args)``, or the exception it raised, down ``writer``."""
-    reader.close()  # so that a send the caller no longer reads fails, not blocks
+def _send(reader, writer, fn, args) -> None:
+    """A forked pool worker: pickle ``fn(*args)``, or the exception it raised,
+    down ``writer``.  It leaves through ``os._exit`` whatever happens, so it
+    never returns into the caller's frames nor flushes the stdio it inherited."""
+    code = 1  # unless the whole result is sent
     try:
-        result = fn(*args)
-    except Exception as exc:
-        result = exc
-    with writer, suppress(BrokenPipeError):
-        writer.send(result)
+        import pickle
+        reader.close()  # so that a send the caller no longer reads fails, not blocks
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            result = exc
+        with writer:
+            writer.write(pickle.dumps(result))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 class ProcessPoolExecutor:
-    """``max_workers`` processes that each run ``fn(*args)`` once, from their start,
-    and send the result back on a one-way pipe of their own.
+    """``max_workers`` forked processes that each run ``fn(*args)`` once, from
+    their start, and send the result back on a one-way pipe of their own.
 
     A stand-in or a subclass replaces the pool at this name; leaving a
     ``with`` block calls ``self.shutdown()``, so a subclass's override runs.
     """
 
     def __init__(self, max_workers: int, fn, args: tuple):
-        from multiprocessing import Pipe, Process
-        self._workers = []
-        for _ in range(max_workers):
-            reader, writer = Pipe(duplex=False)
-            worker = Process(target=_send, args=(writer, reader, fn, args))
-            worker.start()
-            writer.close()
-            self._workers.append((worker, reader))
+        import pickle  # noqa: F401  (here, not at set-up; the workers inherit it)
+        self._pids, self._readers = [], []
+        try:
+            for _ in range(max_workers):
+                reader, writer = map(open, os.pipe(), ("rb", "wb"))
+                self._readers.append(reader)
+                with writer:  # the caller's copy closes on every path
+                    if not (pid := os.fork()):
+                        _send(reader, writer, fn, args)
+                    self._pids.append(pid)
+        except BaseException:
+            self.shutdown()
+            raise
 
     def results(self):
         """The workers' results in worker order; raises the exception a worker sent."""
-        for worker, reader in self._workers:
+        import pickle
+        for pid, reader in zip(self._pids, self._readers):
             try:
-                result = reader.recv()
-            except EOFError:  # the worker exited without sending
-                worker.join()
-                raise RuntimeError(f"a pool worker exited with code {worker.exitcode} "
+                result = pickle.loads(reader.read())
+            except (EOFError, pickle.UnpicklingError):  # the worker exited before it sent all
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"a pool worker exited with code {code} "
                                    "before it sent its result") from None
             if isinstance(result, Exception):
                 raise result
             yield result
 
     def shutdown(self) -> None:
-        """Close every reader, then join every worker, so RUSAGE_CHILDREN holds their CPU."""
-        for _, reader in self._workers:
+        """Close every reader, then reap every worker, so RUSAGE_CHILDREN holds their CPU."""
+        for reader in self._readers:
             reader.close()
         # Only now: a worker forked later holds copies of the readers made before it.
-        for worker, _ in self._workers:
-            worker.join()
+        for pid in self._pids:
+            with suppress(ChildProcessError):  # reaped already by results()
+                os.waitpid(pid, 0)
 
     def __enter__(self):
         return self
@@ -565,15 +585,16 @@ def is_nec(
 
     n larger than m-h+1 makes every witness query unsatisfiable, so the
     verdict is False (with a note) rather than an error.  ``threads`` > 1
-    starts a pool of workers, so that with the calling process at most
+    forks a pool of workers, so that with the calling process at most
     ``threads`` and at most the CPUs but at least two processes scan.  Each
-    takes the next least vertex of S from one shared counter and scans its
-    S-sets; once one fails, no process takes another.  The workers scan from
-    their start and each sends its outcomes back down a pipe.  n = 1 scans
-    in the calling process, since each least vertex holds a single S-set.
-    The first pooled check imports ``multiprocessing``, and its
-    ``elapsed_ms`` includes that import.  Results, including the
-    counterexample and candidate count, do not depend on ``threads``.
+    takes the next least vertex of S from a token in one shared pipe and
+    scans its S-sets; once one fails, no process takes another.  The workers
+    scan from their start and each sends its outcomes back down a pipe.
+    n = 1 scans in the calling process, as each least vertex holds a single
+    S-set, and so does a check where ``os.fork`` is missing.  The first
+    pooled check imports ``pickle``, and its ``elapsed_ms`` includes that
+    import.  Results, including the counterexample and candidate count, do
+    not depend on ``threads``.
     """
     if n < 1:
         raise CheckerUsageError(f"n must be >= 1, got {n}")
@@ -603,16 +624,18 @@ def is_nec(
     stop = hg.m - n + 1  # the least vertices of the S-sets are [0, stop)
     # No more processes than CPUs: a worker waiting for a CPU holds back the
     # vertex it took, and the outcome waits for every vertex taken.
-    workers = 0 if n == 1 else min(threads, max(2, os.cpu_count() or 1), stop) - 1
-    if not workers:
+    workers = min(threads, max(2, os.cpu_count() or 1), stop) - 1
+    if n == 1 or not workers or not hasattr(os, "fork"):
         failure, examined, log = scanner(hg, n, 0, stop, record_witnesses)
     else:
-        from multiprocessing import Value
-        job = (Value("i", 0), scanner, hg, n, stop, record_witnesses)
-        with ProcessPoolExecutor(workers, _scan_claims, job) as pool:
-            outcomes = _scan_claims(*job)
-            for report in pool.results():
-                outcomes.update(report)
+        reader, writer = os.pipe()
+        with open(reader, "rb", 0) as reader, open(writer, "wb", 0) as writer:
+            writer.write(bytes(8))  # the token: least vertex 0 goes out first
+            job = ((reader, writer), scanner, hg, n, stop, record_witnesses)
+            with ProcessPoolExecutor(workers, _scan_claims, job) as pool:
+                outcomes = _scan_claims(*job)
+                for report in pool.results():
+                    outcomes.update(report)
         failure, examined, log = _merge(map(outcomes.get, sorted(outcomes)), record_witnesses)
     elapsed = (time.perf_counter() - started) * 1000.0
     return CheckResult(failure is None, n, failure, CheckStats(examined, elapsed, note), log)

@@ -389,20 +389,54 @@ def test_pool_name_takes_a_subclass(mols4_build, monkeypatch):
     assert HookedPool.events == []
     parallel = is_nec(hg, 2, threads=2, record_witnesses=True)
     assert HookedPool.events == ["init", "shutdown"]
-    assert multiprocessing.active_children() == []  # shutdown joined the worker
+    assert_no_children()  # shutdown reaped the worker
     assert (parallel.holds, parallel.counterexample, parallel.stats.candidates_examined,
             parallel.witness_log) == (serial.holds, serial.counterexample,
                                       serial.stats.candidates_examined, serial.witness_log)
 
 
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pool_left_unread_ends_its_workers(capfd):
     """Results the caller never reads, each larger than a pipe holds, do not
-    keep a worker blocked: leaving the pool ends every worker, quietly."""
+    keep a worker blocked: leaving the pool ends every worker, quietly, and
+    closes its pipes."""
+    before = sorted(os.listdir("/dev/fd"))
     with pytest.raises(ArithmeticError, match="the caller's own scan"):
         with checker.ProcessPoolExecutor(2, bytes, (1 << 20,)):
             raise ArithmeticError("the caller's own scan")
-    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir("/dev/fd")) == before
+    assert_no_children()
     assert capfd.readouterr().err == ""
+
+
+def test_every_pool_path_closes_its_pipes(mols4_build, two_triple, monkeypatch):
+    """A holding check, a failing one, a worker's exception and a pool whose
+    second fork fails leave open the file descriptors that were open before,
+    and no child."""
+    before = sorted(os.listdir("/dev/fd"))
+    assert is_nec(mols4_build.hypergraph, 2, threads=2).holds
+    assert not is_nec(two_triple, 2, threads=2).holds
+    with pytest.raises(TypeError), checker.ProcessPoolExecutor(1, bytes, ("no encoding",)) as pool:
+        list(pool.results())
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(len(forks))
+        if len(forks) > 1:
+            raise BlockingIOError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        checker.ProcessPoolExecutor(3, bytes, (8,))
+    assert forks == [0, 1]
+    assert sorted(os.listdir("/dev/fd")) == before
+    assert_no_children()
 
 
 def counted_scans(monkeypatch, engine: str, stop: int):
@@ -554,7 +588,41 @@ def test_worker_that_dies_without_a_result_fails_the_check(mols4_build, counted_
     with pytest.raises(RuntimeError, match="exited with code 3 before it sent its result"):
         is_nec(mols4_build.hypergraph, 2, threads=2)
     assert CountedPool.sizes == [1]
-    assert multiprocessing.active_children() == []
+    assert_no_children()
+
+
+def test_worker_that_raises_system_exit_never_runs_the_callers_code(mols4_build, counted_pool,
+                                                                    monkeypatch):
+    """A scan that raises a ``BaseException`` other than an ``Exception`` in
+    a worker ends that worker where it was forked: the check raises the error
+    of a worker that sent nothing, and only the caller runs on past it."""
+    caller = os.getpid()
+    scan = checker._scan_chunk_optimized
+    worker_scanned = multiprocessing.Event()
+
+    def scanner(hg, n, lo, hi, record):
+        if os.getpid() != caller:
+            worker_scanned.set()
+            raise SystemExit(0)
+        assert worker_scanned.wait(timeout=60)
+        return scan(hg, n, lo, hi, record)
+
+    monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
+    reader, writer = os.pipe()
+    with open(reader, "rb") as arrived:
+        try:
+            with pytest.raises(RuntimeError,
+                               match="exited with code 1 before it sent its result"):
+                is_nec(mols4_build.hypergraph, 2, threads=2)
+        finally:
+            # Every process that gets here says so; a worker then leaves at once.
+            os.write(writer, os.getpid().to_bytes(8, "little"))
+            if os.getpid() != caller:
+                os._exit(0)
+            os.close(writer)
+        assert arrived.read() == caller.to_bytes(8, "little")
+    assert CountedPool.sizes == [1]
+    assert_no_children()
 
 
 def test_n_1_scans_in_the_caller_at_any_thread_count(counted_pool):
@@ -569,6 +637,17 @@ def test_n_1_scans_in_the_caller_at_any_thread_count(counted_pool):
         serial.holds, serial.stats.candidates_examined, serial.witness_log)
 
 
+def test_without_fork_the_caller_scans_alone(mols4_build, counted_pool, monkeypatch):
+    """Where ``os.fork`` is missing no pool starts, whatever ``threads`` asks."""
+    hg = mols4_build.hypergraph
+    serial = is_nec(hg, 2, threads=1, record_witnesses=True)
+    monkeypatch.delattr(os, "fork")
+    parallel = is_nec(hg, 2, threads=2, record_witnesses=True)
+    assert CountedPool.sizes == []
+    assert (parallel.holds, parallel.stats.candidates_examined, parallel.witness_log) == (
+        serial.holds, serial.stats.candidates_examined, serial.witness_log)
+
+
 class UnpicklableHypergraph(hypergraph.Hypergraph):
     """A hypergraph that refuses to be pickled."""
 
@@ -576,10 +655,8 @@ class UnpicklableHypergraph(hypergraph.Hypergraph):
         raise TypeError("this hypergraph refuses to be pickled")
 
 
-@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
-                    reason="the job reaches a worker unpickled only under fork")
 def test_workers_check_a_hypergraph_that_cannot_be_pickled(mols4_build, counted_pool):
-    """Under fork the job travels with the fork, so the hypergraph is never pickled."""
+    """The job travels with the fork, so the hypergraph is never pickled."""
     built = mols4_build.hypergraph
     hg = UnpicklableHypergraph(built.h, built.m, built.edges)
     with pytest.raises(TypeError, match="refuses"):
@@ -592,37 +669,55 @@ def test_workers_check_a_hypergraph_that_cannot_be_pickled(mols4_build, counted_
         serial.holds, serial.stats.candidates_examined, serial.witness_log)
 
 
+@pytest.fixture
+def claims():
+    """A token pipe as ``is_nec`` makes one, holding least vertex 0.  Its read
+    end does not block, so a lost token fails a test instead of hanging it."""
+    reader, writer = os.pipe()
+    os.set_blocking(reader, False)
+    with open(reader, "rb", 0) as reader, open(writer, "wb", 0) as writer:
+        writer.write(bytes(8))
+        yield reader, writer
+
+
+def token(claims, value=None) -> int:
+    """The token in ``claims``; it stays there, or ``value`` takes its place."""
+    held = claims[0].read(8)
+    assert held is not None and len(held) == 8, "the token is lost"
+    v = int.from_bytes(held, "little")
+    claims[1].write((v if value is None else value).to_bytes(8, "little"))
+    return v
+
+
 def test_caller_failure_is_shared_with_the_pool(two_triple, mols4_build, monkeypatch_pool,
                                                 monkeypatch):
-    """The counter is the first argument of the pool's job.  The caller scans
-    first here: its failure at least vertex 0 moves the counter to stop, past
-    every vertex, so the worker starting after it takes none; with no failure
-    the caller takes them all."""
+    """The token pipe is the first argument of the pool's job.  The caller
+    scans first here: its failure at least vertex 0 moves the token to stop,
+    past every vertex, so the worker starting after it takes none; with no
+    failure the caller takes them all."""
     monkeypatch.setattr(InProcessPool, "worker_first", False)
     taken = []
     claim = checker._scan_claims
 
     def spied(*job):
         outcomes = claim(*job)
-        taken.append(list(outcomes))
+        taken.append((list(outcomes), token(job[0])))
         return outcomes
 
     monkeypatch.setattr(checker, "_scan_claims", spied)
     assert is_nec(two_triple, 2, threads=2).counterexample == ((0, 1), ())
-    assert taken == [[0], []]  # the caller's vertices, then the worker's
-    assert InProcessPool.jobs[-1][0].value == 3
+    assert taken == [([0], 3), ([], 3)]  # the caller's vertices, then the worker's
     taken.clear()
     assert is_nec(mols4_build.hypergraph, 2, threads=2).holds
-    assert taken == [list(range(15)), []]
-    assert InProcessPool.jobs[-1][0].value == 15
+    assert taken == [(list(range(15)), 15), ([], 15)]
 
 
-def test_later_chunk_gives_up_after_a_lower_chunk_failed():
+def test_later_chunk_gives_up_after_a_lower_chunk_failed(claims):
     """A process that takes a vertex scans it in full, though a later vertex
     fails meanwhile, and then takes no other: here the process that takes 5
     lets a second process take 6 and 7, which fails, while it scans."""
     calls = []
-    claims = multiprocessing.Value("i", 5)
+    token(claims, 5)
 
     def scanner(hg, n, lo, hi, record):
         calls.append(lo)
@@ -634,10 +729,10 @@ def test_later_chunk_gives_up_after_a_lower_chunk_failed():
     first = checker._scan_claims(claims, scanner, None, 1, 9, False)
     assert first == {5: (None, 1, None)}
     assert calls == [5, 6, 7]
-    assert claims.value == 9
+    assert token(claims) == 9
 
 
-def test_scan_claims_hands_out_least_vertices_in_order():
+def test_scan_claims_hands_out_least_vertices_in_order(claims):
     """Vertices go out in order, none above a failure, and a second caller
     on the used-up counter gets nothing."""
     calls = []
@@ -646,22 +741,21 @@ def test_scan_claims_hands_out_least_vertices_in_order():
         calls.append((lo, hi))
         return (((lo,), ()) if lo == 3 else None), 1, None
 
-    claims = multiprocessing.Value("i", 0)
     outcomes = checker._scan_claims(claims, scanner, None, 1, 9, False)
     assert calls == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert list(outcomes) == [0, 1, 2, 3]
     assert checker._merge(outcomes.values(), False) == (((3,), ()), 4, None)
-    assert claims.value == 9
+    assert token(claims) == 9
     assert checker._scan_claims(claims, scanner, None, 1, 9, False) == {}
     assert len(calls) == 4
     # With no failure every vertex below stop goes out once.
     calls.clear()
-    claims.value = 4
+    token(claims, 4)
     assert list(checker._scan_claims(claims, scanner, None, 1, 9, False)) == [4, 5, 6, 7, 8]
-    assert claims.value == 9
+    assert token(claims) == 9
 
 
-def test_scan_claims_stops_the_counter_on_an_exception():
+def test_scan_claims_stops_the_counter_on_an_exception(claims):
     """A scan that raises ends the hand-out as a failure does, so no process
     scans on before the error reaches the caller."""
     calls = []
@@ -672,11 +766,10 @@ def test_scan_claims_stops_the_counter_on_an_exception():
             raise RuntimeError("scan broke")
         return None, 1, None
 
-    claims = multiprocessing.Value("i", 0)
     with pytest.raises(RuntimeError, match="scan broke"):
         checker._scan_claims(claims, scanner, None, 1, 9, False)
     assert calls == [0, 1, 2, 3]
-    assert claims.value == 9
+    assert token(claims) == 9
     assert checker._scan_claims(claims, scanner, None, 1, 9, False) == {}
     assert calls == [0, 1, 2, 3]
 
@@ -765,9 +858,8 @@ def test_index_is_built_once_per_value(mols4_build, monkeypatch_pool, monkeypatc
     hg = new_hypergraph(built.h, built.m, built.edges)  # a value with no index yet
     assert max_ec(hg, threads=2) == 2
     assert not is_nec(hg, 3, threads=4).holds
-    # Under a start method other than fork the workers get the hypergraph
-    # pickled: the per-vertex tables ride along, since unpickling skips
-    # __init__, so they would get the parent's index, not a rebuild.
+    # A pickled copy of the value carries the per-vertex tables along, since
+    # unpickling skips __init__: it gets the parent's index, not a rebuild.
     index = vars(hg)["_shadow_index"]
     copy = vars(pickle.loads(pickle.dumps(hg)))["_shadow_index"]
     for table in ("free", "unjoined", "joined"):

@@ -49,9 +49,11 @@ ERRORS = [
 
 MODULES = ["builders", "checker", "designs", "galois", "hypergraph", "randomhg"]
 DESIGN_LAYER = ["fractions", "hyperec.builders", "hyperec.designs", "hyperec.galois"]
-POOL_MODULES = ["multiprocessing"]
-# The pool is plain processes and pipes: no command loads the executor module.
-NEVER_LOADED = ["concurrent.futures"]
+# The pool pickles its workers' results, so it loads ``pickle`` as it starts.
+POOL_MODULES = ["pickle"]
+# The pool is forked processes and pipes: no command loads an executor or
+# ``multiprocessing``.
+NEVER_LOADED = ["concurrent.futures", "multiprocessing"]
 
 
 def test_public_names_are_kept_and_resolve():
@@ -77,6 +79,19 @@ def test_every_public_name_is_its_modules_own():
     assert make_field is galois.make_field
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         hyperec.no_such_name  # noqa: B018
+
+
+def test_a_name_is_resolved_once(monkeypatch):
+    """The first read of a name imports its module and keeps the object on
+    the package, so a second read calls no import."""
+    monkeypatch.delitem(vars(hyperec), "max_ec", raising=False)
+    imported = []
+    real = hyperec._import_module
+    monkeypatch.setattr(hyperec, "_import_module", lambda name: imported.append(name) or real(name))
+    first = hyperec.max_ec
+    assert imported == ["hyperec.checker"]
+    assert hyperec.max_ec is first is importlib.import_module("hyperec.checker").max_ec
+    assert imported == ["hyperec.checker"]
 
 
 # A fresh interpreter runs ``import hyperec`` and one statement, then prints
@@ -139,9 +154,9 @@ print(json.dumps(stages))
 
 
 def test_only_design_commands_load_the_design_layer(tmp_path, fig5_path):
-    """The design layer loads with the first design command, ``multiprocessing``
-    with the first pooled check, neither with ``import hyperec.cli``, and
-    ``concurrent.futures`` never."""
+    """The design layer loads with the first design command, ``pickle`` with
+    the first pooled check, neither with ``import hyperec.cli``, and
+    ``concurrent.futures`` and ``multiprocessing`` never."""
     done = subprocess.run(
         [sys.executable, "-c", PROBE.format(watched=DESIGN_LAYER + POOL_MODULES + NEVER_LOADED), fig5_path,
          str(tmp_path / "mols4.txt")],
