@@ -273,33 +273,30 @@ def _extend(parts: list[int], unjoined: int, joined: int) -> list[int]:
     return parts
 
 
-def _prefixes(index: _ShadowIndex, n: int, lo: int, hi: int, m: int):
-    """(P, parts, allowed) for the (n-1)-prefixes P of the S-sets with least vertex in [lo, hi).
+def _prefixes(index: _ShadowIndex, n: int, head: tuple[int, ...], m: int):
+    """(P, parts, allowed) for the (n-1)-prefixes P of the S-sets that start with ``head``.
 
-    In lex order.  ``allowed`` holds the shadow sets without a vertex of P,
-    and ``parts[t]`` those of them joined to exactly the vertices of P whose
-    bits are set in t.  A walk with an explicit stack, so any n fits.
+    In lex order; ``len(head) < n``.  ``allowed`` holds the shadow sets
+    without a vertex of P, and ``parts[t]`` those of them joined to exactly
+    the vertices of P whose bits are set in t.  A walk from the root () with
+    an explicit stack, so any n fits: depth d takes the head's vertex d, or
+    else each vertex above P's last that leaves room for the rest of S.
     """
-    if n == 1:
-        yield (), [index.full], index.full
-        return
     stack = [((), [index.full], index.full)]
-    nexts = [iter(range(lo, hi))]
-    while nexts:
-        v = next(nexts[-1], None)
-        if v is None:
-            nexts.pop()
-            stack.pop()
-            continue
+    nexts = []  # nexts[d]: the vertices left to extend the stack's prefix of d vertices
+    while stack:
         prefix, parts, allowed = stack[-1]
-        prefix += (v,)
-        child = (prefix, _extend(parts, index.unjoined[v], index.joined[v]),
-                 allowed & index.free[v])
-        if len(prefix) == n - 1:
-            yield child
+        d = len(prefix)
+        if d == n - 1:
+            yield stack.pop()
+            continue
+        if d == len(nexts):  # the top prefix is new
+            nexts.append(iter(head[d:d + 1] or range(prefix[-1] + 1 if prefix else 0, m - n + d + 1)))
+        if (v := next(nexts[-1], None)) is None:
+            del nexts[-1], stack[-1]
         else:
-            stack.append(child)
-            nexts.append(iter(range(v + 1, m - n + len(prefix) + 1)))
+            stack.append((prefix + (v,), _extend(parts, index.unjoined[v], index.joined[v]),
+                          allowed & index.free[v]))
 
 
 class _RankRow(dict):
@@ -346,20 +343,18 @@ def _rank_sum(tails: list[_RankRow], total: int, above: list[int], found) -> int
         map(getitem, tails * r, map(above.__getitem__, chain.from_iterable(found))))
 
 
-def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool):
-    """Scan the S-sets whose least vertex is in [lo, hi); stop early at the first failure.
+def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool):
+    """Scan the S-sets that start with ``head``, in lex order; stop early at the first failure.
 
-    Returns (failure, examined, log) where failure is the first failing
-    (S, T) or None, and examined counts candidates tested up to the stop
-    point.  The S-sets that share an (n-1)-prefix P share its T-split: a list
+    ``len(head) < n``, and the head () scans them all.  Returns (failure,
+    examined, log) where failure is the first failing (S, T) or None, and
+    examined counts candidates tested up to the stop point.  The S-sets that
+    share an (n-1)-prefix P share its T-split from ``_prefixes``: a list
     whose part t holds the allowed shadow sets joined to exactly the vertices
-    of P in t, so the witnesses of all T for one S cost one AND per T.  A
-    part empty at index 1 or above fails every S under P, so the list is cut
-    after it, and the longer prefixes keep only its unjoined side.  Until
-    then its parts from index 1 on are non-empty disjoint subsets of the
-    shadow, so it never holds more than the shadow's size plus two parts:
-    mols8 at n = 30 builds no 2^29 of them.  Part 0 never cuts: each S tests
-    T = {} first, in the shadow or, when it is incomplete, past it.
+    of P in t, so the witnesses of all T for one S cost one AND per T.  The
+    list is cut as ``_extend`` says; until then its parts from index 1 on are
+    non-empty disjoint subsets of the shadow, so it never holds more than
+    the shadow's size plus two parts: mols8 at n = 30 builds no 2^29 of them.
 
     A witness found in the shadow counts its 1-based lex rank among the free
     (h-1)-sets.  From a complete shadow that is a popcount per T; otherwise
@@ -379,8 +374,8 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
     tails = index.tails
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
-    for prefix, parts, allowed_p in _prefixes(index, n, lo, hi, m):
-        vs = range(prefix[-1] + 1, m) if prefix else range(lo, hi)
+    for prefix, parts, allowed_p in _prefixes(index, n, head, m):
+        vs = range(prefix[-1] + 1 if prefix else 0, m)
         if not complete:
             # The free vertices of S are the prefix's without v, its free
             # vertex number v - len(prefix); ``above`` counts them above each
@@ -424,13 +419,14 @@ def _scan_chunk_optimized(hg: Hypergraph, n: int, lo: int, hi: int, record: bool
     return None, examined, log
 
 
-def _scan_chunk_naive(hg: Hypergraph, n: int, lo: int, hi: int, record: bool):
-    """Reference scan: direct loops over S, T, and X, shared with nothing."""
+def _scan_naive(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool):
+    """Reference scan of the S-sets that start with ``head``, ``len(head) < n``:
+    direct loops over S, T, and X, shared with nothing."""
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
     edge_set = hg.edge_set
-    for s_tuple in ((v,) + rest for v in range(lo, hi)
-                    for rest in itertools.combinations(range(v + 1, hg.m), n - 1)):
+    rests = itertools.combinations(range(head[-1] + 1 if head else 0, hg.m), n - len(head))
+    for s_tuple in (head + rest for rest in rests):
         s_set = set(s_tuple)
         free = [v for v in range(hg.m) if v not in s_set]
         for tmask in range(1 << n):
@@ -449,7 +445,7 @@ def _scan_chunk_naive(hg: Hypergraph, n: int, lo: int, hi: int, record: bool):
     return None, examined, log
 
 
-_SCANNERS = {"optimized": _scan_chunk_optimized, "naive": _scan_chunk_naive}
+_SCANNERS = {"optimized": _scan_optimized, "naive": _scan_naive}
 ENGINES = tuple(_SCANNERS)
 
 
@@ -482,17 +478,18 @@ def _scan_claims(claims, scanner, hg: Hypergraph, n: int, stop: int, record: boo
 
     ``claims``, an unbuffered pipe's (reader, writer), is shared by the
     calling process and the pool's workers, which all run this loop.  It
-    holds one 8-byte token, the next least vertex: a process reads it and
-    writes the next one back before it scans.  On a failure, or an exception
-    that a scan raises, the token jumps to ``stop``, so no process takes
-    another vertex.  The token only grows, so every vertex below a failure
-    was handed out before it and is scanned in full, whichever process found
-    the failure: ``_merge`` over the sorted vertices gives the serial outcome.
+    holds one 8-byte token, the next least vertex v: a process reads it and
+    writes the next one back before it scans the S-sets with head (v,).  On
+    a failure, or an exception that a scan raises, the token jumps to
+    ``stop``, so no process takes another vertex.  The token only grows, so
+    every vertex below a failure was handed out before it and is scanned in
+    full, whichever process found the failure: ``_merge`` over the sorted
+    vertices gives the serial outcome.
     """
     outcomes = {}
     while (v := _take(claims, stop, False)) < stop:
         try:
-            outcomes[v] = scanner(hg, n, v, v + 1, record)
+            outcomes[v] = scanner(hg, n, (v,), record)
         except BaseException:
             _take(claims, stop, True)
             raise
@@ -596,6 +593,8 @@ def is_nec(
     import.  Results, including the counterexample and candidate count, do
     not depend on ``threads``.
     """
+    if not hypergraph.int_tuples(((n, threads),)):
+        raise CheckerUsageError(f"n and threads must be int, got n={n!r} threads={threads!r}")
     if n < 1:
         raise CheckerUsageError(f"n must be >= 1, got {n}")
     if threads < 1:
@@ -626,7 +625,7 @@ def is_nec(
     # vertex it took, and the outcome waits for every vertex taken.
     workers = min(threads, max(2, os.cpu_count() or 1), stop) - 1
     if n == 1 or not workers or not hasattr(os, "fork"):
-        failure, examined, log = scanner(hg, n, 0, stop, record_witnesses)
+        failure, examined, log = scanner(hg, n, (), record_witnesses)
     else:
         reader, writer = os.pipe()
         with open(reader, "rb", 0) as reader, open(writer, "wb", 0) as writer:

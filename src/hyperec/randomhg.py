@@ -39,8 +39,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class RandomModel:
-    """The model's parameters.  A sample draws once for each of the C(m, h)
-    h-sets, so more than ``hypergraph.MAX_SETS`` of them are refused."""
+    """The model's parameters: ``int`` h, m and seed, and p an ``int`` or
+    ``float``.  A sample draws once for each of the C(m, h) h-sets, so more
+    than ``hypergraph.MAX_SETS`` of them are refused."""
 
     h: int
     m: int
@@ -48,6 +49,10 @@ class RandomModel:
     seed: int
 
     def __post_init__(self):
+        if not (hypergraph.int_tuples(((self.h, self.m, self.seed),))
+                and isinstance(self.p, (int, float))):
+            raise RandomModelError(f"h, m and seed must be int and p a number, got h={self.h!r} "
+                                   f"m={self.m!r} p={self.p!r} seed={self.seed!r}")
         if self.h < 2:
             raise RandomModelError(f"h must be >= 2, got {self.h}")
         if self.m < self.h:

@@ -196,6 +196,15 @@ def test_is_nec_rejects_bad_n(two_triple):
             is_nec(two_triple, 1, threads=threads)
 
 
+@pytest.mark.parametrize("n, threads", [(100.5, 1), (2.0, 1), (True, 1), ("2", 1), (None, 1),
+                                        (2, 2.0), (2, True), (2, "2")])
+def test_is_nec_refuses_n_and_threads_that_are_not_int(two_triple, n, threads):
+    """A float, bool, str or None is a caller bug: it is refused before the
+    range checks, never turned into a verdict or a bare ``TypeError``."""
+    with pytest.raises(CheckerUsageError, match="must be int"):
+        is_nec(two_triple, n, threads=threads)
+
+
 # --- max_ec
 
 
@@ -447,10 +456,10 @@ def counted_scans(monkeypatch, engine: str, stop: int):
     scans = multiprocessing.Array("i", stop)
     scan = checker._SCANNERS[engine]
 
-    def scanner(hg, n, lo, hi, record):
+    def scanner(hg, n, head, record):
         with scans.get_lock():
-            scans[lo] += 1
-        return scan(hg, n, lo, hi, record)
+            scans[head[0]] += 1
+        return scan(hg, n, head, record)
 
     monkeypatch.setitem(checker._SCANNERS, engine, scanner)
     return scans
@@ -474,7 +483,7 @@ def test_real_pool_reduces_chunks_in_order(counted_pool, monkeypatch, engine, se
                                            fails_at_0):
     hg = sample(RandomModel(3, 8, 0.5, seed))
     stop = hg.m - n + 1
-    failures = [checker._scan_chunk_naive(hg, n, v, v + 1, False)[0] for v in range(stop)]
+    failures = [checker._scan_naive(hg, n, (v,), False)[0] for v in range(stop)]
     assert [f is not None for f in failures] == ([True] * stop if fails_at_0 else
                                                  [False, False, True] + [False] * (stop - 3))
     serial = is_nec(hg, n, engine=engine, threads=1)
@@ -515,8 +524,7 @@ def test_two_workers_report_their_chunks_in_order(counted_pool, monkeypatch, eng
     scanned which vertex."""
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     hg = sample(RandomModel(3, 8, 0.5, seed))
-    vertex_fails = [checker._scan_chunk_naive(hg, 2, v, v + 1, False)[0] is not None
-                    for v in range(7)]
+    vertex_fails = [checker._scan_naive(hg, 2, (v,), False)[0] is not None for v in range(7)]
     assert (vertex_fails[0], any(vertex_fails[1:3]), any(vertex_fails[3:])) == (False, *fails)
     serial = is_nec(hg, 2, engine=engine, threads=1, record_witnesses=True)
     scans = counted_scans(monkeypatch, engine, 7)
@@ -550,15 +558,15 @@ def test_worker_exception_reaches_the_caller(mols4_build, counted_pool, monkeypa
     not a broken pool.  The caller waits to scan until the worker has taken
     a vertex, so the worker cannot find the counter used up."""
     caller = os.getpid()
-    scan = checker._scan_chunk_optimized
+    scan = checker._scan_optimized
     worker_scanned = multiprocessing.Event()
 
-    def scanner(hg, n, lo, hi, record):
+    def scanner(hg, n, head, record):
         if os.getpid() != caller:
             worker_scanned.set()
-            raise ArithmeticError(f"worker scan of least vertex {lo}")
+            raise ArithmeticError(f"worker scan of least vertex {head[0]}")
         assert worker_scanned.wait(timeout=60)
-        return scan(hg, n, lo, hi, record)
+        return scan(hg, n, head, record)
 
     monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
     hg = mols4_build.hypergraph  # 2-e.c.
@@ -574,15 +582,15 @@ def test_worker_that_dies_without_a_result_fails_the_check(mols4_build, counted_
     raises an error naming its exit code: the check neither hangs nor returns
     a verdict.  The caller waits to scan until the worker has taken a vertex."""
     caller = os.getpid()
-    scan = checker._scan_chunk_optimized
+    scan = checker._scan_optimized
     worker_scanned = multiprocessing.Event()
 
-    def scanner(hg, n, lo, hi, record):
+    def scanner(hg, n, head, record):
         if os.getpid() != caller:
             worker_scanned.set()
             os._exit(3)
         assert worker_scanned.wait(timeout=60)
-        return scan(hg, n, lo, hi, record)
+        return scan(hg, n, head, record)
 
     monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
     with pytest.raises(RuntimeError, match="exited with code 3 before it sent its result"):
@@ -597,15 +605,15 @@ def test_worker_that_raises_system_exit_never_runs_the_callers_code(mols4_build,
     a worker ends that worker where it was forked: the check raises the error
     of a worker that sent nothing, and only the caller runs on past it."""
     caller = os.getpid()
-    scan = checker._scan_chunk_optimized
+    scan = checker._scan_optimized
     worker_scanned = multiprocessing.Event()
 
-    def scanner(hg, n, lo, hi, record):
+    def scanner(hg, n, head, record):
         if os.getpid() != caller:
             worker_scanned.set()
             raise SystemExit(0)
         assert worker_scanned.wait(timeout=60)
-        return scan(hg, n, lo, hi, record)
+        return scan(hg, n, head, record)
 
     monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
     reader, writer = os.pipe()
@@ -719,12 +727,12 @@ def test_later_chunk_gives_up_after_a_lower_chunk_failed(claims):
     calls = []
     token(claims, 5)
 
-    def scanner(hg, n, lo, hi, record):
-        calls.append(lo)
-        if lo == 5:
+    def scanner(hg, n, head, record):
+        calls.append(head[0])
+        if head[0] == 5:
             assert checker._scan_claims(claims, scanner, None, 1, 9, False) == {
                 6: (None, 1, None), 7: (((7,), ()), 1, None)}
-        return (((lo,), ()) if lo == 7 else None), 1, None
+        return ((head, ()) if head[0] == 7 else None), 1, None
 
     first = checker._scan_claims(claims, scanner, None, 1, 9, False)
     assert first == {5: (None, 1, None)}
@@ -737,12 +745,12 @@ def test_scan_claims_hands_out_least_vertices_in_order(claims):
     on the used-up counter gets nothing."""
     calls = []
 
-    def scanner(hg, n, lo, hi, record):
-        calls.append((lo, hi))
-        return (((lo,), ()) if lo == 3 else None), 1, None
+    def scanner(hg, n, head, record):
+        calls.append(head)
+        return ((head, ()) if head[0] == 3 else None), 1, None
 
     outcomes = checker._scan_claims(claims, scanner, None, 1, 9, False)
-    assert calls == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert calls == [(0,), (1,), (2,), (3,)]
     assert list(outcomes) == [0, 1, 2, 3]
     assert checker._merge(outcomes.values(), False) == (((3,), ()), 4, None)
     assert token(claims) == 9
@@ -760,9 +768,9 @@ def test_scan_claims_stops_the_counter_on_an_exception(claims):
     scans on before the error reaches the caller."""
     calls = []
 
-    def scanner(hg, n, lo, hi, record):
-        calls.append(lo)
-        if lo == 3:
+    def scanner(hg, n, head, record):
+        calls.append(head[0])
+        if head[0] == 3:
             raise RuntimeError("scan broke")
         return None, 1, None
 
@@ -786,14 +794,27 @@ def dense_hypergraphs(draw):
 
 @pytest.mark.parametrize("hypergraphs", [sparse_hypergraphs, dense_hypergraphs])
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), n=st.integers(1, 5), lo=st.sampled_from([0, 1]))
-def test_scanner_matches_naive_chunk(hypergraphs, data, n, lo):
+@given(data=st.data(), n=st.integers(1, 5), head=st.sampled_from([(), (0,), (1,)]))
+def test_scanner_matches_naive_chunk(hypergraphs, data, n, head):
     """The prefix-shared T-split gives the naive scan's failure, count and witness log."""
     hg = data.draw(hypergraphs())
+    assume(len(head) < n <= hg.m)
+    assert checker._scan_optimized(hg, n, head, True) == checker._scan_naive(hg, n, head, True)
+
+
+@pytest.mark.parametrize("engine", ["optimized", "naive"])
+@pytest.mark.parametrize("hypergraphs", [sparse_hypergraphs, dense_hypergraphs])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5))
+def test_least_vertex_scans_merge_to_the_full_scan(hypergraphs, engine, data, n):
+    """What a pool relies on, with no pool: the scans of heads (v,), merged
+    in vertex order, give the scan of head () its failure, count and log."""
+    hg = data.draw(hypergraphs())
     assume(n <= hg.m)
-    hi = hg.m - n + 1
-    assert checker._scan_chunk_optimized(hg, n, lo, hi, True) == checker._scan_chunk_naive(
-        hg, n, lo, hi, True)
+    scanner = checker._SCANNERS[engine]
+    heads = ((v,) for v in range(hg.m - n + 1))
+    assert checker._merge((scanner(hg, n, head, True) for head in heads), True) == scanner(
+        hg, n, (), True)
 
 
 def test_part_emptied_below_the_last_vertex_fails_at_its_t(monkeypatch):
@@ -810,12 +831,12 @@ def test_part_emptied_below_the_last_vertex_fails_at_its_t(monkeypatch):
 
     monkeypatch.setattr(checker, "_extend", spied)
     hg = new_hypergraph(2, 8, [(0, 4), (1, 4), (1, 5)])  # 6 and 7 form no edge
-    fast = checker._scan_chunk_optimized(hg, 4, 0, 5, True)
+    fast = checker._scan_optimized(hg, 4, (), True)
     assert [len(parts) for parts in extended] == [2, 2, 2]
     assert not extended[1][1] and not extended[2][1]
     assert fast[0] == ((0, 1, 2, 3), (0,))
     assert fast[2] == {((0, 1, 2, 3), ()): (6,)}
-    assert fast == checker._scan_chunk_naive(hg, 4, 0, 5, True)
+    assert fast == checker._scan_naive(hg, 4, (), True)
 
 
 def test_empty_part_0_of_a_complete_shadow_fails_at_t_empty(monkeypatch):

@@ -46,6 +46,12 @@ def test_model_validation():
         RandomModel(3, 5, 0.0, 0)
     with pytest.raises(RandomModelError):
         RandomModel(3, 5, 1.0, 0)
+    # A wrong type is a usage error, not a TypeError from sampling or math.comb.
+    for h, m, p, seed in [(3, 14, 0.5, 7.5), (3, 14, 0.5, "7"), (3, 14, 0.5, True),
+                          (3.0, 14, 0.5, 7), (True, 14, 0.5, 7), (3, 14.0, 0.5, 7),
+                          (3, "14", 0.5, 7), (3, 14, "0.5", 7), (3, 14, None, 7)]:
+        with pytest.raises(RandomModelError, match="must be"):
+            RandomModel(h, m, p, seed)
 
 
 def test_same_seed_same_sample():
