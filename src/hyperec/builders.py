@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .designs import Design, DesignError, MolsSet, check_block_subsets, validate_design
+from .designs import Design, DesignError, MolsSet, _validated, check_block_subsets
+from .designs import validate_design  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .errors import check_int
 from .hypergraph import Hypergraph, new_hypergraph
 
 
@@ -38,8 +40,7 @@ def build_from_mols(mols: MolsSet) -> BuildResult:
     A complete family of order h+1 >= 4 guarantees the result is 2-e.c.
     """
     q = mols.order
-    if q < 4:
-        raise DesignError(f"array order must be >= 4 (h >= 3), got {q}")
+    check_int(q, "array order", DesignError, 4)  # h = q - 1 >= 3
     h = q - 1
     cells = range(q * q)
     groups = [cells[r * q:(r + 1) * q] for r in range(q)] + [cells[c::q] for c in range(q)]
@@ -64,15 +65,11 @@ def build_from_design(design: Design, h: int) -> BuildResult:
     h = k the result is the design itself, 1-e.c. whenever v > k and the
     blocks are not all k-subsets.
     """
+    check_int(h, "h", DesignError)
     if not 3 <= h <= design.k:
         raise DesignError(f"need 3 <= h <= k={design.k}, got h={h}")
     check_block_subsets(design.b, design.k, h)
-    report = validate_design(design)
-    if not report.valid:
-        raise DesignError(
-            f"design failed validation: coverage range "
-            f"[{report.min_coverage}, {report.max_coverage}], expected {design.lam}"
-        )
+    _validated(design, "design")
     edges = _subsets(design.blocks, h)
     hg = new_hypergraph(h, design.v, edges)
     provenance = (

@@ -55,7 +55,7 @@ from operator import getitem
 from typing import Iterable, Optional
 
 from . import hypergraph
-from .errors import CheckerUsageError
+from .errors import CheckerUsageError, check_int
 from .hypergraph import Hypergraph
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -79,17 +79,14 @@ class CheckResult:
 
 def min_edges_bound(n: int) -> int:
     """Fewest edges any n-e.c. hypergraph can have: n * 2**(n-1)."""
-    if n < 1:
-        raise CheckerUsageError(f"n must be >= 1, got {n}")
+    check_int(n, "n", CheckerUsageError, 1)
     return n * 2 ** (n - 1)
 
 
 def min_vertices_bound(n: int, h: int) -> int:
     """Fewest vertices: n plus the least l with C(l, h-1) >= 2**n."""
-    if n < 1:
-        raise CheckerUsageError(f"n must be >= 1, got {n}")
-    if h < 2:
-        raise CheckerUsageError(f"h must be >= 2, got {h}")
+    check_int(n, "n", CheckerUsageError, 1)
+    check_int(h, "h", CheckerUsageError, 2)
     need = 2**n
     lo, hi = 0, 1  # C(l, h-1) grows with l: keep C(lo, h-1) < need <= C(hi, h-1)
     while comb(hi, h - 1) < need:
@@ -105,28 +102,27 @@ def correctly_joined(
 ) -> bool:
     """True iff X forms an edge with every vertex of T and none of S minus T.
 
-    Precondition violations (wrong |X|, X meeting S, T not inside S, members
-    out of range) raise :class:`CheckerUsageError` so a caller bug is never
-    mistaken for a false verdict.
+    Precondition violations (a member that is not an ``int`` vertex in range,
+    wrong |X|, X meeting S, T not inside S) raise :class:`CheckerUsageError`
+    so a caller bug is never mistaken for a false verdict.
     """
-    xs = tuple(sorted(x))
+    ss, ts, xs = _query_sets(hg, s, t, x)
     if len(xs) != hg.h - 1 or len(set(xs)) != len(xs):
         raise CheckerUsageError(f"X must be {hg.h - 1} distinct vertices, got {xs}")
-    ss, ts = _query_sets(hg, s, t, xs)
     if ss.intersection(xs):
         raise CheckerUsageError("X must be disjoint from S")
     return _joined_raw(hg.edge_set, xs, ts, ss)
 
 
-def _query_sets(hg: Hypergraph, s, t, x=()) -> tuple[frozenset[int], frozenset[int]]:
-    """S and T as sets, once every vertex of X, T and S is in range and T is inside S."""
+def _query_sets(hg: Hypergraph, s, t, x=()):
+    """S and T as sets and X sorted, once each member is an in-range ``int`` vertex and T <= S."""
+    s, t, x = tuple(s), tuple(t), tuple(x)  # checked as given: a set would fold a True into a 1
+    for v in itertools.chain(x, t, s):
+        check_int(v, "vertex", CheckerUsageError, 0, hg.m)
     ss, ts = frozenset(s), frozenset(t)
-    for v in itertools.chain(x, ts, ss):
-        if not 0 <= v < hg.m:
-            raise CheckerUsageError(f"vertex {v} out of range [0, {hg.m})")
     if not ts <= ss:
         raise CheckerUsageError("T must be a subset of S")
-    return ss, ts
+    return ss, ts, tuple(sorted(x))
 
 
 def _joined_raw(edge_set, xs, ts, ss) -> bool:
@@ -144,10 +140,10 @@ def find_witness(
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first correctly-joined X outside S, or None.
 
-    Out-of-range vertices and T not inside S raise :class:`CheckerUsageError`,
-    as in :func:`correctly_joined`.
+    A member that is not an ``int`` vertex in range, and T not inside S,
+    raise :class:`CheckerUsageError`, as in :func:`correctly_joined`.
     """
-    ss, ts = _query_sets(hg, s, t)
+    ss, ts, _ = _query_sets(hg, s, t)
     free = [v for v in range(hg.m) if v not in ss]
     edge_set = hg.edge_set
     for xs in itertools.combinations(free, hg.h - 1):
@@ -593,12 +589,8 @@ def is_nec(
     import.  Results, including the counterexample and candidate count, do
     not depend on ``threads``.
     """
-    if not hypergraph.int_tuples(((n, threads),)):
-        raise CheckerUsageError(f"n and threads must be int, got n={n!r} threads={threads!r}")
-    if n < 1:
-        raise CheckerUsageError(f"n must be >= 1, got {n}")
-    if threads < 1:
-        raise CheckerUsageError(f"threads must be >= 1, got {threads}")
+    check_int(n, "n", CheckerUsageError, 1)
+    check_int(threads, "threads", CheckerUsageError, 1)
     if engine not in _SCANNERS:
         raise CheckerUsageError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     started = time.perf_counter()

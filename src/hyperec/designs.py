@@ -24,9 +24,9 @@ from operator import add
 from typing import Iterable, Sequence
 
 from . import hypergraph
-from .errors import DesignError, DesignFormatError, GaloisError
+from .errors import DesignError, DesignFormatError, GaloisError, check_int, int_tuples
 from .galois import field_of_order, prime_power
-from .hypergraph import int_records, int_tuples, record_text
+from .hypergraph import int_records, record_text
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,8 @@ class LatinSquare:
     grid: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not (int_tuples(self.grid) and type(self.order) is int and len(self.grid) == self.order):
+        check_int(self.order, "order", DesignError)
+        if not (int_tuples(self.grid) and len(self.grid) == self.order):
             raise DesignError(f"grid must be a tuple of {self.order!r} tuples of int symbols")
         if not is_latin(self.grid):
             raise DesignError("grid is not a Latin square")
@@ -61,8 +62,7 @@ def is_latin(grid: Sequence[Sequence[int]]) -> bool:
         if len(row) != q:
             raise DesignError("grid is not square")
         for s in row:
-            if type(s) is not int or not 0 <= s < q:
-                raise DesignError(f"symbol {s!r} is not an int in [0, {q})")
+            check_int(s, "symbol", DesignError, 0, q)
     return (all(set(row) == full for row in grid)
             and all({row[c] for row in grid} == full for c in range(q)))
 
@@ -95,10 +95,9 @@ class MolsSet:
     squares: tuple[LatinSquare, ...]
 
     def __post_init__(self):
-        if type(self.order) is not int or type(self.squares) is not tuple:
-            raise DesignError("order must be an int and squares a tuple")
-        if not all(isinstance(sq, LatinSquare) for sq in self.squares):
-            raise DesignError("every square must be a LatinSquare")
+        check_int(self.order, "order", DesignError)
+        if not (type(self.squares) is tuple and set(map(type, self.squares)) <= {LatinSquare}):
+            raise DesignError("squares must be a tuple of LatinSquare")
         if len(self.squares) > self.order - 1:
             raise DesignError(f"more than {self.order - 1} MOLS of order {self.order}")
         if any(sq.order != self.order for sq in self.squares):
@@ -122,8 +121,7 @@ def complete_mols(q: int) -> MolsSet:
     Refuses, before building the field tables, an order whose (q-1)*q^2 cells
     are more than ``hypergraph.MAX_SETS``; the tables' q^2 entries are fewer.
     """
-    if q < 3:
-        raise DesignError(f"order must be >= 3, got {q}")
+    check_int(q, "order", DesignError, 3)
     field = field_of_order(q)
     cells = (q - 1) * q * q
     hypergraph.check_listing(cells, f"listing the {q - 1} squares of order {q}, {cells} cells,",
@@ -158,12 +156,10 @@ class Design:
     def __post_init__(self):
         if not int_tuples(self.blocks):
             raise DesignError("blocks must be a tuple of tuples of int points")
-        if not int_tuples(((self.t, self.v, self.k, self.lam),)):
-            raise DesignError("t, v, k and lambda must be int")
-        if not 1 <= self.t <= self.k <= self.v:
-            raise DesignError(f"need 1 <= t <= k <= v, got t={self.t} k={self.k} v={self.v}")
-        if self.lam < 1:
-            raise DesignError(f"lambda must be >= 1, got {self.lam}")
+        check_int(self.t, "t", DesignError, 1)  # 1 <= t <= k <= v
+        check_int(self.k, "k", DesignError, self.t)
+        check_int(self.v, "v", DesignError, self.k)
+        check_int(self.lam, "lambda", DesignError, 1)
         canonical = []
         for block in self.blocks:
             members = tuple(sorted(block))
@@ -247,8 +243,8 @@ def design_params(design: Design) -> DesignParams:
 
 def lambda_ij(design: Design, i: int, j: int) -> Fraction:
     """Blocks containing a fixed i-set and avoiding a disjoint j-set, i+j <= t."""
-    if i < 0 or j < 0:
-        raise DesignError("i and j must be non-negative")
+    check_int(i, "i", DesignError, 0)
+    check_int(j, "j", DesignError, 0)
     if i + j > design.t:
         raise DesignError(f"need i+j <= t, got {i}+{j} > {design.t}")
     v, k, t, lam = design.v, design.k, design.t, design.lam
@@ -258,7 +254,10 @@ def lambda_ij(design: Design, i: int, j: int) -> Fraction:
 def count_blocks_containing_avoiding(
     design: Design, inside: Iterable[int], avoid: Iterable[int]
 ) -> int:
-    """Empirical counterpart of :func:`lambda_ij` for explicit point sets."""
+    """Empirical counterpart of :func:`lambda_ij` for explicit sets of ``int`` points in [0, v)."""
+    inside, avoid = tuple(inside), tuple(avoid)
+    for point in itertools.chain(inside, avoid):
+        check_int(point, "point", DesignError, 0, design.v)
     inside, avoid = frozenset(inside), frozenset(avoid)
     if inside & avoid:
         raise DesignError("point sets must be disjoint")
@@ -291,8 +290,7 @@ def projective_plane(q: int) -> Design:
     whose validation listing :func:`check_block_subsets` would refuse is
     refused before the field tables, which are smaller, are built.
     """
-    if q < 2:
-        raise DesignError(f"order must be >= 2, got {q}")
+    check_int(q, "order", DesignError, 2)
     field = field_of_order(q)
     check_block_subsets(q * q + q + 1, q + 1, 2)  # what validation will list
     reps = [(0, 0, 1)] + [(0, 1, z) for z in range(q)]
@@ -319,10 +317,9 @@ def inversive_plane(q: int) -> Design:
     refused before the q^4-entry tables of GF(q^2), which are smaller, are
     built.
     """
+    check_int(q, "order", DesignError, 3)
     if prime_power(q) is None:
         raise GaloisError(f"{q} is not a prime power")
-    if q < 3:
-        raise DesignError(f"order must be >= 3, got {q}")
     field = field_of_order(q * q)
     check_block_subsets(q * (q * q + 1), q + 1, 3)  # what validation will list
     Q = INF = q * q  # the point at infinity is the one after GF(q^2)

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GaloisError
+from .errors import GaloisError, check_int
 
 FIELD_ORDER_CAP = 2**16
 
@@ -127,6 +127,7 @@ class GfField:
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
+        check_int(e, "exponent", GaloisError)
         if e < 0:
             a, e = self.inv(a), -e
         result, base = 1, a
@@ -162,22 +163,22 @@ class GfField:
         return [None] + [self.inv(a) for a in range(1, self.order)]
 
     def _check(self, a: int) -> None:
-        if not isinstance(a, int) or not 0 <= a < self.order:
-            raise GaloisError(f"element index {a} outside [0, {self.order})")
+        check_int(a, "element index", GaloisError, 0, self.order)
 
 
 def make_field(p: int, k: int) -> GfField:
     """Build GF(p^k) with the canonical smallest modulus.  Deterministic."""
+    check_int(p, "p", GaloisError)
     if not is_prime(p):
         raise GaloisError(f"{p} is not prime")
-    if k < 1:
-        raise GaloisError(f"extension degree must be >= 1, got {k}")
+    check_int(k, "extension degree", GaloisError, 1)
     if p**k > FIELD_ORDER_CAP:
         raise GaloisError(f"field order {p}^{k} exceeds cap {FIELD_ORDER_CAP}")
     return GfField(p, k, _smallest_irreducible(p, k))
 
 
 def field_of_order(q: int) -> GfField:
+    check_int(q, "q", GaloisError)
     pk = prime_power(q)
     if pk is None:
         raise GaloisError(f"{q} is not a prime power")

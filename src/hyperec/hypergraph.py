@@ -15,7 +15,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import HypergraphError, HypergraphFormatError
+from .errors import HypergraphError, HypergraphFormatError, check_int, int_tuples
 
 MAX_SETS = 2**22
 
@@ -32,15 +32,6 @@ def check_listing(count: int, what: str, error=HypergraphError) -> None:
     """
     if count > MAX_SETS:
         raise error(f"{what} is above the limit of {MAX_SETS}")
-
-
-def int_tuples(rows) -> bool:
-    """True iff ``rows`` and its rows are tuples and every member is an ``int``, not a ``bool``."""
-    return (
-        type(rows) is tuple
-        and set(map(type, rows)) <= {tuple}
-        and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
-    )
 
 
 @dataclass(frozen=True)
@@ -60,12 +51,8 @@ class Hypergraph:
     def __post_init__(self):
         if not int_tuples(self.edges):
             raise HypergraphError("edges must be a tuple of tuples of int vertices")
-        if not int_tuples(((self.h, self.m),)):
-            raise HypergraphError(f"h and m must be int, got h={self.h!r} m={self.m!r}")
-        if self.h < 2:
-            raise HypergraphError(f"uniformity h must be >= 2, got {self.h}")
-        if self.m < self.h:
-            raise HypergraphError(f"vertex count m={self.m} below uniformity h={self.h}")
+        check_int(self.h, "uniformity h", HypergraphError, 2)
+        check_int(self.m, "vertex count m", HypergraphError, self.h)
         prev = None
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == self.h and list(e) == sorted(set(e))):
@@ -142,11 +129,12 @@ class Hypergraph:
         Vertices are relabeled order-preservingly to 0..|Y|-1; returns the
         hypergraph and the old->new map.
         """
-        keep = sorted(set(vertices))
+        keep = tuple(vertices)
+        for u in keep:  # before a set could fold a True into the 1 beside it
+            self._check_vertex(u)
+        keep = sorted(set(keep))
         if len(keep) < self.h:
             raise HypergraphError(f"induced set needs at least h={self.h} vertices, got {len(keep)}")
-        for u in keep:
-            self._check_vertex(u)
         relabel = {u: i for i, u in enumerate(keep)}
         keep_set = set(keep)
         kept = tuple(
@@ -155,8 +143,7 @@ class Hypergraph:
         return Hypergraph(self.h, len(keep), kept), relabel
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.m:
-            raise HypergraphError(f"vertex {v} out of range [0, {self.m})")
+        check_int(v, "vertex", HypergraphError, 0, self.m)
 
 
 def new_hypergraph(h: int, m: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -172,7 +159,7 @@ def new_hypergraph(h: int, m: int, edges: Iterable[Iterable[int]]) -> Hypergraph
 
 
 def complete_hypergraph(h: int, m: int) -> Hypergraph:
-    return Hypergraph(h, m, tuple(itertools.combinations(range(m), h)))
+    return empty_hypergraph(h, m).complement()
 
 
 def empty_hypergraph(h: int, m: int) -> Hypergraph:

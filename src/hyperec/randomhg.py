@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from . import hypergraph
 from .checker import is_nec
-from .errors import RandomModelError
+from .errors import RandomModelError, check_int
 from .hypergraph import Hypergraph
 
 _MASK64 = (1 << 64) - 1
@@ -49,23 +49,26 @@ class RandomModel:
     seed: int
 
     def __post_init__(self):
-        if not (hypergraph.int_tuples(((self.h, self.m, self.seed),))
-                and isinstance(self.p, (int, float))):
-            raise RandomModelError(f"h, m and seed must be int and p a number, got h={self.h!r} "
-                                   f"m={self.m!r} p={self.p!r} seed={self.seed!r}")
-        if self.h < 2:
-            raise RandomModelError(f"h must be >= 2, got {self.h}")
-        if self.m < self.h:
-            raise RandomModelError(f"m={self.m} below h={self.h}")
-        if not 0.0 < self.p < 1.0:
-            raise RandomModelError(f"p must lie in (0,1), got {self.p}")
+        check_int(self.h, "h", RandomModelError, 2)
+        check_int(self.m, "m", RandomModelError, self.h)
+        check_int(self.seed, "seed", RandomModelError)
+        _check_p(self.p)
         total = math.comb(self.m, self.h)
         hypergraph.check_listing(total, f"sampling the C({self.m}, {self.h}) = {total} "
                                  f"{self.h}-sets", RandomModelError)
 
 
+def _check_p(p) -> None:
+    if not isinstance(p, (int, float)):
+        raise RandomModelError(f"p must be a number, got {p!r}")
+    if not 0.0 < p < 1.0:
+        raise RandomModelError(f"p must lie in (0,1), got {p}")
+
+
 def derive_seed(base: int, index: int) -> int:
-    """SplitMix64 mix of the base seed and a trial counter (64-bit)."""
+    """SplitMix64 mix of the ``int`` base seed and a trial counter >= 0 (64-bit)."""
+    check_int(base, "seed", RandomModelError)
+    check_int(index, "trial index", RandomModelError, 0)
     z = (base + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -78,9 +81,7 @@ def sample(model: RandomModel) -> Hypergraph:
 
 
 def sample_trial(model: RandomModel, trial: int) -> Hypergraph:
-    """The trial-th draw, seeded by ``derive_seed(model.seed, trial)``."""
-    if trial < 0:
-        raise RandomModelError(f"trial index must be >= 0, got {trial}")
+    """The trial-th draw, seeded by ``derive_seed(model.seed, trial)``, which checks ``trial``."""
     return _sample_seeded(model, derive_seed(model.seed, trial))
 
 
@@ -92,10 +93,11 @@ def _sample_seeded(model: RandomModel, seed: int) -> Hypergraph:
 
 def _check_bound_args(n: int, h: int, m: int, p: float) -> int:
     """C(m-n, h-1), the candidate sets X outside each S, once the arguments are valid."""
+    for value, name in ((n, "n"), (h, "h"), (m, "m")):
+        check_int(value, name, RandomModelError)
     if n < 1 or h < 2 or m <= n:
         raise RandomModelError(f"need n >= 1, h >= 2, m > n; got n={n} h={h} m={m}")
-    if not 0.0 < p < 1.0:
-        raise RandomModelError(f"p must lie in (0,1), got {p}")
+    _check_p(p)
     return math.comb(m - n, h - 1)
 
 
@@ -141,8 +143,7 @@ def estimate_ec_fraction(
     Trials are seeded individually, so the verdict list is reproducible and
     order-insensitive to how the work is scheduled.
     """
-    if trials < 1:
-        raise RandomModelError(f"trials must be >= 1, got {trials}")
+    check_int(trials, "trials", RandomModelError, 1)
     verdicts = tuple(
         is_nec(sample_trial(model, i), n, engine=engine, threads=threads).holds
         for i in range(trials)

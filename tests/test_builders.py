@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from hyperec import builders, hypergraph
+from hyperec import designs, hypergraph
 from hyperec.builders import build_from_design, build_from_mols
 from hyperec.checker import is_nec, max_ec
 from hyperec.designs import (
@@ -148,6 +148,13 @@ def test_provenance_strings(mols4_build, fano):
     assert built.provenance == "built-from: design t=2 v=7 k=3 lambda=1 h=3"
 
 
+def test_build_refuses_an_invalid_design(fano):
+    broken = Design(2, 7, 3, 1, fano.blocks[1:])
+    with pytest.raises(DesignError) as caught:
+        build_from_design(broken, 3)
+    assert str(caught.value) == "design failed validation: coverage range [0, 1], expected 1"
+
+
 def test_build_over_size_limit_is_refused_before_validation(monkeypatch):
     """pg5's 31 blocks have 31 * C(6, 2) = 465 pairs, 930 points, to validate,
     but 620 triples, 1860 points."""
@@ -155,7 +162,7 @@ def test_build_over_size_limit_is_refused_before_validation(monkeypatch):
         raise AssertionError("the design was validated before the size check")
 
     design = projective_plane(5)
-    monkeypatch.setattr(builders, "validate_design", no_validation)
+    monkeypatch.setattr(designs, "validate_design", no_validation)
     monkeypatch.setattr(hypergraph, "MAX_SETS", 1859)
     with pytest.raises(DesignError,
                        match="= 620 3-subsets of the blocks, 1860 points, is above the limit"):

@@ -62,7 +62,7 @@ def test_is_latin_structural_errors():
     with pytest.raises(DesignError):
         is_latin(())
     for grid in ((("a", "b"), ("b", "a")), ((0.0, 1.0), (1.0, 0.0)), ((False, True), (True, False))):
-        with pytest.raises(DesignError, match="not an int"):
+        with pytest.raises(DesignError, match="symbol must be int"):
             is_latin(grid)
 
 

@@ -171,3 +171,72 @@ def test_only_design_commands_load_the_design_layer(tmp_path, fig5_path):
         "construct": [0, ["fractions", "hyperec.designs", "hyperec.galois"] + POOL_MODULES],
         "build": [0, DESIGN_LAYER + POOL_MODULES],
     }
+
+
+def _hg():
+    return hyperec.new_hypergraph(3, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4)])
+
+
+def _model():
+    return hyperec.RandomModel(3, 6, 0.5, 1)
+
+
+# One integer argument of a public entry point: a call that puts x in its
+# place, a value x may take, and the error of the entry point's module.
+INT_ARGUMENTS = [
+    pytest.param(lambda x: _hg().delete_vertex(x), 1, errors.HypergraphError, id="delete_vertex"),
+    pytest.param(lambda x: _hg().neighbourhood(x), 1, errors.HypergraphError, id="neighbourhood"),
+    pytest.param(lambda x: _hg().anti_neighbourhood(x), 1, errors.HypergraphError,
+                 id="anti_neighbourhood"),
+    pytest.param(lambda x: _hg().degree(x), 1, errors.HypergraphError, id="degree"),
+    pytest.param(lambda x: _hg().induced([0, x, 2]), 1, errors.HypergraphError, id="induced"),
+    pytest.param(lambda x: hyperec.complete_hypergraph(3, x), 5, errors.HypergraphError,
+                 id="complete_hypergraph"),
+    pytest.param(lambda x: hyperec.correctly_joined(_hg(), (3, 4), (x,), (x,)), 1,
+                 errors.CheckerUsageError, id="correctly_joined"),
+    pytest.param(lambda x: hyperec.find_witness(_hg(), (x,), ()), 1, errors.CheckerUsageError,
+                 id="find_witness"),
+    pytest.param(lambda x: hyperec.max_ec(_hg(), threads=x), 1, errors.CheckerUsageError,
+                 id="max_ec-threads"),
+    pytest.param(lambda x: hyperec.min_edges_bound(x), 1, errors.CheckerUsageError,
+                 id="min_edges_bound"),
+    pytest.param(lambda x: hyperec.min_vertices_bound(2, x), 3, errors.CheckerUsageError,
+                 id="min_vertices_bound"),
+    pytest.param(lambda x: hyperec.union_bound_log(x, 3, 10, 0.5), 1, errors.RandomModelError,
+                 id="union_bound_log"),
+    pytest.param(lambda x: hyperec.randomhg.expected_failures_log(1, 3, x, 0.5), 10,
+                 errors.RandomModelError, id="expected_failures_log"),
+    pytest.param(lambda x: hyperec.derive_seed(7, x), 1, errors.RandomModelError,
+                 id="derive_seed"),
+    pytest.param(lambda x: hyperec.sample_trial(_model(), x), 1, errors.RandomModelError,
+                 id="sample_trial"),
+    pytest.param(lambda x: hyperec.estimate_ec_fraction(_model(), 1, x), 1,
+                 errors.RandomModelError, id="estimate_ec_fraction"),
+    pytest.param(lambda x: hyperec.is_latin(((x,),)), 0, errors.DesignError, id="is_latin"),
+    pytest.param(lambda x: hyperec.MolsSet(x, ()), 1, errors.DesignError, id="MolsSet"),
+    pytest.param(lambda x: hyperec.lambda_ij(hyperec.fano(), x, 0), 1, errors.DesignError,
+                 id="lambda_ij"),
+    pytest.param(lambda x: hyperec.count_blocks_containing_avoiding(hyperec.fano(), [x], []), 1,
+                 errors.DesignError, id="count_blocks_containing_avoiding"),
+    pytest.param(lambda x: hyperec.complete_mols(x), 4, errors.DesignError, id="complete_mols"),
+    pytest.param(lambda x: hyperec.projective_plane(x), 2, errors.DesignError,
+                 id="projective_plane"),
+    pytest.param(lambda x: hyperec.inversive_plane(x), 3, errors.DesignError,
+                 id="inversive_plane"),
+    pytest.param(lambda x: hyperec.build_from_design(hyperec.fano(), x), 3, errors.DesignError,
+                 id="build_from_design"),
+    pytest.param(lambda x: hyperec.make_field(x, 1), 2, errors.GaloisError, id="make_field-p"),
+    pytest.param(lambda x: hyperec.make_field(2, x), 1, errors.GaloisError, id="make_field-k"),
+    pytest.param(lambda x: hyperec.make_field(2, 2).inv(x), 1, errors.GaloisError, id="inv"),
+    pytest.param(lambda x: hyperec.make_field(2, 2).pow(2, x), 2, errors.GaloisError, id="pow"),
+]
+
+
+@pytest.mark.parametrize("bad", [float, bool, str])
+@pytest.mark.parametrize("call, good, error", INT_ARGUMENTS)
+def test_int_arguments_refuse_every_other_type(call, good, error, bad):
+    """The good value is taken.  The same value as a float, a str, or True is
+    refused with the module's error: never misread, never a bare TypeError."""
+    call(good)
+    with pytest.raises(error, match="must be int"):
+        call(True if bad is bool else bad(good))

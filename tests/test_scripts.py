@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,8 +26,11 @@ def test_certify_constructions_without_sweep():
     assert "status: FAILED" not in proc.stdout
 
 
-def test_random_ec_experiment_small_sweep():
-    proc = run_script("random_ec_experiment.py", "--sizes", "8,10", "--trials", "3")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_random_ec_experiment_small_sweep(threads):
+    """``--threads 2`` runs each trial's check in a process pool."""
+    proc = run_script("random_ec_experiment.py", "--sizes", "8,10", "--trials", "3",
+                      "--threads", threads)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[-2:]]
     assert [row[0] for row in rows] == ["8", "10"]
