@@ -19,18 +19,20 @@ Two engines.  ``optimized`` indexes the (h-1)-shadow of the edges, the
 (h-1)-sets that lie inside some edge, at most h times the edge count.  The
 index is built once per hypergraph value, before any process pool starts,
 and kept on the value, so every level of :func:`max_ec` and every pool worker
-shares it.  Only a shadow set forms an edge with anything, so the witnesses
-of T non-empty lie in the shadow.  The S-sets that share an (n-1)-prefix P
-share its T-split, a list of parts, one per T inside P, each holding the
-shadow sets joined to exactly the vertices of that T; each S under P then
-costs one AND per T.  A non-empty T whose part is empty fails for every S
-under P, so the list is cut after the first such part and grows no more: it
-never holds more than two parts beyond the shadow's size.  Part 0 never
-cuts.  With T empty the witness may lie outside the shadow, so that part
-counts only when the shadow holds every (h-1)-set; otherwise the query tests
-the lex-first free (h-1)-set in one step and, only when that set is joined to
-S, walks on past the shadow sets joined to S.  ``candidates_examined`` adds
-up each witness's lex rank: over a complete shadow a popcount per T,
+shares it; the vertices in no edge share one entry per table.  Only a shadow
+set forms an edge with anything, so the witnesses of T non-empty lie in the
+shadow.  The S-sets that share an (n-1)-prefix P share its T-split, a list
+of parts, one per T inside P, each holding the shadow sets joined to exactly
+the vertices of that T; each S under P then costs one AND per T.  A
+non-empty T whose part is empty fails for every S under P, so the list is
+cut after the first such part and grows no more: it never holds more than
+two parts beyond the shadow's size.  Part 0 never cuts.  With T empty the
+witness may lie outside the shadow, so that part counts only when the
+shadow holds every (h-1)-set; otherwise the query tests the lex-first free
+(h-1)-set in one step and, only when that set is joined to S, walks on past
+the shadow sets joined to S.  ``candidates_examined`` adds up each witness's
+lex rank: over a complete shadow a popcount per T, in one loop over the
+parts that lists the witness sets only for a failing S or a recorded log;
 otherwise a sum from a table of binomials, taken once per S over the
 witnesses of all its T.  ``naive`` is the direct three-level loop kept as an
 independent oracle.
@@ -163,17 +165,20 @@ class _ShadowIndex:
     every witness lies in U.  ``sets`` lists U in lexicographic order, and bit
     i of each bitmap stands for ``sets[i]``.  Per vertex v, ``free[v]`` holds
     the sets without v, ``joined[v]`` those of them that form an edge with v
-    and ``unjoined[v]`` the rest.  ``complete`` says that U holds every
-    (h-1)-set of the vertices; when it does not, ``tails`` holds the
-    ``_RankRow`` rows of the scan's witness ranks.
+    and ``unjoined[v]`` the rest; a vertex in no edge lies in no set of U and
+    joins none, so it gets no bitmaps of its own but the shared ``full``, 0
+    and ``full``.  ``complete`` says that U holds every (h-1)-set of the
+    vertices; when it does not, ``tails`` holds the ``_RankRow`` rows of the
+    scan's witness ranks.
     """
 
     def __init__(self, hg: Hypergraph):
-        # Each edge in one pass: its (h-1)-subsets in lex order omit its
-        # vertices from the last to the first.
+        # Column by column: each edge's (h-1)-set without its j-th vertex links
+        # to that vertex.  A link list's order does not matter; it only sets bits.
+        cols = list(zip(*hg.edges))
         links: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
-        for e in hg.edges:
-            for key, v in zip(itertools.combinations(e, hg.h - 1), reversed(e)):
+        for j, col in enumerate(cols):
+            for key, v in zip(zip(*cols[:j], *cols[j + 1:]), col):
                 links[key].append(v)
         # Bound the shadow, and the 64-bit words of each table below of m bitmaps over it.
         size, words = len(links), -(-hg.m * len(links) // 64)
@@ -182,20 +187,23 @@ class _ShadowIndex:
                                  "64-bit words,", CheckerUsageError)
         self.sets = sorted(links)
         nbytes = (len(self.sets) + 7) // 8 or 1
-        join_bits = [bytearray(nbytes) for _ in range(hg.m)]
-        touch_bits = [bytearray(nbytes) for _ in range(hg.m)]
+        touched = set().union(*cols)
+        join_bits = {v: bytearray(nbytes) for v in touched}
+        touch_bits = {v: bytearray(nbytes) for v in touched}
         for i, key in enumerate(self.sets):
             byte, bit = i >> 3, 1 << (i & 7)
             for v in links[key]:
                 join_bits[v][byte] |= bit
             for v in key:
                 touch_bits[v][byte] |= bit
-        self.full = (1 << len(self.sets)) - 1
+        self.full = full = (1 << len(self.sets)) - 1
         self.complete = len(self.sets) == comb(hg.m, hg.h - 1)
-        self.free = [self.full & ~int.from_bytes(b, "little") for b in touch_bits]
-        # A set that forms an edge with v does not hold v.
-        self.joined = [int.from_bytes(b, "little") for b in join_bits]
-        self.unjoined = [f & ~j for f, j in zip(self.free, self.joined)]
+        self.free, self.joined, self.unjoined = [full] * hg.m, [0] * hg.m, [full] * hg.m
+        for v in touched:
+            self.free[v] = free = full & ~int.from_bytes(touch_bits[v], "little")
+            # A set that forms an edge with v does not hold v.
+            self.joined[v] = join = int.from_bytes(join_bits[v], "little")
+            self.unjoined[v] = free & ~join
         # The rank rows start empty and fill as ranks read them.  An empty
         # shadow ranks no witness and gets none; otherwise there are fewer
         # rows than shadow sets, since one edge has h of them.
@@ -353,7 +361,9 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     the shadow's size plus two parts: mols8 at n = 30 builds no 2^29 of them.
 
     A witness found in the shadow counts its 1-based lex rank among the free
-    (h-1)-sets.  From a complete shadow that is a popcount per T; otherwise
+    (h-1)-sets.  From a complete shadow that is a popcount per T, summed by
+    one loop over the parts ANDed with v's unjoined, then joined table, which
+    lists the witness sets only to name a failing T or for the log.  Otherwise
     ``_rank_sum`` takes it from the ``_RankRow`` table, once per S for the
     witnesses of T = 1, 2, ... up to the first empty part.  T = {} goes to
     ``_first_unjoined``, which tests the lex-first free (h-1)-set before it
@@ -363,10 +373,9 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     """
     index = _shadow_index(hg)
     sets, complete = index.sets, index.complete
-    unjoined, joined = index.unjoined, index.joined
+    free, unjoined, joined = index.free, index.unjoined, index.joined
     m, k = hg.m, hg.h - 1
-    nfree = m - n
-    total = comb(nfree, k)  # free (h-1)-sets of every S
+    total = comb(m - n, k)  # free (h-1)-sets of every S
     tails = index.tails
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
@@ -379,36 +388,43 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
             free_p = tuple(u for u in range(m) if u not in prefix)
             above = _free_above(prefix + (vs.start,), m)
         for v in vs:
+            allowed = allowed_p & free[v]
+            un, jo = unjoined[v], joined[v]
+            if complete:
+                # The parts' witness sets in T order, up to the first empty
+                # one.  The allowed bits that w ^ (w - 1) keeps, up to w's
+                # lowest, are the witness's 1-based lex rank.
+                for mask in (un, jo):
+                    for p in parts:
+                        if not (w := p & mask):
+                            break
+                        examined += (allowed & (w ^ (w - 1))).bit_count()
+                    if not w:
+                        break
+                if w and not record:
+                    continue  # S passes, counted
             s_tuple = prefix + (v,)
-            allowed = allowed_p & index.free[v]
             # Not cut: ws[t] is the witness set of T = t.  Cut: the scan stops
             # at the list's empty last part, before the joined half, where
             # the list's missing parts would shift the indices.
-            un, jo = unjoined[v], joined[v]
             ws = [p & un for p in parts] + [p & jo for p in parts]
-            if complete:
-                for tmask, w in enumerate(ws):
-                    if not w:
-                        return (s_tuple, _subset(s_tuple, tmask)), examined + total, log
-                    low = w & -w
-                    examined += (allowed & (low - 1)).bit_count() + 1
-                    if record:
-                        log[(s_tuple, _subset(s_tuple, tmask))] = sets[low.bit_length() - 1]
-                continue
-            # T is empty, where X need not lie in the shadow.
-            hit = _first_unjoined(sets, free_p, v - len(prefix), k, allowed, ws[0])
-            if hit is None:
-                return (s_tuple, ()), examined + total, log
-            examined += hit[0]
+            first = 0 if complete else 1  # the first T whose witness ``found`` lists
+            if not complete:
+                # T is empty, where X need not lie in the shadow.
+                hit = _first_unjoined(sets, free_p, v - len(prefix), k, allowed, ws[0])
+                if hit is None:
+                    return (s_tuple, ()), examined + total, log
+                examined += hit[0]
+                if record:
+                    log[(s_tuple, ())] = hit[1]
+            # T = first, first + 1, ... up to the first empty part, where S fails.
+            end = (ws + [0]).index(0, first)
+            found = [sets[(w & -w).bit_length() - 1] for w in ws[first:end]]
+            if not complete:
+                examined += _rank_sum(tails, total, above, found)
+                above[v] -= 1  # v is free in the next S, below its last vertex
             if record:
-                log[(s_tuple, ())] = hit[1]
-            # T = 1, 2, ... up to the first empty part, where S fails.
-            end = (ws + [0]).index(0, 1)
-            found = [sets[(w & -w).bit_length() - 1] for w in ws[1:end]]
-            examined += _rank_sum(tails, total, above, found)
-            above[v] -= 1  # v is free in the next S, below its last vertex
-            if record:
-                for tmask, witness in enumerate(found, 1):
+                for tmask, witness in enumerate(found, first):
                     log[(s_tuple, _subset(s_tuple, tmask))] = witness
             if end < len(ws):
                 return (s_tuple, _subset(s_tuple, end)), examined + total, log

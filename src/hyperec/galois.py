@@ -28,6 +28,7 @@ def is_prime(n: int) -> bool:
 
 def prime_power(n: int) -> tuple[int, int] | None:
     """Decompose n as (p, k) with p prime and n == p**k, or None."""
+    check_int(n, "n", GaloisError)
     if n < 2:
         return None
     p = 2
@@ -100,8 +101,14 @@ class GfField:
         return tuple(index // self.p**i % self.p for i in range(self.k))
 
     def index(self, coeffs: tuple[int, ...] | list[int]) -> int:
+        """Index of the element with ``int`` coefficients (c0, ..., c_{k-1}), each taken mod p."""
         if len(coeffs) != self.k:
             raise GaloisError(f"need {self.k} coefficients, got {len(coeffs)}")
+        for c in coeffs:
+            check_int(c, "coefficient", GaloisError)
+        return self._index(coeffs)
+
+    def _index(self, coeffs) -> int:
         value = 0
         for c in reversed(coeffs):
             value = value * self.p + c % self.p
@@ -109,10 +116,10 @@ class GfField:
 
     def add(self, a: int, b: int) -> int:
         ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.index([(x + y) % self.p for x, y in zip(ca, cb)])
+        return self._index([(x + y) % self.p for x, y in zip(ca, cb)])
 
     def neg(self, a: int) -> int:
-        return self.index([-c % self.p for c in self.coeffs(a)])
+        return self._index([-c % self.p for c in self.coeffs(a)])
 
     def mul(self, a: int, b: int) -> int:
         ca, cb = self.coeffs(a), self.coeffs(b)
@@ -123,7 +130,7 @@ class GfField:
                     prod[i + j] = (prod[i + j] + x * y) % self.p
         rem = _poly_mod(prod, self.modulus, self.p)
         rem += [0] * (self.k - len(rem))
-        return self.index(rem[: self.k])
+        return self._index(rem[: self.k])
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import HypergraphError, HypergraphFormatError, check_int, int_tuples
@@ -53,6 +54,13 @@ class Hypergraph:
             raise HypergraphError("edges must be a tuple of tuples of int vertices")
         check_int(self.h, "uniformity h", HypergraphError, 2)
         check_int(self.m, "vertex count m", HypergraphError, self.h)
+        # Canonical input passes in C-level chains: lengths, strictly increasing
+        # edges and columns, and the range; only the loop names an offending edge.
+        edges, cols = self.edges, list(zip(*self.edges))
+        if not edges or (set(map(len, edges)) == {self.h} and all(map(lt, edges, edges[1:]))
+                         and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+                         and cols[0][0] >= 0 and max(cols[-1]) < self.m):
+            return
         prev = None
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == self.h and list(e) == sorted(set(e))):

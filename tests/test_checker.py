@@ -796,10 +796,42 @@ def dense_hypergraphs(draw):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), n=st.integers(1, 5), head=st.sampled_from([(), (0,), (1,)]))
 def test_scanner_matches_naive_chunk(hypergraphs, data, n, head):
-    """The prefix-shared T-split gives the naive scan's failure, count and witness log."""
+    """The prefix-shared T-split gives the naive scan's failure, count and
+    witness log; unrecorded, its failure and count, with no log."""
     hg = data.draw(hypergraphs())
     assume(len(head) < n <= hg.m)
-    assert checker._scan_optimized(hg, n, head, True) == checker._scan_naive(hg, n, head, True)
+    for record in (True, False):
+        assert checker._scan_optimized(hg, n, head, record) == checker._scan_naive(
+            hg, n, head, record)
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_complete_shadow_fails_in_the_joined_half(record):
+    """Every vertex lies in an edge, so the shadow of this graph is complete.
+    S = (0, 1) has the parts of T = {} and {0}, and fails at T = {1}, the
+    first T of the joined half.  T = {} finds X = (3,), 2nd of the free
+    (2,), (3,), (4,); T = {0} finds (2,), 1st; the failing T tests all 3."""
+    hg = new_hypergraph(2, 5, [(0, 1), (0, 2), (3, 4)])
+    assert checker._shadow_index(hg).complete
+    log = {((0, 1), ()): (3,), ((0, 1), (0,)): (2,)} if record else None
+    expected = ((0, 1), (1,)), 2 + 1 + 3, log
+    assert checker._scan_optimized(hg, 2, (), record) == expected
+    assert checker._scan_naive(hg, 2, (), record) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_isolated_vertices_share_the_index_tables(n):
+    """Vertices in no edge share one free, joined and unjoined entry, and the
+    check still matches the naive engine's verdict, count and log."""
+    hg = new_hypergraph(3, 9, [(0, 2, 4), (0, 2, 5), (0, 4, 5), (2, 4, 5), (1, 4, 6)])
+    index = checker._shadow_index(hg)
+    assert [v for v in range(9) if index.free[v] == index.full] == [3, 7, 8]
+    assert {(index.joined[v], index.unjoined[v]) for v in (3, 7, 8)} == {(0, index.full)}
+    fast = is_nec(hg, n, record_witnesses=True)
+    slow = is_nec(hg, n, engine="naive", record_witnesses=True)
+    assert (fast.holds, fast.counterexample, fast.stats.candidates_examined) == (
+        slow.holds, slow.counterexample, slow.stats.candidates_examined)
+    assert fast.witness_log == slow.witness_log
 
 
 @pytest.mark.parametrize("engine", ["optimized", "naive"])

@@ -123,6 +123,19 @@ def test_coeff_index_round_trip():
         assert f.index(f.coeffs(i)) == i
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_field(3, 2).index([1.5, 0]), "coefficient must be int, got 1.5"),
+    (lambda: make_field(3, 2).index([True, 1]), "coefficient must be int, got True"),
+    (lambda: prime_power(4.0), "n must be int, got 4.0"),
+    (lambda: is_prime(2.0), "n must be int, got 2.0"),
+])
+def test_direct_calls_refuse_what_is_not_an_int(call, message):
+    """Called directly, not through make_field or field_of_order: a float or
+    bool is refused, never read as an element index or a prime power."""
+    with pytest.raises(GaloisError, match=f"^{message}$"):
+        call()
+
+
 def test_tables_match_methods():
     f = make_field(3, 2)
     q = f.order

@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 from math import comb
 
 import pytest
@@ -84,11 +85,25 @@ def test_constructor_rejects(h, m, edges):
         new_hypergraph(h, m, edges)
 
 
+@pytest.mark.parametrize("edges, message", [
+    (((0, 2, 1),), "edge (0, 2, 1) is not a canonical 3-tuple"),  # unsorted edge
+    (((0, 1, 1),), "edge (0, 1, 1) is not a canonical 3-tuple"),  # repeated vertex
+    (((0, 1, 2), (0, 1, 2)), "edges are not sorted and duplicate-free"),  # duplicate
+    (((0, 1, 3), (0, 1, 2)), "edges are not sorted and duplicate-free"),  # out of order
+    (((0, 1, 2), (1, 2, 4), (1, 3, 5)), "edge (1, 3, 5) has a vertex outside [0, 5)"),  # v = m
+    (((-1, 0, 1), (0, 1, 2)), "edge (-1, 0, 1) has a vertex outside [0, 5)"),  # negative
+    (((0, 1, 2), (0, 3)), "edge (0, 3) is not a canonical 3-tuple"),  # wrong length
+    (((0, 1), (0, 1, 2)), "edge (0, 1) is not a canonical 3-tuple"),  # short, first
+    (((0, 1, 2, 3),), "edge (0, 1, 2, 3) is not a canonical 3-tuple"),  # long
+])
+def test_raw_dataclass_names_the_first_offending_edge(edges, message):
+    """Canonical input is accepted without the per-edge loop; anything else
+    is refused with the message that names the first edge at fault."""
+    with pytest.raises(HypergraphError, match=f"^{re.escape(message)}$"):
+        Hypergraph(3, 5, edges)
+
+
 def test_raw_dataclass_rejects_non_canonical():
-    with pytest.raises(HypergraphError):
-        Hypergraph(3, 4, ((0, 2, 1),))
-    with pytest.raises(HypergraphError):
-        Hypergraph(3, 4, ((0, 1, 2), (0, 1, 2)))
     with pytest.raises(HypergraphError, match="int"):
         Hypergraph(3, 5, ((0.0, 1, 2),))
     with pytest.raises(HypergraphError, match="int"):
