@@ -168,11 +168,15 @@ class _ShadowIndex:
     and ``unjoined[v]`` the rest; a vertex in no edge lies in no set of U and
     joins none, so it gets no bitmaps of its own but the shared ``full``, 0
     and ``full``.  ``complete`` says that U holds every (h-1)-set of the
-    vertices; when it does not, ``tails`` holds the ``_RankRow`` rows of the
-    scan's witness ranks.
+    vertices.  ``tails`` holds the h - 1 ``_RankRow`` rows of the scan's
+    witness ranks, empty until a rank reads them.  Three counts are bounded
+    by ``hypergraph.MAX_SETS`` before they are listed, in this order: the m
+    entries of a table, the shadow's sets and a table's 64-bit words.
     """
 
     def __init__(self, hg: Hypergraph):
+        hypergraph.check_listing(hg.m, f"a table of {hg.m} bitmaps, one per vertex,",
+                                 CheckerUsageError)
         # Column by column: each edge's (h-1)-set without its j-th vertex links
         # to that vertex.  A link list's order does not matter; it only sets bits.
         cols = list(zip(*hg.edges))
@@ -180,13 +184,12 @@ class _ShadowIndex:
         for j, col in enumerate(cols):
             for key, v in zip(zip(*cols[:j], *cols[j + 1:]), col):
                 links[key].append(v)
-        # Bound the shadow, and the 64-bit words of each table below of m bitmaps over it.
         size, words = len(links), -(-hg.m * len(links) // 64)
         hypergraph.check_listing(size, f"the (h-1)-shadow, {size} sets,", CheckerUsageError)
         hypergraph.check_listing(words, f"a table of {hg.m} bitmaps of {size} bits, {words} "
                                  "64-bit words,", CheckerUsageError)
         self.sets = sorted(links)
-        nbytes = (len(self.sets) + 7) // 8 or 1
+        nbytes = (len(self.sets) + 7) // 8
         touched = set().union(*cols)
         join_bits = {v: bytearray(nbytes) for v in touched}
         touch_bits = {v: bytearray(nbytes) for v in touched}
@@ -204,12 +207,7 @@ class _ShadowIndex:
             # A set that forms an edge with v does not hold v.
             self.joined[v] = join = int.from_bytes(join_bits[v], "little")
             self.unjoined[v] = free & ~join
-        # The rank rows start empty and fill as ranks read them.  An empty
-        # shadow ranks no witness and gets none; otherwise there are fewer
-        # rows than shadow sets, since one edge has h of them.
-        k = hg.h - 1
-        self.tails = None if self.complete else [
-            _RankRow(k - i) for i in range(k if self.sets else 0)]
+        self.tails = [_RankRow(hg.h - 1 - i) for i in range(hg.h - 1)]
 
 
 def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
@@ -218,9 +216,9 @@ def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
     It sits in the instance ``__dict__``, as a ``cached_property`` would, so
     every later check of the same value reuses it, and pool workers, forked
     with the value, carry it; so does a pickled copy.  Raises
-    :class:`CheckerUsageError`, before any table is listed, when the shadow's
-    sets or a table's 64-bit words, ceil(m * |U| / 64), number more than
-    ``hypergraph.MAX_SETS``.  :func:`is_nec` has bounded the vertices already.
+    :class:`CheckerUsageError`, before any table is listed, when the
+    vertices, the shadow's sets or a table's 64-bit words, ceil(m * |U| / 64),
+    number more than ``hypergraph.MAX_SETS``.
     """
     index = vars(hg).get("_shadow_index")
     if index is None:
@@ -233,20 +231,22 @@ def _subset(s_tuple: tuple[int, ...], tmask: int) -> tuple[int, ...]:
     return tuple(v for i, v in enumerate(s_tuple) if (tmask >> i) & 1)
 
 
-def _first_unjoined(sets, free_p, j: int, k: int, allowed: int, w: int):
+def _first_unjoined(sets, free_p: list[int], rest, j: int, k: int, allowed: int, w: int):
     """(lex position + 1, X) of the first free k-set X joined to no vertex of S, or None.
 
-    The free vertices of S are ``free_p`` less its entry j.  X qualifies
-    when it lies outside the shadow or its bit is set in ``w``.  ``allowed``
-    holds the free members of the shadow, whose lex order is the order of
-    their bits: walking the free k-sets in lex order, the lowest unconsumed
-    bit is the next shadow set, and any X before it lies outside.  The first
-    X is sliced from ``free_p``; the free vertices of S are listed only when
-    the walk goes past it.
+    S is a prefix P and one vertex more, P's free vertex j.  ``free_p``
+    lists P's k + 1 least free vertices, or all of them once ``rest``, an
+    iterator over the others, is drained into it.  X qualifies when it lies
+    outside the shadow or its bit is set in ``w``.  ``allowed`` holds the
+    free members of the shadow, whose lex order is the order of their bits:
+    walking the free k-sets in lex order, the lowest unconsumed bit is the
+    next shadow set, and any X before it lies outside.  The first X is
+    sliced from ``free_p``; the walk past it drains ``rest``, so P's free
+    vertices are listed once, at its first such walk.
     """
     if len(free_p) <= k:
         return None  # fewer than k free vertices
-    xs = free_p[:k] if j >= k else free_p[:j] + free_p[j + 1:k + 1]
+    xs = tuple(free_p[:k] if j >= k else free_p[:j] + free_p[j + 1:k + 1])
     later = None
     for steps in itertools.count(1):
         low = allowed & -allowed
@@ -254,8 +254,10 @@ def _first_unjoined(sets, free_p, j: int, k: int, allowed: int, w: int):
             return steps, xs
         allowed ^= low
         if later is None:
-            later = itertools.islice(
-                itertools.combinations(free_p[:j] + free_p[j + 1:], k), 1, None)
+            free_p.extend(rest)
+            v = free_p.pop(j)  # the free vertices of S are those of P without v
+            later = itertools.islice(itertools.combinations(tuple(free_p), k), 1, None)
+            free_p.insert(j, v)
         xs = next(later, None)
         if xs is None:
             return None
@@ -271,10 +273,7 @@ def _extend(parts: list[int], unjoined: int, joined: int) -> list[int]:
     each S tests T = {} first.
     """
     parts = [p & unjoined for p in parts] + [p & joined for p in parts]
-    for t in range(1, len(parts)):
-        if not parts[t]:
-            return parts[: t + 1]
-    return parts
+    return parts[:(parts + [0]).index(0, 1) + 1]
 
 
 def _prefixes(index: _ShadowIndex, n: int, head: tuple[int, ...], m: int):
@@ -366,8 +365,11 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     lists the witness sets only to name a failing T or for the log.  Otherwise
     ``_rank_sum`` takes it from the ``_RankRow`` table, once per S for the
     witnesses of T = 1, 2, ... up to the first empty part.  T = {} goes to
-    ``_first_unjoined``, which tests the lex-first free (h-1)-set before it
-    lists the free vertices of S.  The table and the walk are exact for a
+    ``_first_unjoined``, which tests the lex-first free (h-1)-set first.  Per
+    prefix this branch lists only what it reads: the k + 1 least free
+    vertices, all the free vertices at the first walk past that set, and
+    ``_free_above`` at the first ranked witness, so a prefix whose first S
+    fails at once lists nothing m long.  The table and the walk are exact for a
     complete shadow too, but a dense random sample, whose shadow is nearly
     always complete, checks two to three times faster by popcount.
     """
@@ -380,14 +382,14 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
     for prefix, parts, allowed_p in _prefixes(index, n, head, m):
-        vs = range(prefix[-1] + 1 if prefix else 0, m)
         if not complete:
             # The free vertices of S are the prefix's without v, its free
-            # vertex number v - len(prefix); ``above`` counts them above each
-            # vertex and moves on with v, as ``_free_above`` says.
-            free_p = tuple(u for u in range(m) if u not in prefix)
-            above = _free_above(prefix + (vs.start,), m)
-        for v in vs:
+            # vertex number v - len(prefix), listed as ``_first_unjoined``
+            # says.  ``above`` is listed at the prefix's first ranked witness
+            # and moves on with v, as ``_free_above`` says.
+            rest = itertools.filterfalse(prefix.__contains__, range(m))
+            free_p, above = list(itertools.islice(rest, k + 1)), None
+        for v in range(prefix[-1] + 1 if prefix else 0, m):
             allowed = allowed_p & free[v]
             un, jo = unjoined[v], joined[v]
             if complete:
@@ -411,7 +413,7 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
             first = 0 if complete else 1  # the first T whose witness ``found`` lists
             if not complete:
                 # T is empty, where X need not lie in the shadow.
-                hit = _first_unjoined(sets, free_p, v - len(prefix), k, allowed, ws[0])
+                hit = _first_unjoined(sets, free_p, rest, v - len(prefix), k, allowed, ws[0])
                 if hit is None:
                     return (s_tuple, ()), examined + total, log
                 examined += hit[0]
@@ -421,8 +423,11 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
             end = (ws + [0]).index(0, first)
             found = [sets[(w & -w).bit_length() - 1] for w in ws[first:end]]
             if not complete:
-                examined += _rank_sum(tails, total, above, found)
-                above[v] -= 1  # v is free in the next S, below its last vertex
+                if found and above is None:
+                    above = _free_above(s_tuple, m)
+                if above:
+                    examined += _rank_sum(tails, total, above, found)
+                    above[v] -= 1  # v is free in the next S, below its last vertex
             if record:
                 for tmask, witness in enumerate(found, first):
                     log[(s_tuple, _subset(s_tuple, tmask))] = witness
@@ -621,9 +626,7 @@ def is_nec(
     # However few the edges, each index table holds a bitmap per vertex and the
     # naive scan lists the vertices outside each S: bound them before any pool.
     if engine == "optimized":
-        hypergraph.check_listing(hg.m, f"a table of {hg.m} bitmaps, one per vertex,",
-                                 CheckerUsageError)
-        _shadow_index(hg)  # refuse an oversized shadow here, before any pool starts
+        _shadow_index(hg)
     else:
         hypergraph.check_listing(hg.m - n, f"listing the {hg.m - n} vertices outside each S-set",
                                  CheckerUsageError)

@@ -84,12 +84,27 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class GfField:
     """The field GF(p^k) reduced by a fixed monic irreducible modulus.
 
-    ``modulus`` stores coefficients constant term first, length k+1.
+    ``modulus`` stores coefficients constant term first, length k+1.  Built
+    directly, not through :func:`make_field`, a field is still refused with
+    :class:`GaloisError` unless p is prime, p^k is within the order cap and
+    the modulus is monic of degree k over GF(p), irreducible when k >= 2 (for
+    k = 1 every monic linear modulus, x included, gives the residues mod p).
     """
 
     p: int
     k: int
     modulus: tuple[int, ...]
+
+    def __post_init__(self):
+        p, k, modulus = self.p, self.k, self.modulus
+        _check_order(p, k)
+        if not (type(modulus) is tuple and len(modulus) == k + 1
+                and set(map(type, modulus)) <= {int}
+                and all(0 <= c < p for c in modulus) and modulus[-1] == 1):
+            raise GaloisError(f"modulus must be a tuple of {k + 1} ints in [0, {p}) "
+                              f"ending in 1, got {modulus!r}")
+        if k >= 2 and not _is_irreducible(modulus, p):
+            raise GaloisError(f"modulus {modulus} is reducible over GF({p})")
 
     @property
     def order(self) -> int:
@@ -173,14 +188,19 @@ class GfField:
         check_int(a, "element index", GaloisError, 0, self.order)
 
 
-def make_field(p: int, k: int) -> GfField:
-    """Build GF(p^k) with the canonical smallest modulus.  Deterministic."""
+def _check_order(p: int, k: int) -> None:
+    """Refuse a p that is not a prime ``int``, a k below 1 and an order p^k above the cap."""
     check_int(p, "p", GaloisError)
     if not is_prime(p):
         raise GaloisError(f"{p} is not prime")
     check_int(k, "extension degree", GaloisError, 1)
     if p**k > FIELD_ORDER_CAP:
         raise GaloisError(f"field order {p}^{k} exceeds cap {FIELD_ORDER_CAP}")
+
+
+def make_field(p: int, k: int) -> GfField:
+    """Build GF(p^k) with the canonical smallest modulus.  Deterministic."""
+    _check_order(p, k)  # before the search, which a huge k would never end
     return GfField(p, k, _smallest_irreducible(p, k))
 
 

@@ -805,6 +805,36 @@ def test_scanner_matches_naive_chunk(hypergraphs, data, n, head):
             hg, n, head, record)
 
 
+def assert_complement_dual(hg, n):
+    """X is joined to exactly T in H iff it is joined to exactly S - T in the
+    complement, so both give the same verdict and least failing S; a holding
+    check also gives the same count and, under (S, T) -> (S, S - T), the same
+    log.  A failing T is not compared: complementing reverses T's bitmask
+    order, so each side may fail at a different T of that S."""
+    result = is_nec(hg, n, record_witnesses=True)
+    dual = is_nec(hg.complement(), n, record_witnesses=True)
+    assert result.holds == dual.holds
+    assert (result.counterexample or [None])[0] == (dual.counterexample or [None])[0]
+    if result.holds:
+        assert result.stats.candidates_examined == dual.stats.candidates_examined
+        assert dual.witness_log == {
+            (s, tuple(v for v in s if v not in t)): x for (s, t), x in result.witness_log.items()}
+
+
+@pytest.mark.parametrize("hypergraphs", [sparse_hypergraphs, dense_hypergraphs])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_complement_gives_the_dual_check(hypergraphs, data, n):
+    assert_complement_dual(data.draw(hypergraphs()), n)
+
+
+def test_complement_of_mols4_gives_the_dual_check(mols4_build):
+    hg = mols4_build.hypergraph
+    result = is_nec(hg, 2)
+    assert (result.holds, result.stats.candidates_examined) == (True, 7538)
+    assert_complement_dual(hg, 2)
+
+
 @pytest.mark.parametrize("record", [True, False])
 def test_complete_shadow_fails_in_the_joined_half(record):
     """Every vertex lies in an edge, so the shadow of this graph is complete.
@@ -1063,13 +1093,13 @@ def test_free_counts_follow_the_last_vertex(prefix, m):
 
 def test_rank_rows_hold_only_the_entries_read():
     """The rank rows fill as ranks read them, so many vertices under a large h
-    cost no k x m table of binomials: an edgeless hypergraph gets no rows and
-    fails at once, and one edge of 200 vertices among 20 000 fills one entry
-    per row, not 20 000."""
+    cost no k x m table of binomials: an edgeless hypergraph fails at once
+    and reads no row, and one edge of 200 vertices among 20 000 fills one
+    entry per row, not 20 000."""
     edgeless = hypergraph.parse_hypergraph(["60 100000"])
     result = is_nec(edgeless, 1)
     assert result.counterexample == ((0,), (0,))
-    assert checker._shadow_index(edgeless).tails == []
+    assert list(map(len, checker._shadow_index(edgeless).tails)) == [0] * 59
     one_edge = new_hypergraph(200, 20_000, [range(200)])
     assert is_nec(one_edge, 1).counterexample == ((200,), (200,))
     tails = checker._shadow_index(one_edge).tails

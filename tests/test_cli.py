@@ -462,6 +462,17 @@ def test_vertex_count_of_the_header_alone_is_usage_error(tmp_path, argv, what):
     assert err == f"error: {what} is above the limit of 4194304\n"
 
 
+def test_edgeless_check_fails_at_its_first_s_within_256_mib(tmp_path):
+    """4 * 10^6 vertices in no edge are admitted and share their index
+    entries, and S = (0,) fails at T = {0}: the scan lists no entry per
+    vertex for that prefix, so the check ends within a 256 MiB cap."""
+    path = tmp_path / "edgeless.txt"
+    path.write_text("3 4000000\n")
+    code, out, err = run_isolated("check", str(path), "-n", "1", address_space=256 << 20)
+    assert (code, err) == (1, "")
+    assert report_dict(out)["holds"] == "false"
+
+
 def test_deleting_a_vertex_of_the_header_alone_is_usage_error(tmp_path):
     path, out = tmp_path / "wide.txt", tmp_path / "out.txt"
     path.write_text(WIDE)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hyperec.galois import (
     GaloisError,
+    GfField,
     field_of_order,
     is_prime,
     make_field,
@@ -134,6 +135,36 @@ def test_direct_calls_refuse_what_is_not_an_int(call, message):
     bool is refused, never read as an element index or a prime power."""
     with pytest.raises(GaloisError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("p, k, modulus, message", [
+    (4, 1, (0, 1), "4 is not prime"),
+    (2.0, 1, (0, 1), "p must be int, got 2.0"),
+    (2, 0, (1,), "extension degree must be >= 1, got 0"),
+    (2, 17, (1,) * 18, r"field order 2\^17 exceeds cap 65536"),
+    (2, 2, [1, 1, 1], r"modulus must be a tuple of 3 ints in \[0, 2\) ending in 1, got \[1, 1, 1\]"),
+    (2, 2, (1, 1), r"modulus must be a tuple of 3 ints in \[0, 2\) ending in 1, got \(1, 1\)"),
+    (3, 2, (1, 3, 1), r"modulus must be a tuple of 3 ints in \[0, 3\) ending in 1, got \(1, 3, 1\)"),
+    (2, 2, (1, True, 1), r"modulus must be a tuple .*, got \(1, True, 1\)"),
+    (3, 2, (1, 0, 2), r"modulus must be a tuple .*, got \(1, 0, 2\)"),
+    (2, 2, (0, 0, 1), r"modulus \(0, 0, 1\) is reducible over GF\(2\)"),
+    (3, 2, (2, 0, 1), r"modulus \(2, 0, 1\) is reducible over GF\(3\)"),
+])
+def test_field_built_directly_refuses_what_is_not_a_field(p, k, modulus, message):
+    """Built without make_field: GfField(4, 1, (0, 1)) would multiply in Z/4,
+    where 2 * 2 = 0, and GfField(2, 2, (0, 0, 1)) in GF(2)[x]/(x^2), where
+    x * x = 0; each is refused, as is every other malformed argument."""
+    with pytest.raises(GaloisError, match=f"^{message}$"):
+        GfField(p, k, modulus)
+
+
+def test_field_built_directly_takes_any_monic_linear_modulus():
+    """For k = 1 the modulus only marks the degree: x = (0, 1), which the
+    irreducibility test calls reducible, is make_field's own, and x + c
+    gives the same residues."""
+    assert GfField(5, 1, (0, 1)) == make_field(5, 1)
+    assert GfField(5, 1, (3, 1)).mul_table == make_field(5, 1).mul_table
+    assert GfField(2, 2, (1, 1, 1)) == make_field(2, 2)
 
 
 def test_tables_match_methods():
