@@ -28,14 +28,14 @@ non-empty T whose part is empty fails for every S under P, so the list is
 cut after the first such part and grows no more: it never holds more than
 two parts beyond the shadow's size.  Part 0 never cuts.  With T empty the
 witness may lie outside the shadow, so that part counts only when the
-shadow holds every (h-1)-set; otherwise the query tests the lex-first free
-(h-1)-set in one step and, only when that set is joined to S, walks on past
-the shadow sets joined to S.  ``candidates_examined`` adds up each witness's
-lex rank: over a complete shadow a popcount per T, in one loop over the
-parts that lists the witness sets only for a failing S or a recorded log;
-otherwise a sum from a table of binomials, taken once per S over the
-witnesses of all its T.  ``naive`` is the direct three-level loop kept as an
-independent oracle.
+shadow holds every (h-1)-set.  ``candidates_examined`` adds up each
+witness's lex rank among the free (h-1)-sets: over a complete shadow a
+popcount per T, in one loop over the parts that lists the witness sets only
+for a failing S or a recorded log; otherwise a table of binomials, the
+combinatorial number system.  There T empty walks the free shadow sets in
+lex order and stops at step i when the set's rank is not i, so the i-th
+free set lies outside the shadow, or the set is joined to no vertex of S.
+``naive`` is the direct three-level loop kept as an independent oracle.
 
 A pooled check, ``threads`` > 1 at n >= 2 where ``os.fork`` exists, forks
 its workers and shares work and results with them through pipes; only it
@@ -231,36 +231,41 @@ def _subset(s_tuple: tuple[int, ...], tmask: int) -> tuple[int, ...]:
     return tuple(v for i, v in enumerate(s_tuple) if (tmask >> i) & 1)
 
 
-def _first_unjoined(sets, free_p: list[int], rest, j: int, k: int, allowed: int, w: int):
-    """(lex position + 1, X) of the first free k-set X joined to no vertex of S, or None.
+def _first_unjoined(sets, tails, total: int, above, allowed: int, w: int) -> int:
+    """The 1-based lex rank of the first free k-set joined to no vertex of S, or ``total`` + 1.
 
-    S is a prefix P and one vertex more, P's free vertex j.  ``free_p``
-    lists P's k + 1 least free vertices, or all of them once ``rest``, an
-    iterator over the others, is drained into it.  X qualifies when it lies
-    outside the shadow or its bit is set in ``w``.  ``allowed`` holds the
-    free members of the shadow, whose lex order is the order of their bits:
-    walking the free k-sets in lex order, the lowest unconsumed bit is the
-    next shadow set, and any X before it lies outside.  The first X is
-    sliced from ``free_p``; the walk past it drains ``rest``, so P's free
-    vertices are listed once, at its first such walk.
+    A free k-set qualifies when it lies outside the shadow or its bit is set
+    in ``w``.  ``allowed`` holds the free shadow sets, in lex order by bit,
+    ranked as ``_rank_sum`` ranks them.  At step i the sets of rank below i
+    are the shadow sets walked past, so the i-th qualifies when the walk's
+    set has its bit in ``w`` or a rank other than i, or ``allowed`` is spent.
     """
-    if len(free_p) <= k:
-        return None  # fewer than k free vertices
-    xs = tuple(free_p[:k] if j >= k else free_p[:j] + free_p[j + 1:k + 1])
-    later = None
-    for steps in itertools.count(1):
+    step = 1
+    while allowed:
         low = allowed & -allowed
-        if not low or sets[low.bit_length() - 1] != xs or w & low:
-            return steps, xs
+        if w & low or total - sum(map(getitem, tails, map(
+                above.__getitem__, sets[low.bit_length() - 1]))) != step:
+            break
         allowed ^= low
-        if later is None:
-            free_p.extend(rest)
-            v = free_p.pop(j)  # the free vertices of S are those of P without v
-            later = itertools.islice(itertools.combinations(tuple(free_p), k), 1, None)
-            free_p.insert(j, v)
-        xs = next(later, None)
-        if xs is None:
-            return None
+        step += 1
+    return step
+
+
+def _unrank(tails, total: int, m: int, s_tuple: tuple[int, ...], rank: int) -> tuple[int, ...]:
+    """The free k-set of 1-based lex rank ``rank``, ``_rank_sum`` inverted: member i
+    has the most free vertices above it, a, fewer than member i - 1 has, whose
+    entry of row i is at most what is left of the count of sets after the rank."""
+    after, a, xs = total - rank, m - len(s_tuple), []
+    for row in tails:
+        a -= 1
+        while row[a] > after:
+            a -= 1
+        after -= row[a]
+        x = m - len(s_tuple) - 1 - a  # its number among the free vertices, then past S
+        for s in s_tuple:
+            x += s <= x
+        xs.append(x)
+    return tuple(xs)
 
 
 def _extend(parts: list[int], unjoined: int, joined: int) -> list[int]:
@@ -364,31 +369,25 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     one loop over the parts ANDed with v's unjoined, then joined table, which
     lists the witness sets only to name a failing T or for the log.  Otherwise
     ``_rank_sum`` takes it from the ``_RankRow`` table, once per S for the
-    witnesses of T = 1, 2, ... up to the first empty part.  T = {} goes to
-    ``_first_unjoined``, which tests the lex-first free (h-1)-set first.  Per
-    prefix this branch lists only what it reads: the k + 1 least free
-    vertices, all the free vertices at the first walk past that set, and
-    ``_free_above`` at the first ranked witness, so a prefix whose first S
-    fails at once lists nothing m long.  The table and the walk are exact for a
-    complete shadow too, but a dense random sample, whose shadow is nearly
-    always complete, checks two to three times faster by popcount.
+    witnesses of T = 1, 2, ... up to the first empty part, and
+    ``_first_unjoined`` ranks T = {}'s walk from the same table; a recorded
+    log names that witness by ``_unrank``.  Per prefix the branch lists only
+    ``_free_above``, at its first S that allows a shadow set, so an S that
+    allows none, as in an edgeless hypergraph, lists nothing m long.  The table and
+    the walk are exact for a complete shadow too, but a dense random sample,
+    whose shadow is nearly always complete, checks two to three times faster
+    by popcount.
     """
     index = _shadow_index(hg)
     sets, complete = index.sets, index.complete
     free, unjoined, joined = index.free, index.unjoined, index.joined
-    m, k = hg.m, hg.h - 1
-    total = comb(m - n, k)  # free (h-1)-sets of every S
+    m = hg.m
+    total = comb(m - n, hg.h - 1)  # free (h-1)-sets of every S
     tails = index.tails
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
     for prefix, parts, allowed_p in _prefixes(index, n, head, m):
-        if not complete:
-            # The free vertices of S are the prefix's without v, its free
-            # vertex number v - len(prefix), listed as ``_first_unjoined``
-            # says.  ``above`` is listed at the prefix's first ranked witness
-            # and moves on with v, as ``_free_above`` says.
-            rest = itertools.filterfalse(prefix.__contains__, range(m))
-            free_p, above = list(itertools.islice(rest, k + 1)), None
+        above = None  # listed at the first S that allows a shadow set, then moved on with v
         for v in range(prefix[-1] + 1 if prefix else 0, m):
             allowed = allowed_p & free[v]
             un, jo = unjoined[v], joined[v]
@@ -413,21 +412,20 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
             first = 0 if complete else 1  # the first T whose witness ``found`` lists
             if not complete:
                 # T is empty, where X need not lie in the shadow.
-                hit = _first_unjoined(sets, free_p, rest, v - len(prefix), k, allowed, ws[0])
-                if hit is None:
+                if above is None and allowed:
+                    above = _free_above(s_tuple, m)
+                rank = _first_unjoined(sets, tails, total, above, allowed, ws[0])
+                if rank > total:
                     return (s_tuple, ()), examined + total, log
-                examined += hit[0]
+                examined += rank
                 if record:
-                    log[(s_tuple, ())] = hit[1]
+                    log[(s_tuple, ())] = _unrank(tails, total, m, s_tuple, rank)
             # T = first, first + 1, ... up to the first empty part, where S fails.
             end = (ws + [0]).index(0, first)
             found = [sets[(w & -w).bit_length() - 1] for w in ws[first:end]]
-            if not complete:
-                if found and above is None:
-                    above = _free_above(s_tuple, m)
-                if above:
-                    examined += _rank_sum(tails, total, above, found)
-                    above[v] -= 1  # v is free in the next S, below its last vertex
+            if above:  # listed, so the shadow is incomplete
+                examined += _rank_sum(tails, total, above, found)
+                above[v] -= 1  # v is free in the next S, below its last vertex
             if record:
                 for tmask, witness in enumerate(found, first):
                     log[(s_tuple, _subset(s_tuple, tmask))] = witness

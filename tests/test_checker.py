@@ -1061,7 +1061,8 @@ def test_counts_beyond_the_naive_engine(mols7_build, mols8_build, name, counts):
 def test_rank_table_gives_each_free_set_its_lex_position():
     """For m <= 14, k <= 6 and a random S of each size, including those that
     leave fewer than k free vertices: the table rank of each free k-set is
-    its 1-based position in ``combinations(free, k)``."""
+    its 1-based position in ``combinations(free, k)``, and ``_unrank`` gives
+    the set back from it."""
     rng = random.Random(13)
     for m in range(1, 15):
         for n in range(1, m + 1):
@@ -1075,6 +1076,7 @@ def test_rank_table_gives_each_free_set_its_lex_position():
                 ranks = [checker._rank_sum(tails, comb(m - n, k), above, [x]) for x in xs]
                 assert ranks == list(range(1, len(xs) + 1))
                 assert checker._rank_sum(tails, comb(m - n, k), above, xs) == sum(ranks)
+                assert [checker._unrank(tails, comb(m - n, k), m, s_tuple, r) for r in ranks] == xs
 
 
 @pytest.mark.parametrize("prefix, m", [((), 6), ((1,), 9), ((0, 4), 11)])
