@@ -1,4 +1,5 @@
-"""Command-line surface: construct, build, validate, check, experiment.
+"""Command-line surface: check, maxec, construct, build, random, validate,
+complement, induce and delete-vertex.
 
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a checked property fails or a design is invalid, 2 on usage or
@@ -204,6 +205,9 @@ def _cmd_validate(args) -> int:
     from . import designs
 
     design = _read(designs.read_design, "design", args.input)
+    entries = (design.t + 1) * (design.t + 2) // 2
+    hypergraph.check_listing(entries, f"listing the {entries} entries lambda_i_j with "
+                             f"i + j <= {design.t}", DesignError)
     report = designs.validate_design(design)
     doc: dict = {
         "valid": report.valid,

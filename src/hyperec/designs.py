@@ -19,7 +19,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -248,7 +248,7 @@ def lambda_ij(design: Design, i: int, j: int) -> Fraction:
     if i + j > design.t:
         raise DesignError(f"need i+j <= t, got {i}+{j} > {design.t}")
     v, k, t, lam = design.v, design.k, design.t, design.lam
-    return Fraction(lam * comb(v - i - j, k - i), comb(v - t, k - t))
+    return Fraction(lam * perm(v - i - j, t - i - j) * perm(v - k, j), perm(k - i, t - i))
 
 
 def count_blocks_containing_avoiding(

@@ -28,8 +28,9 @@ def check_listing(count: int, what: str, error=HypergraphError) -> None:
     checker's (h-1)-shadow (mols7 1176 sets, mols8 2016), and the bitmaps, one
     per vertex, and 64-bit words of each index table; the C(m, h) h-sets of
     the complement and the random model; the (q-1) q^2 cells of a MOLS family;
-    the b C(k, s) s points of the s-subsets of a design's blocks; and the
-    m - 1 vertices a vertex deletion relabels.
+    the b C(k, s) s points of the s-subsets of a design's blocks; the
+    (t+1)(t+2)/2 entries lambda_i_j of a validate report; and the m - 1
+    vertices a vertex deletion relabels.
     """
     if count > MAX_SETS:
         raise error(f"{what} is above the limit of {MAX_SETS}")

@@ -879,6 +879,31 @@ def test_least_vertex_scans_merge_to_the_full_scan(hypergraphs, engine, data, n)
         hg, n, (), True)
 
 
+@pytest.mark.parametrize("hypergraphs", [sparse_hypergraphs, dense_hypergraphs])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_prefixes_match_combinations_extended_vertex_by_vertex(hypergraphs, data, n):
+    """Every head of fewer than n vertices, () and (v,) included, and those
+    with no room left for S: the walk gives the (n-1)-subsets P of the
+    vertices below the last that start with the head, as ``combinations``
+    lists them, each with the parts that ``_extend`` builds vertex by vertex
+    and the shadow sets free of P."""
+    hg = data.draw(hypergraphs())
+    assume(n <= hg.m)
+    index = checker._shadow_index(hg)
+    for size in range(n):
+        for head in itertools.combinations(range(hg.m), size):
+            want = []
+            for prefix in itertools.combinations(range(hg.m - 1), n - 1):
+                if prefix[:size] == head:
+                    parts, allowed = [index.full], index.full
+                    for v in prefix:
+                        parts = checker._extend(parts, index.unjoined[v], index.joined[v])
+                        allowed &= index.free[v]
+                    want.append((prefix, parts, allowed))
+            assert list(checker._prefixes(index, n, head, hg.m)) == want, head
+
+
 def test_part_emptied_below_the_last_vertex_fails_at_its_t(monkeypatch):
     """Every neighbour of vertex 0 is one of vertex 1, so the prefix (0, 1)
     has an empty part at T = {0}: its list is cut after that part, and the

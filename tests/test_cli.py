@@ -473,6 +473,46 @@ def test_edgeless_check_fails_at_its_first_s_within_256_mib(tmp_path):
     assert report_dict(out)["holds"] == "false"
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_deep_edgeless_check_fails_within_256_mib(tmp_path, threads):
+    """At n = 10^5 the walk to the first prefix is 10^5 deep: it keeps one
+    prefix list, not a prefix tuple per depth, so the check fails at its
+    first S-set, at T = {0}, within a 256 MiB cap, serially and pooled."""
+    path = tmp_path / "deep.txt"
+    path.write_text("3 200000\n")
+    code, out, err = run_isolated("check", str(path), "-n", "100000", "--threads", threads,
+                                  address_space=256 << 20)
+    assert (code, err) == (1, "")
+    report = report_dict(out)
+    assert (report["holds"], report["counterexample_T"]) == ("false", "{0}")
+    assert report["counterexample_S"] == "{" + ",".join(map(str, range(100000))) + "}"
+
+
+def test_validate_counts_its_lambda_table_from_the_header(tmp_path):
+    """t = 20000 would list 200 030 001 entries lambda_i_j: refused before any."""
+    path = tmp_path / "tall.txt"
+    path.write_text("20000 20000 20000 1\n")
+    code, out, err = run_isolated("validate", str(path), address_space=ONE_GIB, timeout=30)
+    assert (code, out) == (2, "")
+    assert err == ("error: listing the 200030001 entries lambda_i_j with i + j <= 20000 "
+                   "is above the limit of 4194304\n")
+
+
+def test_validate_reports_lambda_of_huge_blocks_at_once(tmp_path):
+    """Blocks of 5 * 10^7 points among 10^8: each lambda_i_j is a product of
+    at most t factors, not a ratio of binomials of about k, so the report is
+    immediate.  None of the blocks is declared, so the design is invalid."""
+    path = tmp_path / "huge-blocks.txt"
+    path.write_text("2 100000000 50000000 1\n")
+    code, out, err = run_isolated("validate", str(path), address_space=ONE_GIB, timeout=30)
+    assert (code, err) == (1, "")
+    report = report_dict(out)
+    assert report["lambda_0_0"] == report["b_formula"] == "199999998/49999999"
+    assert report["lambda_1_0"] == report["r_formula"] == "99999999/49999999"
+    assert (report["lambda_1_1"], report["lambda_0_2"], report["lambda_2_0"]) == (
+        "50000000/49999999", "1", "1")
+
+
 def test_deleting_a_vertex_of_the_header_alone_is_usage_error(tmp_path):
     path, out = tmp_path / "wide.txt", tmp_path / "out.txt"
     path.write_text(WIDE)

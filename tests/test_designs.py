@@ -95,6 +95,8 @@ def test_mols_set_rejects_malformed_members():
         MolsSet(3, [square])
     with pytest.raises(DesignError):
         MolsSet("3", ())
+    with pytest.raises(DesignError, match="square order mismatch"):
+        MolsSet(4, (square,))
 
 
 def test_orthogonality_of_known_family():
@@ -289,6 +291,22 @@ def test_lambda_ij_fano_values(fano):
     assert lambda_ij(fano, 2, 0) == 1  # the defining lambda
     assert lambda_ij(fano, 0, 0) == 7  # every block qualifies
     assert lambda_ij(fano, 1, 0) == 3  # the replication number
+
+
+def test_lambda_ij_product_form_is_the_binomial_ratio():
+    """lambda C(v-i-j, k-i) / C(v-t, k-t), the textbook form, as an exact
+    Fraction on every t <= 6, k <= 11, v <= 15, lambda <= 3 and i + j <= t."""
+    cases = 0
+    for t, lam in itertools.product(range(1, 7), range(1, 4)):
+        for k in range(t, 12):
+            for v in range(k, 16):
+                design = Design(t, v, k, lam, ())
+                for i in range(t + 1):
+                    for j in range(t + 1 - i):
+                        want = Fraction(lam * comb(v - i - j, k - i), comb(v - t, k - t))
+                        assert lambda_ij(design, i, j) == want, (t, v, k, lam, i, j)
+                        cases += 1
+    assert cases == 15498
 
 
 def test_lambda_ij_rejects_beyond_t(fano):

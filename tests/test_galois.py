@@ -105,6 +105,7 @@ def test_multiplicative_inverses_exhaustive(q):
     one = 1
     for a in range(1, q):
         assert f.mul(f.inv(a), a) == one
+        assert f.pow(a, -1) == f.inv(a) and f.pow(a, -2) == f.inv(f.mul(a, a))
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25])
@@ -116,12 +117,17 @@ def test_group_order(q):
 def test_zero_inverse_rejected():
     with pytest.raises(GaloisError):
         make_field(2, 2).inv(0)
+    with pytest.raises(GaloisError, match="zero is not invertible"):
+        make_field(2, 2).pow(0, -1)
 
 
 def test_coeff_index_round_trip():
     f = make_field(5, 2)
     for i in range(25):
         assert f.index(f.coeffs(i)) == i
+    for coeffs in ([1], [1, 2, 3]):
+        with pytest.raises(GaloisError, match=f"need 2 coefficients, got {len(coeffs)}"):
+            f.index(coeffs)
 
 
 @pytest.mark.parametrize("call, message", [
