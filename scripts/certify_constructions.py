@@ -41,8 +41,8 @@ def certify(name, built, threads, full_sweep):
             holds = is_nec(hg, n, threads=threads).holds
             ok &= holds
             print(f"nec_{n}: {'true' if holds else 'false'}")
-        assert hg.edge_count >= min_edges_bound(level)
-        assert hg.m >= min_vertices_bound(level, hg.h)
+        ok &= hg.edge_count >= min_edges_bound(level)
+        ok &= hg.m >= min_vertices_bound(level, hg.h)
         print(f"edge_bound: {min_edges_bound(level)}")
         print(f"vertex_bound: {min_vertices_bound(level, hg.h)}")
         comp_holds = is_nec(hg.complement(), level, threads=threads).holds
@@ -61,7 +61,7 @@ def certify(name, built, threads, full_sweep):
             print(f"closures_one_level_down: {'true' if closure_ok else 'false'}")
     top = max_ec(hg, threads=threads)
     print(f"max_ec: {top}")
-    if level is not None and name != "fano-h3":
+    if level is not None:
         ok &= top >= level
     print(f"elapsed_s: {time.perf_counter() - started:.2f}")
     print(f"status: {'ok' if ok else 'FAILED'}")

@@ -606,7 +606,9 @@ def is_nec(
     S-set, and so does a check where ``os.fork`` is missing.  The first
     pooled check imports ``pickle``, and its ``elapsed_ms`` includes that
     import.  Results, including the counterexample and candidate count, do
-    not depend on ``threads``.
+    not depend on ``threads``.  With ``record_witnesses``, a log that could
+    hold more than ``hypergraph.MAX_SETS`` pairs (S, T) is refused before
+    the index is built.
     """
     check_int(n, "n", CheckerUsageError, 1)
     check_int(threads, "threads", CheckerUsageError, 1)
@@ -621,6 +623,12 @@ def is_nec(
         stats = CheckStats(0, elapsed, note + "; no n-subset of vertices exists")
         return CheckResult(False, n, None, stats, {} if record_witnesses else None)
 
+    # A log holds up to C(m, n) * 2^n pairs (S, T).  From n = 23 on, with n <= m,
+    # 2^n alone is over the limit, and C(m, n) may take seconds to compute.
+    if record_witnesses:
+        pairs = comb(hg.m, n) << n if n <= 22 else 1 << 23
+        hypergraph.check_listing(pairs, f"a witness log of C({hg.m}, {n}) * 2^{n} pairs (S, T)",
+                                 CheckerUsageError)
     # However few the edges, each index table holds a bitmap per vertex and the
     # naive scan lists the vertices outside each S: bound them before any pool.
     if engine == "optimized":

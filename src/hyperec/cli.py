@@ -208,6 +208,10 @@ def _cmd_validate(args) -> int:
     entries = (design.t + 1) * (design.t + 2) // 2
     hypergraph.check_listing(entries, f"listing the {entries} entries lambda_i_j with "
                              f"i + j <= {design.t}", DesignError)
+    # An entry's numerator is at most lambda * v^t, its denominator at most k^t.
+    digits = len(str(design.lam)) + design.t * (len(str(design.v)) + len(str(design.k))) + 1
+    hypergraph.check_listing(entries * digits, f"listing the {entries} entries lambda_i_j of up "
+                             f"to {digits} digits each, {entries * digits} digits,", DesignError)
     report = designs.validate_design(design)
     doc: dict = {
         "valid": report.valid,

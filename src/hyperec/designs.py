@@ -342,23 +342,20 @@ def inversive_plane(q: int) -> Design:
 
 # ---------------------------------------------------------------------------
 # Design text: header "t v k lambda", then one block per line as k 0-based
-# point indices.  MOLS text: header "q ell", then ell groups of q rows, each
-# row q symbols in [0,q).  Both follow the record rules of ``int_records``.
+# point indices in [0, v).  MOLS text: header "q ell", then ell groups of q
+# rows, each row q symbols in [0, q).  ``int_records`` checks each record's
+# width and a block's points; a refusal of the whole file names the header's
+# line.
 
 
 def parse_design(lines: Iterable[str]) -> Design:
-    _, (t, v, k, lam), records = int_records(lines, "t v k lambda", DesignFormatError)
-    blocks: list[list[int]] = []
-    for line_no, values in records:
-        if len(values) != k:
-            raise DesignFormatError(line_no, f"expected {k} points, got {len(values)}")
-        if len(set(values)) != k or not all(0 <= x < v for x in values):
-            raise DesignFormatError(line_no, f"block {values} invalid for k={k} v={v}")
-        blocks.append(values)
+    header_no, (t, v, k, lam), records = int_records(
+        lines, "t v k lambda", DesignFormatError, noun="points", width="k", kind="block", bound="v")
+    blocks = tuple(map(tuple, records))
     try:
-        return Design(t, v, k, lam, tuple(tuple(b) for b in blocks))
+        return Design(t, v, k, lam, blocks)
     except DesignError as exc:
-        raise DesignFormatError(1, str(exc)) from None
+        raise DesignFormatError(header_no, str(exc)) from None
 
 
 def read_design(path: str) -> Design:
@@ -371,19 +368,16 @@ def format_design(design: Design, comments: Sequence[str] = ()) -> str:
 
 
 def parse_mols(lines: Iterable[str]) -> MolsSet:
-    _, (q, ell), records = int_records(lines, "q ell", DesignFormatError)
-    rows: list[list[int]] = []
-    for line_no, values in records:
-        if len(values) != q:
-            raise DesignFormatError(line_no, f"expected {q} symbols, got {len(values)}")
-        rows.append(values)
+    header_no, (q, ell), records = int_records(lines, "q ell", DesignFormatError,
+                                               noun="symbols", width="q")
+    rows = tuple(map(tuple, records))
     if len(rows) != q * ell:
-        raise DesignFormatError(1, f"expected {q * ell} rows for {ell} squares, got {len(rows)}")
+        raise DesignFormatError(header_no,
+                                f"expected {q * ell} rows for {ell} squares, got {len(rows)}")
     try:
-        return MolsSet(q, tuple(LatinSquare(q, tuple(map(tuple, rows[i * q:(i + 1) * q])))
-                                for i in range(ell)))
+        return MolsSet(q, tuple(LatinSquare(q, rows[i * q:(i + 1) * q]) for i in range(ell)))
     except DesignError as exc:
-        raise DesignFormatError(1, str(exc)) from None
+        raise DesignFormatError(header_no, str(exc)) from None
 
 
 def read_mols(path: str) -> MolsSet:

@@ -25,12 +25,14 @@ def check_listing(count: int, what: str, error=HypergraphError) -> None:
     """Refuse a listing of ``count`` items over ``MAX_SETS``, as "<what> is above the limit".
 
     The one place the limit is read.  Its users count before they list: the
-    checker's (h-1)-shadow (mols7 1176 sets, mols8 2016), and the bitmaps, one
-    per vertex, and 64-bit words of each index table; the C(m, h) h-sets of
-    the complement and the random model; the (q-1) q^2 cells of a MOLS family;
-    the b C(k, s) s points of the s-subsets of a design's blocks; the
-    (t+1)(t+2)/2 entries lambda_i_j of a validate report; and the m - 1
-    vertices a vertex deletion relabels.
+    checker's (h-1)-shadow (mols7 1176 sets, mols8 2016), the bitmaps, one
+    per vertex, and 64-bit words of each index table, and the C(m, n) 2^n
+    pairs (S, T) of a witness log; the C(m, h) h-sets of the complement and
+    the random model, and the verdicts of the model's trials; the (q-1) q^2
+    cells of a MOLS family; the b C(k, s) s points of the s-subsets of a
+    design's blocks; the (t+1)(t+2)/2 entries lambda_i_j of a validate
+    report, and their digits; and the m - 1 vertices a vertex deletion
+    relabels.
     """
     if count > MAX_SETS:
         raise error(f"{what} is above the limit of {MAX_SETS}")
@@ -177,22 +179,31 @@ def empty_hypergraph(h: int, m: int) -> Hypergraph:
 
 # Record text: '#' starts a comment line, blank lines are skipped, and every
 # other line is whitespace-separated integers.  The first such line is the
-# header; the rest are records whose shape each format checks itself.
+# header; each line after it is a record of the width a header field names.
 
 
 def int_records(
-    lines: Iterable[str], header: str, error
-) -> tuple[int, list[int], Iterator[tuple[int, list[int]]]]:
-    """Split record text into its header and the records after it.
+    lines: Iterable[str], header: str, error, noun: str, width: str, kind: str = "", bound: str = ""
+) -> tuple[int, list[int], Iterator[list[int]]]:
+    """Split record text into its header and the checked records after it.
 
     ``header`` names the header fields (e.g. ``"h m"``) and fixes their
-    count; ``error(line_no, message)`` builds the exception to raise.
-    Returns the header's line number, its ints and a lazy iterator of
-    ``(line_no, ints)`` records, so nothing past the header is read until
-    the caller asks for it.
+    count; ``error(line_no, message)`` builds the exception to raise.  Each
+    record holds as many ints as the header field ``width`` says, else it is
+    refused as "expected <width> <noun>"; given ``kind`` and ``bound``, its
+    members are also distinct and in [0, <bound>), else the record is an
+    invalid ``kind``.  Returns the header's line number, its ints and a lazy
+    iterator of the records' int lists, so nothing past the header is read
+    until the caller asks for it.
     """
+    # The generator reads the header first, under these rules for it; the
+    # header's fields then set the rules it reads every record under.
+    names = header.split()
+    line_no, size, top = 1, len(names), None
+    wrong_width = f"header must be exactly '{header}'"
 
     def records():
+        nonlocal line_no
         for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -201,15 +212,20 @@ def int_records(
                 values = [int(f) for f in line.split()]
             except ValueError:
                 raise error(line_no, f"non-integer token in {line!r}") from None
-            yield line_no, values
+            if len(values) != size:
+                raise error(line_no, wrong_width.format(len(values)))
+            if top is not None and (len(set(values)) != size or min(values) < 0
+                                    or max(values) >= top):
+                raise error(line_no, f"{kind} {values} invalid for {width}={size} {bound}={top}")
+            yield values
 
     rest = records()
-    first = next(rest, None)
-    if first is None:
+    values = next(rest, None)
+    if values is None:
         raise error(1, f"missing '{header}' header")
-    line_no, values = first
-    if len(values) != len(header.split()):
-        raise error(line_no, f"header must be exactly '{header}'")
+    fields = dict(zip(names, values))
+    size, top = fields[width], fields.get(bound)
+    wrong_width = f"expected {size} {noun}, got {{}}"
     return line_no, values, rest
 
 
@@ -217,16 +233,10 @@ def int_records(
 # indices; the writer emits edges in lexicographic order.
 
 def parse_hypergraph(lines: Iterable[str]) -> Hypergraph:
-    header_no, (h, m), records = int_records(lines, "h m", HypergraphFormatError)
+    header_no, (h, m), edges = int_records(lines, "h m", HypergraphFormatError, noun="vertices",
+                                           width="h", kind="edge", bound="m")
     if h < 2 or m < h:
         raise HypergraphFormatError(header_no, f"invalid header h={h} m={m}")
-    edges: list[list[int]] = []
-    for line_no, values in records:
-        if len(values) != h:
-            raise HypergraphFormatError(line_no, f"expected {h} vertices, got {len(values)}")
-        if len(set(values)) != h or not all(0 <= v < m for v in values):
-            raise HypergraphFormatError(line_no, f"edge {values} invalid for h={h} m={m}")
-        edges.append(values)
     return new_hypergraph(h, m, edges)
 
 

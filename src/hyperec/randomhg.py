@@ -141,9 +141,11 @@ def estimate_ec_fraction(
     """Fraction of independent samples that are n-e.c.
 
     Trials are seeded individually, so the verdict list is reproducible and
-    order-insensitive to how the work is scheduled.
+    order-insensitive to how the work is scheduled.  More than
+    ``hypergraph.MAX_SETS`` trials are refused before the first sample.
     """
     check_int(trials, "trials", RandomModelError, 1)
+    hypergraph.check_listing(trials, f"recording the verdicts of {trials} trials", RandomModelError)
     verdicts = tuple(
         is_nec(sample_trial(model, i), n, engine=engine, threads=threads).holds
         for i in range(trials)

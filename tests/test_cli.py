@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import resource
@@ -511,6 +512,94 @@ def test_validate_reports_lambda_of_huge_blocks_at_once(tmp_path):
     assert report["lambda_1_0"] == report["r_formula"] == "99999999/49999999"
     assert (report["lambda_1_1"], report["lambda_0_2"], report["lambda_2_0"]) == (
         "50000000/49999999", "1", "1")
+
+
+@pytest.mark.parametrize("header, entries, digits", [
+    ("800 1600 800 1", 321201, 5602),
+    ("1600 3200 1600 1", 1282401, 12802),
+    ("111 222 111 1", 6328, 668),  # v = 2t, k = t, lambda = 1: the least t refused
+])
+def test_validate_counts_the_digits_of_its_lambda_table(tmp_path, header, entries, digits):
+    """Each lambda_i_j has a numerator of at most lambda * v^t and a
+    denominator of at most k^t: their digits are counted from the header,
+    before any entry is computed."""
+    path = tmp_path / "digits.txt"
+    path.write_text(header + "\n")
+    code, out, err = run_isolated("validate", str(path), address_space=ONE_GIB, timeout=20)
+    assert (code, out) == (2, "")
+    assert err == (f"error: listing the {entries} entries lambda_i_j of up to {digits} digits "
+                   f"each, {entries * digits} digits, is above the limit of 4194304\n")
+
+
+def test_validate_lists_the_lambda_table_just_under_the_digit_limit(capsys, tmp_path):
+    """t = 110: 6216 entries of up to 662 digits, 4 114 992 in all."""
+    path = tmp_path / "digits.txt"
+    path.write_text("110 220 110 1\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
+    report = report_dict(out)
+    assert len(report) == 8 + 111 * 112 // 2
+    assert (report["lambda_0_0"], report["lambda_110_0"]) == (str(math.comb(220, 110)), "1")
+
+
+def test_check_counts_its_witness_log_before_the_index(tmp_path):
+    """150 vertices at n = 3: C(150, 3) * 2^3 = 4 410 400 pairs (S, T) could
+    be logged, so the check is refused before the index or a pool, however
+    few the edges."""
+    path = tmp_path / "wide.txt"
+    path.write_text("3 150\n0 1 2\n")
+    code, out, err = run_isolated("check", str(path), "-n", "3", "--witnesses", "--threads", "2",
+                                  address_space=ONE_GIB, timeout=20, pools=False)
+    assert (code, out) == (2, "")
+    assert err == ("error: a witness log of C(150, 3) * 2^3 pairs (S, T) is above the limit "
+                   "of 4194304\n")
+
+
+def test_witness_log_count_is_not_computed_past_n_22(capsys, tmp_path):
+    """C(200000, 100000) takes seconds to compute; from n = 23 on, 2^n alone
+    is over the limit."""
+    path = tmp_path / "deep.txt"
+    path.write_text("3 200000\n")
+    code, out, err = run(capsys, "check", str(path), "-n", "100000", "--witnesses")
+    assert (code, out) == (2, "")
+    assert err.endswith("2^100000 pairs (S, T) is above the limit of 4194304\n")
+
+
+def test_witness_log_at_the_limit_is_recorded(capsys, monkeypatch, fig5_path):
+    """fig5 at n = 1 could log C(m, 1) * 2 pairs: exactly the limit is allowed."""
+    pairs = 2 * read_hypergraph(fig5_path).m
+    monkeypatch.setattr(hypergraph, "MAX_SETS", pairs)
+    assert run(capsys, "check", fig5_path, "-n", "1", "--witnesses")[0] == 0
+    monkeypatch.setattr(hypergraph, "MAX_SETS", pairs - 1)
+    code, out, err = run(capsys, "check", fig5_path, "-n", "1", "--witnesses")
+    assert (code, out) == (2, "") and err.endswith(f"above the limit of {pairs - 1}\n")
+
+
+def test_random_counts_its_trials_before_the_first_sample(capsys, monkeypatch):
+    def sample_trial(model, trial):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(randomhg, "sample_trial", sample_trial)
+    code, out, err = run(capsys, "random", "--h", "2", "--m", "3", "--p", "0.5", "-n", "1",
+                         "--trials", "4194305", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: recording the verdicts of 4194305 trials is above the limit of 4194304\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["validate", "{path}"], "# c\n2 7 3 0\n0 1 2\n", "line 2: lambda must be >= 1, got 0"),
+    (["build", "from-mols", "-i", "{path}", "-o", "{out}"], "# c\n# c\n3 1\n0 1 2\n1 2 0\n",
+     "line 3: expected 3 rows for 1 squares, got 2"),
+    (["build", "from-mols", "-i", "{path}", "-o", "{out}"], "\n# c\n3 1\n0 1 2\n0 1 2\n2 0 1\n",
+     "line 3: grid is not a Latin square"),
+])
+def test_whole_file_refusal_names_the_header_line(capsys, tmp_path, argv, text, message):
+    path, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    path.write_text(text)
+    code, stdout, err = run(capsys, *(a.format(path=path, out=out) for a in argv))
+    assert (code, stdout) == (2, "")
+    assert err.endswith(f": {message}\n")
+    assert not out.exists()
 
 
 def test_deleting_a_vertex_of_the_header_alone_is_usage_error(tmp_path):

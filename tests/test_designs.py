@@ -456,6 +456,24 @@ def test_mols_parse_errors(text):
         parse_mols(io.StringIO(text))
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_design, "2 7 3 1\n0 1\n", "line 2: expected 3 points, got 2"),
+    (parse_design, "2 7 3 1\n0 1 7\n", "line 2: block [0, 1, 7] invalid for k=3 v=7"),
+    (parse_design, "2 7 3 1\n1 0 1\n", "line 2: block [1, 0, 1] invalid for k=3 v=7"),
+    (parse_design, "# c\n\n2 7 3 0\n0 1 2\n", "line 3: lambda must be >= 1, got 0"),
+    (parse_design, "# c\n4 7 3 1\n", "line 2: k must be >= 4, got 3"),
+    (parse_mols, "2 1\n0 1 0\n", "line 2: expected 2 symbols, got 3"),
+    (parse_mols, "# c\n2 1\n0 1\n1 5\n", "line 2: symbol 5 out of range [0, 2)"),
+    (parse_mols, "# c\n2 1\n0 1\n1 0\n2 0\n", "line 2: expected 2 rows for 1 squares, got 3"),
+])
+def test_design_parse_errors_name_their_line(parse, text, message):
+    """A record's error names the record's line; one that refuses the whole
+    file, from the constructor or the row count, names the header's line."""
+    with pytest.raises(DesignFormatError) as err:
+        parse(io.StringIO(text))
+    assert str(err.value).startswith(message)
+
+
 def test_validate_over_size_limit_is_refused(fano, monkeypatch):
     """The 7 blocks' 7 * C(3, 2) = 21 pairs, 42 points, are counted only within
     the limit, read at call time."""

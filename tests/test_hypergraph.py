@@ -367,6 +367,33 @@ def test_parse_errors_carry_line_numbers(text, line_no):
     assert err.value.line_no == line_no
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    ("# c\n\n3 4\n0 1\n", 4, "expected 3 vertices, got 2"),
+    ("3 4\n0 1 2 3\n", 2, "expected 3 vertices, got 4"),
+    ("3 4\n0 1 4\n", 2, "edge [0, 1, 4] invalid for h=3 m=4"),
+    ("3 4\n2 -1 0\n", 2, "edge [2, -1, 0] invalid for h=3 m=4"),
+    ("3 4\n0 2 2\n", 2, "edge [0, 2, 2] invalid for h=3 m=4"),
+    ("3 4\n1 2\n0 x\n", 2, "expected 3 vertices, got 2"),  # the first bad line is named
+    ("# c\n1 4\n0 x\n", 2, "invalid header h=1 m=4"),  # no record is read past a bad header
+    ("3 4 5\n", 1, "header must be exactly 'h m'"),
+])
+def test_parse_errors_name_their_rule(text, line_no, message):
+    with pytest.raises(HypergraphFormatError) as err:
+        parse_hypergraph(io.StringIO(text))
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+def test_int_records_reads_nothing_past_the_header_until_asked():
+    read = []
+    lines = (read.append(line) or line for line in ["# c\n", "2 1\n", "0 1\n", "1 x\n"])
+    header_no, values, records = hypergraph.int_records(lines, "q ell", HypergraphFormatError,
+                                                        noun="symbols", width="q")
+    assert (header_no, values, len(read)) == (2, [2, 1], 2)
+    assert next(records) == [0, 1]
+    with pytest.raises(HypergraphFormatError, match="^line 4: non-integer token in '1 x'$"):
+        next(records)
+
+
 def test_comments_and_blank_lines_skipped():
     hg = parse_hypergraph(io.StringIO("# top\n\n3 4\n# mid\n0 1 2\n\n"))
     assert hg.edges == ((0, 1, 2),)
