@@ -10,7 +10,8 @@ lists as ``{a,b}``.  Every library error (bad input, an unreadable or
 unwritable file, a violated precondition) is a ``HyperecError`` and reaches
 :func:`main`, which prints it once as ``error: <message>`` on stderr and
 exits 2.  Only ``construct``, ``build`` and ``validate`` import the design
-layer (``designs``, ``galois``, ``builders``), inside their own functions.
+layer (``designs``, ``galois``, ``builders``), and only ``random`` imports
+``randomhg``, each inside its own functions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import math
 import sys
 
-from . import checker, hypergraph, randomhg
+from . import checker, hypergraph
 from .errors import DesignError, HyperecError, HypergraphError
 
 USAGE_ERROR = 2
@@ -129,14 +130,10 @@ def _cmd_maxec(args) -> int:
 
 def _cmd_construct(args) -> int:
     from . import designs
-    from .galois import prime_power
 
     kind, q = args.kind, args.q
-    if kind != "fano":
-        if q is None:
-            raise HyperecError(f"construct {kind} requires -q")
-        if prime_power(q) is None:
-            raise HyperecError(f"q={q} is not a prime power")
+    if kind != "fano" and q is None:
+        raise HyperecError(f"construct {kind} requires -q")
     if kind == "mols":
         mols = designs.complete_mols(q)
         text = designs.format_mols(mols, [f"constructed: complete mols q={q}"])
@@ -179,6 +176,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    from . import randomhg
+
     model = randomhg.RandomModel(args.h, args.m, args.p, args.seed)
     bound = randomhg.union_bound(args.n, args.h, args.m, args.p)
     outcome = randomhg.estimate_ec_fraction(model, args.n, args.trials, threads=args.threads)

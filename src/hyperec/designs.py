@@ -24,8 +24,8 @@ from operator import add
 from typing import Iterable, Sequence
 
 from . import hypergraph
-from .errors import DesignError, DesignFormatError, GaloisError, check_int, int_tuples
-from .galois import field_of_order, prime_power
+from .errors import DesignError, DesignFormatError, check_int, int_tuples
+from .galois import factor_order, field_of_order
 from .hypergraph import int_records, record_text
 
 
@@ -318,8 +318,7 @@ def inversive_plane(q: int) -> Design:
     built.
     """
     check_int(q, "order", DesignError, 3)
-    if prime_power(q) is None:
-        raise GaloisError(f"{q} is not a prime power")
+    factor_order(q)  # q itself, not only q^2, must be a field order
     field = field_of_order(q * q)
     check_block_subsets(q * (q * q + 1), q + 1, 3)  # what validation will list
     Q = INF = q * q  # the point at infinity is the one after GF(q^2)

@@ -8,7 +8,9 @@ is zero, index 1 is one, and the prime-field case reduces to plain residues.
 The reducing modulus is the smallest monic irreducible of degree k, with
 candidates compared coefficient-wise from the constant term up, found by
 exhaustive divisor search.  Everything is deterministic; no probabilistic
-tests.
+tests.  :func:`prime_power` trial-divides up to sqrt(n), so a caller bounds n
+first: :func:`factor_order` is the one rule for a usable field order q, and
+refuses a q above the cap squared before it factors it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Decompose n as (p, k) with p prime and n == p**k, or None."""
+    """Decompose n as (p, k) with p prime and n == p**k, or None.
+
+    Trial division runs up to sqrt(n), so callers bound n first.
+    """
     check_int(n, "n", GaloisError)
     if n < 2:
         return None
@@ -189,13 +194,18 @@ class GfField:
 
 
 def _check_order(p: int, k: int) -> None:
-    """Refuse a p that is not a prime ``int``, a k below 1 and an order p^k above the cap."""
+    """Refuse a p that is not a prime ``int``, a k below 1 and an order p^k above the cap.
+
+    A p above the cap, or a k of 17 or more, is refused before p is tested or
+    p^k computed, so neither a huge p nor a huge k costs any time.
+    """
     check_int(p, "p", GaloisError)
+    check_int(k, "extension degree", GaloisError, 1)
+    # p >= 2, so p^k >= 2^k, which exceeds the cap 2^16 from k = 17 on
+    if p > 1 and (p > FIELD_ORDER_CAP or k > 16 or p**k > FIELD_ORDER_CAP):
+        raise GaloisError(f"field order {p}^{k} exceeds cap {FIELD_ORDER_CAP}")
     if not is_prime(p):
         raise GaloisError(f"{p} is not prime")
-    check_int(k, "extension degree", GaloisError, 1)
-    if p**k > FIELD_ORDER_CAP:
-        raise GaloisError(f"field order {p}^{k} exceeds cap {FIELD_ORDER_CAP}")
 
 
 def make_field(p: int, k: int) -> GfField:
@@ -204,10 +214,25 @@ def make_field(p: int, k: int) -> GfField:
     return GfField(p, k, _smallest_irreducible(p, k))
 
 
-def field_of_order(q: int) -> GfField:
-    check_int(q, "q", GaloisError)
-    pk = prime_power(q)
-    if pk is None:
-        raise GaloisError(f"{q} is not a prime power")
-    return make_field(*pk)
+def factor_order(q: int) -> tuple[int, int]:
+    """The (p, k) of a usable field order q = p^k; anything else is a GaloisError.
 
+    An order above the cap squared is refused as ``field order Q exceeds cap
+    65536`` before anything is factored, so the trial division takes at most
+    2^16 steps; then ``q=Q is not a prime power`` and ``field order P^K
+    exceeds cap 65536``.
+    """
+    check_int(q, "q", GaloisError)
+    if q > FIELD_ORDER_CAP**2:
+        raise GaloisError(f"field order {q} exceeds cap {FIELD_ORDER_CAP}")
+    if (pk := prime_power(q)) is None:
+        raise GaloisError(f"q={q} is not a prime power")
+    _check_order(*pk)
+    return pk
+
+
+def field_of_order(q: int) -> GfField:
+    """GF(q), or the GaloisError of :func:`factor_order`: ``field order Q
+    exceeds cap 65536``, ``q=Q is not a prime power`` or ``field order P^K
+    exceeds cap 65536``."""
+    return make_field(*factor_order(q))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperec import builders, designs, new_hypergraph
+from hyperec import builders, designs, galois, new_hypergraph
 
 DATA = Path(__file__).parent / "data"
 
@@ -16,6 +16,22 @@ def rook_graph():
         if i // 3 == j // 3 or i % 3 == j % 3
     ]
     return new_hypergraph(2, 9, edges)
+
+
+@pytest.fixture
+def bounded_factoring(monkeypatch):
+    """Every binding of ``prime_power`` fails on an n above 2^32, whose trial
+    division could run for minutes, so a caller that factors an order before
+    it bounds it fails at once."""
+    real = galois.prime_power
+
+    def bounded(n):
+        assert n <= 2**32, f"prime_power({n}) called before the order was bounded"
+        return real(n)
+
+    monkeypatch.setattr(galois, "prime_power", bounded)
+    if hasattr(designs, "prime_power"):
+        monkeypatch.setattr(designs, "prime_power", bounded)
 
 
 @pytest.fixture(scope="session")

@@ -182,6 +182,23 @@ def test_construct_field_over_cap_is_usage_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("kind", ["pg", "inversive"])  # mols -q 6 is in the golden file
+def test_construct_refuses_an_order_that_is_not_a_prime_power(capsys, tmp_path, kind):
+    out_path = tmp_path / "x"
+    code, out, err = run(capsys, "construct", kind, "-q", "6", "-o", str(out_path))
+    assert (code, out, err) == (2, "", "error: q=6 is not a prime power\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["mols", "pg", "inversive"])
+def test_construct_refuses_an_order_above_the_cap_before_factoring_it(
+        capsys, tmp_path, kind, bounded_factoring):
+    out_path = tmp_path / "x"
+    code, out, err = run(capsys, "construct", kind, "-q", "1000000000000000003", "-o", str(out_path))
+    assert (code, out, err) == (2, "", "error: field order 1000000000000000003 exceeds cap 65536\n")
+    assert not out_path.exists()
+
+
 def test_construct_requires_q(capsys, tmp_path):
     code, _, err = run(capsys, "construct", "pg", "-o", str(tmp_path / "x"))
     assert code == 2

@@ -405,7 +405,7 @@ def test_inversive_plane_text_is_pinned(q, digest):
 
 
 def test_inversive_plane_rejects_bad_order():
-    with pytest.raises(GaloisError):
+    with pytest.raises(GaloisError, match="^q=6 is not a prime power$"):
         inversive_plane(6)
     with pytest.raises(DesignError):
         inversive_plane(2)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hyperec.galois import (
     GaloisError,
     GfField,
+    factor_order,
     field_of_order,
     is_prime,
     make_field,
@@ -155,13 +156,53 @@ def test_direct_calls_refuse_what_is_not_an_int(call, message):
     (3, 2, (1, 0, 2), r"modulus must be a tuple .*, got \(1, 0, 2\)"),
     (2, 2, (0, 0, 1), r"modulus \(0, 0, 1\) is reducible over GF\(2\)"),
     (3, 2, (2, 0, 1), r"modulus \(2, 0, 1\) is reducible over GF\(3\)"),
+    (10**18 + 3, 1, (0, 1), r"field order 1000000000000000003\^1 exceeds cap 65536"),
 ])
-def test_field_built_directly_refuses_what_is_not_a_field(p, k, modulus, message):
+def test_field_built_directly_refuses_what_is_not_a_field(p, k, modulus, message,
+                                                          bounded_factoring):
     """Built without make_field: GfField(4, 1, (0, 1)) would multiply in Z/4,
     where 2 * 2 = 0, and GfField(2, 2, (0, 0, 1)) in GF(2)[x]/(x^2), where
     x * x = 0; each is refused, as is every other malformed argument."""
     with pytest.raises(GaloisError, match=f"^{message}$"):
         GfField(p, k, modulus)
+
+
+@pytest.mark.parametrize("p, k, message", [
+    (10**18 + 3, 1, r"field order 1000000000000000003\^1 exceeds cap 65536"),
+    (2, 10**8, r"field order 2\^100000000 exceeds cap 65536"),
+    (4, 17, r"field order 4\^17 exceeds cap 65536"),
+    (1, 17, "1 is not prime"),
+])
+def test_make_field_bounds_the_order_before_it_tests_p_or_computes_it(p, k, message,
+                                                                    bounded_factoring):
+    """A p above the cap or a k of 17 or more is refused at once: neither
+    10^18 + 3 is trial-divided nor 2^(10^8) computed."""
+    with pytest.raises(GaloisError, match=f"^{message}$"):
+        make_field(p, k)
+
+
+@pytest.mark.parametrize("q, message", [
+    (10**18 + 3, "field order 1000000000000000003 exceeds cap 65536"),
+    (2**32 + 1, "field order 4294967297 exceeds cap 65536"),
+    (2**32, r"field order 2\^32 exceeds cap 65536"),
+    (4294967291, r"field order 4294967291\^1 exceeds cap 65536"),  # the largest prime below 2^32
+    (2**17, r"field order 2\^17 exceeds cap 65536"),
+    (6, "q=6 is not a prime power"),
+    (1, "q=1 is not a prime power"),
+    (4.0, "q must be int, got 4.0"),
+])
+def test_an_order_above_the_cap_squared_is_refused_before_it_is_factored(q, message,
+                                                                       bounded_factoring):
+    """Up to 2^32 an order is factored in at most 2^16 trial divisions, and
+    refused unless it is a prime power within the cap; above, it is refused
+    unfactored."""
+    for call in (factor_order, field_of_order):
+        with pytest.raises(GaloisError, match=f"^{message}$"):
+            call(q)
+
+
+def test_factor_order_takes_every_field_order_within_the_cap():
+    assert [factor_order(q) for q in (2, 9, 65536, 65521)] == [(2, 1), (3, 2), (2, 16), (65521, 1)]
 
 
 def test_field_built_directly_takes_any_monic_linear_modulus():

@@ -49,6 +49,7 @@ ERRORS = [
 
 MODULES = ["builders", "checker", "designs", "galois", "hypergraph", "randomhg"]
 DESIGN_LAYER = ["fractions", "hyperec.builders", "hyperec.designs", "hyperec.galois"]
+RANDOM_MODEL = ["hyperec.randomhg"]
 # The pool pickles its workers' results, so it loads ``pickle`` as it starts.
 POOL_MODULES = ["pickle"]
 # The pool is forked processes and pipes: no command loads an executor or
@@ -130,8 +131,8 @@ def test_every_error_is_a_hyperec_error(module, name):
 
 
 # Runs the CLI's commands in one fresh interpreter and prints, after each
-# stage, which modules of the design layer and of the process pool it has
-# loaded.  fig5 has m = 4, so its pooled n = 2 check starts one worker.
+# stage, which modules of the design layer, the random model and the process
+# pool it has loaded.  fig5 has m = 4, so its pooled n = 2 check starts one worker.
 PROBE = """
 import contextlib, io, json, sys
 from hyperec import cli
@@ -154,22 +155,24 @@ print(json.dumps(stages))
 
 
 def test_only_design_commands_load_the_design_layer(tmp_path, fig5_path):
-    """The design layer loads with the first design command, ``pickle`` with
-    the first pooled check, neither with ``import hyperec.cli``, and
-    ``concurrent.futures`` and ``multiprocessing`` never."""
+    """The design layer loads with the first design command, ``randomhg`` with
+    ``random``, ``pickle`` with the first pooled check, none of them with
+    ``import hyperec.cli``, and ``concurrent.futures`` and ``multiprocessing``
+    never."""
+    watched = DESIGN_LAYER + RANDOM_MODEL + POOL_MODULES + NEVER_LOADED
     done = subprocess.run(
-        [sys.executable, "-c", PROBE.format(watched=DESIGN_LAYER + POOL_MODULES + NEVER_LOADED), fig5_path,
-         str(tmp_path / "mols4.txt")],
+        [sys.executable, "-c", PROBE.format(watched=watched), fig5_path, str(tmp_path / "mols4.txt")],
         env=_env(), capture_output=True, text=True, timeout=60, check=True)
     stages = json.loads(done.stdout)
     assert stages == {
         "import": [],
         "check": [0, []],
         "maxec": [0, []],
-        "random": [0, []],
-        "pooled check": [1, POOL_MODULES],
-        "construct": [0, ["fractions", "hyperec.designs", "hyperec.galois"] + POOL_MODULES],
-        "build": [0, DESIGN_LAYER + POOL_MODULES],
+        "random": [0, RANDOM_MODEL],
+        "pooled check": [1, RANDOM_MODEL + POOL_MODULES],
+        "construct": [0, ["fractions", "hyperec.designs", "hyperec.galois"]
+                      + RANDOM_MODEL + POOL_MODULES],
+        "build": [0, DESIGN_LAYER + RANDOM_MODEL + POOL_MODULES],
     }
 
 
