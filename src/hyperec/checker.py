@@ -169,14 +169,13 @@ class _ShadowIndex:
     joins none, so it gets no bitmaps of its own but the shared ``full``, 0
     and ``full``.  ``complete`` says that U holds every (h-1)-set of the
     vertices.  ``tails`` holds the h - 1 ``_RankRow`` rows of the scan's
-    witness ranks, empty until a rank reads them.  Three counts are bounded
-    by ``hypergraph.MAX_SETS`` before they are listed, in this order: the m
-    entries of a table, the shadow's sets and a table's 64-bit words.
+    witness ranks, empty until a rank reads them.  Two counts are bounded by
+    ``hypergraph.MAX_SETS`` before they are listed, in this order: the
+    shadow's sets and a table's 64-bit words.  The m entries of a table need
+    no count here: a :class:`Hypergraph` holds at most that many vertices.
     """
 
     def __init__(self, hg: Hypergraph):
-        hypergraph.check_listing(hg.m, f"a table of {hg.m} bitmaps, one per vertex,",
-                                 CheckerUsageError)
         # Column by column: each edge's (h-1)-set without its j-th vertex links
         # to that vertex.  A link list's order does not matter; it only sets bits.
         cols = list(zip(*hg.edges))
@@ -217,8 +216,8 @@ def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
     every later check of the same value reuses it, and pool workers, forked
     with the value, carry it; so does a pickled copy.  Raises
     :class:`CheckerUsageError`, before any table is listed, when the
-    vertices, the shadow's sets or a table's 64-bit words, ceil(m * |U| / 64),
-    number more than ``hypergraph.MAX_SETS``.
+    shadow's sets or a table's 64-bit words, ceil(m * |U| / 64), number more
+    than ``hypergraph.MAX_SETS``.
     """
     index = vars(hg).get("_shadow_index")
     if index is None:
@@ -586,6 +585,14 @@ class ProcessPoolExecutor:
         self.shutdown()
 
 
+def _check_args(n: int, engine: str, threads: int) -> None:
+    """Refuse an ``is_nec`` call's n or threads below 1, or an unknown engine."""
+    check_int(n, "n", CheckerUsageError, 1)
+    check_int(threads, "threads", CheckerUsageError, 1)
+    if engine not in _SCANNERS:
+        raise CheckerUsageError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+
+
 def is_nec(
     hg: Hypergraph,
     n: int,
@@ -610,10 +617,7 @@ def is_nec(
     hold more than ``hypergraph.MAX_SETS`` pairs (S, T) is refused before
     the index is built.
     """
-    check_int(n, "n", CheckerUsageError, 1)
-    check_int(threads, "threads", CheckerUsageError, 1)
-    if engine not in _SCANNERS:
-        raise CheckerUsageError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    _check_args(n, engine, threads)
     started = time.perf_counter()
     note = ""
     if n > hg.m - (hg.h - 1):
@@ -629,13 +633,11 @@ def is_nec(
         pairs = comb(hg.m, n) << n if n <= 22 else 1 << 23
         hypergraph.check_listing(pairs, f"a witness log of C({hg.m}, {n}) * 2^{n} pairs (S, T)",
                                  CheckerUsageError)
-    # However few the edges, each index table holds a bitmap per vertex and the
-    # naive scan lists the vertices outside each S: bound them before any pool.
+    # The index's shadow and tables are bounded as it is built: build it before
+    # any pool.  Per-vertex listings, the naive scan's included, need no count:
+    # a Hypergraph holds at most hypergraph.MAX_SETS vertices.
     if engine == "optimized":
         _shadow_index(hg)
-    else:
-        hypergraph.check_listing(hg.m - n, f"listing the {hg.m - n} vertices outside each S-set",
-                                 CheckerUsageError)
     scanner = _SCANNERS[engine]
     stop = hg.m - n + 1  # the least vertices of the S-sets are [0, stop)
     # No more processes than CPUs: a worker waiting for a CPU holds back the

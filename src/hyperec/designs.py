@@ -348,13 +348,17 @@ def inversive_plane(q: int) -> Design:
 
 
 def parse_design(lines: Iterable[str]) -> Design:
-    header_no, (t, v, k, lam), records = int_records(
+    header_no, header, records = int_records(
         lines, "t v k lambda", DesignFormatError, noun="points", width="k", kind="block", bound="v")
-    blocks = tuple(map(tuple, records))
-    try:
-        return Design(t, v, k, lam, blocks)
-    except DesignError as exc:
-        raise DesignFormatError(header_no, str(exc)) from None
+
+    def design(blocks):
+        try:
+            return Design(*header, blocks)
+        except DesignError as exc:
+            raise DesignFormatError(header_no, str(exc)) from None
+
+    design(())  # the header's rules, before the first block is read
+    return design(tuple(map(tuple, records)))
 
 
 def read_design(path: str) -> Design:

@@ -24,15 +24,15 @@ MAX_SETS = 2**22
 def check_listing(count: int, what: str, error=HypergraphError) -> None:
     """Refuse a listing of ``count`` items over ``MAX_SETS``, as "<what> is above the limit".
 
-    The one place the limit is read.  Its users count before they list: the
-    checker's (h-1)-shadow (mols7 1176 sets, mols8 2016), the bitmaps, one
-    per vertex, and 64-bit words of each index table, and the C(m, n) 2^n
-    pairs (S, T) of a witness log; the C(m, h) h-sets of the complement and
-    the random model, and the verdicts of the model's trials; the (q-1) q^2
-    cells of a MOLS family; the b C(k, s) s points of the s-subsets of a
-    design's blocks; the (t+1)(t+2)/2 entries lambda_i_j of a validate
-    report, and their digits; and the m - 1 vertices a vertex deletion
-    relabels.
+    The one place the limit is read.  Its users count before they list: a
+    hypergraph's m vertices, which every per-vertex table, scan and listing
+    of a value then stays within; the checker's (h-1)-shadow (mols7 1176
+    sets, mols8 2016) and the 64-bit words of each index table, and the
+    C(m, n) 2^n pairs (S, T) of a witness log; the C(m, h) h-sets of the
+    complement and the random model, and the verdicts of the model's
+    trials; the (q-1) q^2 cells of a MOLS family; the b C(k, s) s points of
+    the s-subsets of a design's blocks; and the (t+1)(t+2)/2 entries
+    lambda_i_j of a validate report, and their digits.
     """
     if count > MAX_SETS:
         raise error(f"{what} is above the limit of {MAX_SETS}")
@@ -42,9 +42,11 @@ def check_listing(count: int, what: str, error=HypergraphError) -> None:
 class Hypergraph:
     """An h-uniform hypergraph on vertices 0..m-1 with a canonical edge tuple.
 
-    Invariants: h >= 2, m >= h, every edge is a sorted h-tuple of distinct
-    in-range ``int`` vertices, and ``edges`` is duplicate-free and
-    lexicographically sorted.  Construct through :func:`new_hypergraph`
+    Invariants: h >= 2, h <= m <= ``MAX_SETS``, every edge is a sorted
+    h-tuple of distinct in-range ``int`` vertices, and ``edges`` is
+    duplicate-free and lexicographically sorted.  Nearly every operation
+    keeps one entry per vertex, so the bound on m covers them all, however
+    the value was made.  Construct through :func:`new_hypergraph`
     unless the input is already canonical.
     """
 
@@ -57,6 +59,7 @@ class Hypergraph:
             raise HypergraphError("edges must be a tuple of tuples of int vertices")
         check_int(self.h, "uniformity h", HypergraphError, 2)
         check_int(self.m, "vertex count m", HypergraphError, self.h)
+        check_listing(self.m, f"a hypergraph on {self.m} vertices")
         # Canonical input passes in C-level chains: lengths, strictly increasing
         # edges and columns, and the range; only the loop names an offending edge.
         edges, cols = self.edges, list(zip(*self.edges))
@@ -131,7 +134,6 @@ class Hypergraph:
         self._check_vertex(v)
         if self.m == self.h:
             raise HypergraphError(f"cannot delete a vertex at m == h == {self.h}")
-        check_listing(self.m - 1, f"relabelling the {self.m - 1} vertices left")
         return self.induced(u for u in range(self.m) if u != v)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", dict[int, int]]:
@@ -237,6 +239,7 @@ def parse_hypergraph(lines: Iterable[str]) -> Hypergraph:
                                            width="h", kind="edge", bound="m")
     if h < 2 or m < h:
         raise HypergraphFormatError(header_no, f"invalid header h={h} m={m}")
+    empty_hypergraph(h, m)  # the vertex limit, before the first edge is read
     return new_hypergraph(h, m, edges)
 
 

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from . import hypergraph
-from .checker import is_nec
+from .checker import _check_args, is_nec
 from .errors import RandomModelError, check_int
 from .hypergraph import Hypergraph
 
@@ -142,10 +142,12 @@ def estimate_ec_fraction(
 
     Trials are seeded individually, so the verdict list is reproducible and
     order-insensitive to how the work is scheduled.  More than
-    ``hypergraph.MAX_SETS`` trials are refused before the first sample.
+    ``hypergraph.MAX_SETS`` trials, and an n, engine or threads that
+    :func:`is_nec` refuses, are refused before the first sample.
     """
     check_int(trials, "trials", RandomModelError, 1)
     hypergraph.check_listing(trials, f"recording the verdicts of {trials} trials", RandomModelError)
+    _check_args(n, engine, threads)
     verdicts = tuple(
         is_nec(sample_trial(model, i), n, engine=engine, threads=threads).holds
         for i in range(trials)

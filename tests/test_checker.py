@@ -1014,16 +1014,20 @@ def test_index_tables_over_size_limit_are_refused(monkeypatch, m, refused):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_index_over_vertex_limit_is_refused(monkeypatch, threads):
     """An edgeless hypergraph has an empty shadow, so its tables hold no bits,
-    but each still lists one bitmap per vertex."""
+    but each still lists one bitmap per vertex.  A value over the vertex limit
+    cannot be built, so no index or pool is sized by one; a value at the
+    limit is checked with tables of one entry per vertex."""
     def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool started before the size check")
+        raise AssertionError("a process pool started at n = 1")
 
     monkeypatch.setattr(checker, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(hypergraph, "MAX_SETS", 8)
-    with pytest.raises(CheckerUsageError,
-                       match="^a table of 9 bitmaps, one per vertex, is above the limit of 8$"):
-        is_nec(empty_hypergraph(3, 9), 1, threads=threads)
-    assert is_nec(empty_hypergraph(3, 8), 1).counterexample == ((0,), (0,))
+    with pytest.raises(hypergraph.HypergraphError,
+                       match="^a hypergraph on 9 vertices is above the limit of 8$"):
+        empty_hypergraph(3, 9)
+    hg = empty_hypergraph(3, 8)
+    assert is_nec(hg, 1, threads=threads).counterexample == ((0,), (0,))
+    assert len(checker._shadow_index(hg).free) == 8
 
 
 @pytest.mark.parametrize("threads", [1, 2])

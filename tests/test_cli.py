@@ -3,6 +3,7 @@ import math
 import os
 import re
 import resource
+import shlex
 import signal
 import subprocess
 import sys
@@ -458,26 +459,27 @@ WIDE = "3 100000000\n"
 ONE_GIB = 1 << 30
 
 
-TABLES = "a table of 100000000 bitmaps, one per vertex,"
+def wide_refusal(path) -> str:
+    return (f"error: cannot read hypergraph {path}: a hypergraph on 100000000 vertices "
+            "is above the limit of 4194304\n")
 
 
-@pytest.mark.parametrize("argv, what", [
-    pytest.param(["check", "-n", "1", "--threads", "1"], TABLES, id="check-threads-1"),
-    pytest.param(["check", "-n", "1", "--threads", "2"], TABLES, id="check-threads-2"),
-    pytest.param(["maxec"], TABLES, id="maxec"),
-    pytest.param(["check", "-n", "1", "--engine", "naive"],
-                 "listing the 99999999 vertices outside each S-set", id="check-naive"),
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "-n", "1", "--threads", "1"], id="check-threads-1"),
+    pytest.param(["check", "-n", "1", "--threads", "2"], id="check-threads-2"),
+    pytest.param(["maxec"], id="maxec"),
+    pytest.param(["check", "-n", "1", "--engine", "naive"], id="check-naive"),
 ])
-def test_vertex_count_of_the_header_alone_is_usage_error(tmp_path, argv, what):
-    """The shadow is empty, so the index's tables hold no bits, but each would
-    list 10^8 bitmaps, and the naive scan would list the vertices outside
-    each S-set: refused before any table, listing or process pool."""
+def test_vertex_count_of_the_header_alone_is_usage_error(tmp_path, argv):
+    """The file has no edges, but the index's tables, the naive scan and every
+    other per-vertex listing would hold 10^8 entries: the hypergraph itself is
+    refused as it is read, so no table, listing or process pool is started."""
     path = tmp_path / "wide.txt"
     path.write_text(WIDE)
     code, out, err = run_isolated(argv[0], str(path), *argv[1:], address_space=ONE_GIB,
                                   pools=False)
     assert (code, out) == (2, "")
-    assert err == f"error: {what} is above the limit of 4194304\n"
+    assert err == wide_refusal(path)
 
 
 def test_edgeless_check_fails_at_its_first_s_within_256_mib(tmp_path):
@@ -619,14 +621,25 @@ def test_whole_file_refusal_names_the_header_line(capsys, tmp_path, argv, text, 
     assert not out.exists()
 
 
-def test_deleting_a_vertex_of_the_header_alone_is_usage_error(tmp_path):
+def assert_wide_derivation_refused(tmp_path, *argv):
+    """A derived hypergraph is built from one read first, and that read is refused."""
     path, out = tmp_path / "wide.txt", tmp_path / "out.txt"
     path.write_text(WIDE)
-    code, stdout, err = run_isolated("delete-vertex", str(path), "--vertex", "0", "-o", str(out),
+    code, stdout, err = run_isolated(argv[0], str(path), *argv[1:], "-o", str(out),
                                      address_space=ONE_GIB)
     assert (code, stdout) == (2, "")
-    assert err == "error: relabelling the 99999999 vertices left is above the limit of 4194304\n"
+    assert err == wide_refusal(path)
     assert not out.exists()
+
+
+def test_deleting_a_vertex_of_the_header_alone_is_usage_error(tmp_path):
+    assert_wide_derivation_refused(tmp_path, "delete-vertex", "--vertex", "0")
+
+
+def test_inducing_on_the_header_alone_is_usage_error(tmp_path):
+    """Three of 10^8 vertices would make a small subgraph, but the file is
+    refused as it is read, as every other hypergraph command refuses it."""
+    assert_wide_derivation_refused(tmp_path, "induce", "--vertices", "0,1,2")
 
 
 def test_validate_counts_replication_without_listing_the_points(tmp_path):
@@ -698,6 +711,31 @@ def test_design_listing_over_size_limit_in_points_is_usage_error(capsys, tmp_pat
     assert (code, stdout) == (2, "")
     assert err == ("error: listing the 1 * C(24, 8) = 735471 8-subsets of the blocks, "
                    "5883768 points, is above the limit of 4194304\n")
+
+
+# --- README
+
+
+def test_readme_command_block_runs_as_written(capsys, monkeypatch, tmp_path):
+    """Every line of README's "Command line" block, run as written in an empty
+    directory, so the documented commands and their comments cannot drift
+    from the code: a line commented "exit 1" (check hl4.txt -n 3) exits 1 and
+    every other line 0, and a line commented "N edges" (the two builds: 80 and
+    1950) reports unique_edges: N."""
+    lines = (SRC.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("## Command line")
+    commands = [line for line in lines[start:lines.index("```", start)]
+                if line.startswith("hyperec ")]
+    monkeypatch.chdir(tmp_path)
+    builds = 0
+    for line in commands:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == (1 if "# exit 1" in line else 0), (line, err)
+        edges = re.search(r"# .* (\d+) edges$", line)
+        if edges:
+            assert f"unique_edges: {edges[1]}" in out.splitlines(), line
+            builds += 1
+    assert builds == 2
 
 
 # --- one parser per process

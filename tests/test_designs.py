@@ -462,6 +462,8 @@ def test_mols_parse_errors(text):
     (parse_design, "2 7 3 1\n1 0 1\n", "line 2: block [1, 0, 1] invalid for k=3 v=7"),
     (parse_design, "# c\n\n2 7 3 0\n0 1 2\n", "line 3: lambda must be >= 1, got 0"),
     (parse_design, "# c\n4 7 3 1\n", "line 2: k must be >= 4, got 3"),
+    (parse_design, "2 3 5 1\n0 1 2 3 4\n", "line 1: v must be >= 5, got 3"),  # not the block
+    (parse_design, "# c\n2 7 3 0\n0 1 9\n", "line 2: lambda must be >= 1, got 0"),
     (parse_mols, "2 1\n0 1 0\n", "line 2: expected 2 symbols, got 3"),
     (parse_mols, "# c\n2 1\n0 1\n1 5\n", "line 2: symbol 5 out of range [0, 2)"),
     (parse_mols, "# c\n2 1\n0 1\n1 0\n2 0\n", "line 2: expected 2 rows for 1 squares, got 3"),
@@ -472,6 +474,17 @@ def test_design_parse_errors_name_their_line(parse, text, message):
     with pytest.raises(DesignFormatError) as err:
         parse(io.StringIO(text))
     assert str(err.value).startswith(message)
+
+
+def test_design_header_is_refused_before_any_block_is_read():
+    """The header is checked before the first block is read, so a bad header
+    followed by 10^6 blocks is refused at once."""
+    def lines():
+        yield "2 7 3 0\n"
+        raise AssertionError("a block was read before the header was checked")
+
+    with pytest.raises(DesignFormatError, match="^line 1: lambda must be >= 1, got 0$"):
+        parse_design(lines())
 
 
 def test_validate_over_size_limit_is_refused(fano, monkeypatch):

@@ -248,12 +248,41 @@ def test_delete_at_minimum_size_rejected():
 
 
 def test_delete_vertex_over_size_limit_is_refused(monkeypatch):
-    """The m - 1 vertices left are listed and relabelled, however few edges there are."""
-    monkeypatch.setattr(hypergraph, "MAX_SETS", 4)
+    """The m - 1 vertices left are listed and relabelled, however few edges
+    there are; they stay within the limit because the value's own m does."""
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 5)
     with pytest.raises(HypergraphError,
-                       match="^relabelling the 5 vertices left is above the limit of 4$"):
+                       match="^a hypergraph on 6 vertices is above the limit of 5$"):
         empty_hypergraph(3, 6).delete_vertex(0)
     assert empty_hypergraph(3, 5).delete_vertex(0)[1] == {1: 0, 2: 1, 3: 2, 4: 3}
+
+
+@pytest.mark.parametrize("make", [
+    lambda m: Hypergraph(3, m, ((0, 1, m - 1),)),
+    lambda m: new_hypergraph(3, m, [(m - 1, 1, 0)]),
+    lambda m: empty_hypergraph(3, m),
+], ids=["Hypergraph", "new_hypergraph", "empty_hypergraph"])
+def test_vertex_count_is_bounded_however_the_value_is_made(monkeypatch, make):
+    """Each per-vertex table, scan and listing of a value stays within the
+    limit, because the value itself holds at most that many vertices."""
+    with pytest.raises(HypergraphError,
+                       match="^a hypergraph on 100000000 vertices is above the limit of 4194304$"):
+        make(10**8)
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 6)
+    assert make(6).m == 6
+    with pytest.raises(HypergraphError, match="^a hypergraph on 7 vertices is above the limit of 6$"):
+        make(7)
+
+
+def test_vertex_count_is_refused_before_any_edge_is_read():
+    """A header over the limit followed by 10^6 edges is refused at once."""
+    def lines():
+        yield "3 100000000\n"
+        raise AssertionError("an edge was read before the vertex count was checked")
+
+    with pytest.raises(HypergraphError,
+                       match="^a hypergraph on 100000000 vertices is above the limit of 4194304$"):
+        parse_hypergraph(lines())
 
 
 # --- neighbourhoods

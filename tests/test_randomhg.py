@@ -6,7 +6,8 @@ from math import comb
 import mpmath
 import pytest
 
-from hyperec.checker import is_nec
+from hyperec import randomhg
+from hyperec.checker import CheckerUsageError, is_nec
 from hyperec.hypergraph import new_hypergraph
 from hyperec.randomhg import (
     EcFractionResult,
@@ -205,6 +206,22 @@ def test_fraction_reproducible():
 def test_trials_argument_checked():
     with pytest.raises(RandomModelError):
         estimate_ec_fraction(RandomModel(3, 8, 0.5, 3), 1, trials=0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ({"n": 0}, "^n must be >= 1, got 0$"),
+    ({"engine": "bogus"}, "^unknown engine 'bogus', expected one of"),
+    ({"threads": 0}, "^threads must be >= 1, got 0$"),
+], ids=["n", "engine", "threads"])
+def test_check_arguments_are_refused_before_the_first_sample(monkeypatch, args, message):
+    """A sample of this model draws C(290, 3) = 4 018 240 h-sets, seconds of
+    work; the check's own arguments are refused before any of it."""
+    def no_sample(*_):
+        raise AssertionError("a trial was sampled before the check's arguments were checked")
+
+    monkeypatch.setattr(randomhg, "sample_trial", no_sample)
+    with pytest.raises(CheckerUsageError, match=message):
+        estimate_ec_fraction(RandomModel(3, 290, 0.5, 1), **{"n": 1, "trials": 2, **args})
 
 
 def test_observed_failures_within_bound_slack():
