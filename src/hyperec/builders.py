@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .designs import Design, DesignError, MolsSet, _validated, check_block_subsets
+from . import hypergraph
+from .designs import Design, DesignError, MolsSet, _validated
 from .designs import validate_design  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .errors import check_int
 from .hypergraph import Hypergraph, new_hypergraph
@@ -36,12 +37,14 @@ def build_from_mols(mols: MolsSet) -> BuildResult:
 
     The vertex set is a q x q array stored row-major (vertex = row*q + col)
     with q = order and h = q - 1.  Each of the q rows, q columns, and q*ell
-    symbol-position classes is a q-set contributing its q subsets of size h.
-    A complete family of order h+1 >= 4 guarantees the result is 2-e.c.
+    symbol-position classes is a q-set, a block of the net the family
+    defines, contributing its q subsets of size h; they may hold at most
+    ``hypergraph.MAX_SETS`` points in all, (2q + q*ell) * q * h, so a
+    complete family is built up to q = 43.  A complete family of order
+    h+1 >= 4 guarantees the result is 2-e.c.
     """
     q = mols.order
     check_int(q, "array order", DesignError, 4)  # h = q - 1 >= 3
-    h = q - 1
     cells = range(q * q)
     groups = [cells[r * q:(r + 1) * q] for r in range(q)] + [cells[c::q] for c in range(q)]
     for sq in mols.squares:
@@ -49,39 +52,40 @@ def build_from_mols(mols: MolsSet) -> BuildResult:
         for cell, s in enumerate(itertools.chain.from_iterable(sq.grid)):
             classes[s].append(cell)
         groups += classes
-    edges = _subsets(groups, h)
-    hg = new_hypergraph(h, q * q, edges)
-    guaranteed = 2 if mols.is_complete() else None
-    provenance = f"built-from: mols q={q} squares={mols.count}"
-    return BuildResult(hg, len(edges), hg.edge_count, guaranteed, provenance)
+    return _build(groups, q, q - 1, q * q, lambda: 2 if mols.is_complete() else None,
+                  f"built-from: mols q={q} squares={mols.count}")
 
 
 def build_from_design(design: Design, h: int) -> BuildResult:
     """Edges: all h-subsets of every block; vertices are the design's points.
 
-    The design must pass validation first, and its blocks' h-subsets may
-    hold at most ``hypergraph.MAX_SETS`` points in all.  A t-(v,k,1) design yields a
-    t-e.c. hypergraph when k >= 2t, v >= k+t and t+1 <= h <= k-t+1; at
-    h = k the result is the design itself, 1-e.c. whenever v > k and the
-    blocks are not all k-subsets.
+    The blocks' h-subsets may hold at most ``hypergraph.MAX_SETS`` points in
+    all, b * C(k, h) * h, which is counted before the design is validated.
+    A t-(v,k,1) design yields a t-e.c. hypergraph when k >= 2t, v >= k+t
+    and t+1 <= h <= k-t+1; at h = k the result is the design itself, 1-e.c.
+    whenever v > k and the blocks are not all k-subsets.
     """
     check_int(h, "h", DesignError)
     if not 3 <= h <= design.k:
         raise DesignError(f"need 3 <= h <= k={design.k}, got h={h}")
-    check_block_subsets(design.b, design.k, h)
-    _validated(design, "design")
-    edges = _subsets(design.blocks, h)
-    hg = new_hypergraph(h, design.v, edges)
-    provenance = (
-        f"built-from: design t={design.t} v={design.v} k={design.k} "
-        f"lambda={design.lam} h={h}"
-    )
-    return BuildResult(hg, len(edges), hg.edge_count, _design_guarantee(design, h), provenance)
+    return _build(design.blocks, design.k, h, design.v,
+                  lambda: _design_guarantee(_validated(design, "design"), h),
+                  f"built-from: design t={design.t} v={design.v} k={design.k} "
+                  f"lambda={design.lam} h={h}")
 
 
-def _subsets(groups, h: int) -> list[tuple[int, ...]]:
-    """The h-subsets of each group in turn, repeats kept, so their number is the raw edge count."""
-    return list(itertools.chain.from_iterable(itertools.combinations(g, h) for g in groups))
+def _build(groups, k: int, h: int, m: int, guarantee, provenance: str) -> BuildResult:
+    """The h-subsets of each k-point group in turn, repeats kept, as edges on m vertices.
+
+    Their points are bounded by :func:`hypergraph.check_subsets` before
+    ``guarantee()``, which may validate, and before the first is listed; the
+    number listed is the raw edge count.
+    """
+    hypergraph.check_subsets(len(groups), k, h, DesignError, "the blocks")
+    guaranteed = guarantee()
+    edges = list(itertools.chain.from_iterable(itertools.combinations(g, h) for g in groups))
+    hg = new_hypergraph(h, m, edges)
+    return BuildResult(hg, len(edges), hg.edge_count, guaranteed, provenance)
 
 
 def _design_guarantee(design: Design, h: int) -> Optional[int]:

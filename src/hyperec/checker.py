@@ -171,8 +171,10 @@ class _ShadowIndex:
     vertices.  ``tails`` holds the h - 1 ``_RankRow`` rows of the scan's
     witness ranks, empty until a rank reads them.  Two counts are bounded by
     ``hypergraph.MAX_SETS`` before they are listed, in this order: the
-    shadow's sets and a table's 64-bit words.  The m entries of a table need
-    no count here: a :class:`Hypergraph` holds at most that many vertices.
+    shadow's points, (h-1) per set, counted after each column of edges as
+    the shadow is listed, and a table's 64-bit words.  The m entries of a
+    table need no count here: a :class:`Hypergraph` holds at most that many
+    vertices.
     """
 
     def __init__(self, hg: Hypergraph):
@@ -180,11 +182,15 @@ class _ShadowIndex:
         # to that vertex.  A link list's order does not matter; it only sets bits.
         cols = list(zip(*hg.edges))
         links: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+        # The shadow's points are counted after each column, which adds at most
+        # one set per edge: no more than the edges already hold.
         for j, col in enumerate(cols):
             for key, v in zip(zip(*cols[:j], *cols[j + 1:]), col):
                 links[key].append(v)
+            points = len(links) * (hg.h - 1)
+            hypergraph.check_listing(points, f"listing the (h-1)-shadow, {len(links)} sets of "
+                                     f"{hg.h - 1} so far, {points} points,", CheckerUsageError)
         size, words = len(links), -(-hg.m * len(links) // 64)
-        hypergraph.check_listing(size, f"the (h-1)-shadow, {size} sets,", CheckerUsageError)
         hypergraph.check_listing(words, f"a table of {hg.m} bitmaps of {size} bits, {words} "
                                  "64-bit words,", CheckerUsageError)
         self.sets = sorted(links)
@@ -215,9 +221,9 @@ def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
     It sits in the instance ``__dict__``, as a ``cached_property`` would, so
     every later check of the same value reuses it, and pool workers, forked
     with the value, carry it; so does a pickled copy.  Raises
-    :class:`CheckerUsageError`, before any table is listed, when the
-    shadow's sets or a table's 64-bit words, ceil(m * |U| / 64), number more
-    than ``hypergraph.MAX_SETS``.
+    :class:`CheckerUsageError` when the shadow's points, (h-1) |U|, pass
+    ``hypergraph.MAX_SETS`` as it is listed, or, before any table is listed,
+    when a table's 64-bit words, ceil(m * |U| / 64), do.
     """
     index = vars(hg).get("_shadow_index")
     if index is None:

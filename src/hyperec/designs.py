@@ -182,14 +182,6 @@ class DesignReport:
     max_coverage: int
 
 
-def check_block_subsets(b: int, k: int, size: int) -> None:
-    """Refuse listing the size-subsets of b blocks of k points when their points,
-    b * C(k, size) * size, are over the limit: memory grows with the points."""
-    total = b * comb(k, size)
-    hypergraph.check_listing(total * size, f"listing the {b} * C({k}, {size}) = {total} "
-                             f"{size}-subsets of the blocks, {total * size} points,", DesignError)
-
-
 def validate_design(design: Design) -> DesignReport:
     """Count, for every t-subset of points, how many blocks contain it.
 
@@ -198,7 +190,7 @@ def validate_design(design: Design) -> DesignReport:
     when the blocks' t-subsets hold more than ``hypergraph.MAX_SETS`` points
     in all.
     """
-    check_block_subsets(design.b, design.k, design.t)
+    hypergraph.check_subsets(design.b, design.k, design.t, DesignError, "the blocks")
     coverage = Counter(
         sub for block in design.blocks for sub in itertools.combinations(block, design.t)
     )
@@ -287,12 +279,13 @@ def projective_plane(q: int) -> Design:
     Points are the 1-dimensional subspaces of GF(q)^3, represented by the
     scaled vector whose first nonzero coordinate is 1 and sorted by the
     canonical element order; lines are the 2-dimensional subspaces.  An order
-    whose validation listing :func:`check_block_subsets` would refuse is
+    whose validation listing :func:`hypergraph.check_subsets` would refuse is
     refused before the field tables, which are smaller, are built.
     """
     check_int(q, "order", DesignError, 2)
     field = field_of_order(q)
-    check_block_subsets(q * q + q + 1, q + 1, 2)  # what validation will list
+    # what validation will list
+    hypergraph.check_subsets(q * q + q + 1, q + 1, 2, DesignError, "the blocks")
     reps = [(0, 0, 1)] + [(0, 1, z) for z in range(q)]
     reps += [(1, y, z) for y in range(q) for z in range(q)]
     mul, add = field.mul_table, field.add_table
@@ -313,14 +306,15 @@ def inversive_plane(q: int) -> Design:
     subline GF(q) + {infinity} under PGL(2, q^2), walked from the subline by
     generators of the group: the translations by an additive basis and all
     the scalings generate AGL(1, q^2), and z -> 1/z adds the rest.  An order
-    whose validation listing :func:`check_block_subsets` would refuse is
+    whose validation listing :func:`hypergraph.check_subsets` would refuse is
     refused before the q^4-entry tables of GF(q^2), which are smaller, are
     built.
     """
     check_int(q, "order", DesignError, 3)
     factor_order(q)  # q itself, not only q^2, must be a field order
     field = field_of_order(q * q)
-    check_block_subsets(q * (q * q + 1), q + 1, 3)  # what validation will list
+    # what validation will list
+    hypergraph.check_subsets(q * (q * q + 1), q + 1, 3, DesignError, "the blocks")
     Q = INF = q * q  # the point at infinity is the one after GF(q^2)
     # Each generator is a permutation of the points, as the list of their images.
     generators = [field.add_table[field.p**i] + [INF] for i in range(field.k)]

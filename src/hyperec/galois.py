@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GaloisError, check_int
+from .hypergraph import check_listing
 
 FIELD_ORDER_CAP = 2**16
 
@@ -173,12 +174,16 @@ class GfField:
 
     @cached_property
     def mul_table(self) -> list[list[int]]:
+        """The q^2 products, refused before the first above ``hypergraph.MAX_SETS`` entries."""
         q = self.order
+        check_listing(q * q, f"a multiplication table of GF({q}), {q * q} entries,", GaloisError)
         return [[self.mul(a, b) for b in range(q)] for a in range(q)]
 
     @cached_property
     def add_table(self) -> list[list[int]]:
+        """The q^2 sums, refused before the first above ``hypergraph.MAX_SETS`` entries."""
         q = self.order
+        check_listing(q * q, f"an addition table of GF({q}), {q * q} entries,", GaloisError)
         return [[self.add(a, b) for b in range(q)] for a in range(q)]
 
     @cached_property

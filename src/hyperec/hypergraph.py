@@ -26,16 +26,32 @@ def check_listing(count: int, what: str, error=HypergraphError) -> None:
 
     The one place the limit is read.  Its users count before they list: a
     hypergraph's m vertices, which every per-vertex table, scan and listing
-    of a value then stays within; the checker's (h-1)-shadow (mols7 1176
-    sets, mols8 2016) and the 64-bit words of each index table, and the
-    C(m, n) 2^n pairs (S, T) of a witness log; the C(m, h) h-sets of the
-    complement and the random model, and the verdicts of the model's
-    trials; the (q-1) q^2 cells of a MOLS family; the b C(k, s) s points of
-    the s-subsets of a design's blocks; and the (t+1)(t+2)/2 entries
-    lambda_i_j of a validate report, and their digits.
+    of a value then stays within; the points of every listing of sets,
+    through :func:`check_subsets`; the points of the checker's (h-1)-shadow
+    (mols7 1176 sets of 5, mols8 2016 of 6), counted as it is listed, and
+    the 64-bit words of each index table, and the C(m, n) 2^n pairs (S, T)
+    of a witness log; the verdicts of the random model's trials; the
+    (q-1) q^2 cells of a MOLS family and the q^2 entries of a GF(q) table;
+    and the (t+1)(t+2)/2 entries lambda_i_j of a validate report, and their
+    digits.
     """
     if count > MAX_SETS:
         raise error(f"{what} is above the limit of {MAX_SETS}")
+
+
+def check_subsets(b: int, k: int, size: int, error, of: str) -> None:
+    """Refuse listing the size-subsets of b sets of k points when their points,
+    b * C(k, size) * size, are over the limit: memory grows with the points.
+
+    The one rule for every listing of sets: the t- and h-subsets of a
+    design's blocks (validation, the planes, ``build from-design``), the
+    h-subsets of a MOLS family's lines (``build from-mols``), and the
+    h-subsets of the m vertices, b = 1, that the complement lists and a
+    random sample draws.
+    """
+    total = b * comb(k, size)
+    check_listing(total * size, f"listing the {b} * C({k}, {size}) = {total} "
+                  f"{size}-subsets of {of}, {total * size} points,", error)
 
 
 @dataclass(frozen=True)
@@ -118,9 +134,13 @@ class Hypergraph:
         return frozenset(u for u, c in enumerate(self._codegrees(v)) if c < limit and u != v)
 
     def complement(self) -> "Hypergraph":
-        """Hypergraph whose edges are exactly the h-sets that are not edges here."""
-        total = comb(self.m, self.h)
-        check_listing(total, f"listing all C({self.m}, {self.h}) = {total} {self.h}-sets")
+        """Hypergraph whose edges are exactly the h-sets that are not edges here.
+
+        Refused, before the first is listed, when the C(m, h) h-sets hold
+        more than ``MAX_SETS`` points, C(m, h) * h, as :func:`check_subsets`
+        counts them.
+        """
+        check_subsets(1, self.m, self.h, HypergraphError, "the vertices")
         missing = tuple(
             e for e in itertools.combinations(range(self.m), self.h) if e not in self.edge_set
         )

@@ -40,8 +40,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 @dataclass(frozen=True)
 class RandomModel:
     """The model's parameters: ``int`` h, m and seed, and p an ``int`` or
-    ``float``.  A sample draws once for each of the C(m, h) h-sets, so more
-    than ``hypergraph.MAX_SETS`` of them are refused."""
+    ``float``.  A sample draws once for each of the C(m, h) h-sets, so a
+    model whose h-sets hold more than ``hypergraph.MAX_SETS`` points,
+    C(m, h) * h, as :func:`hypergraph.check_subsets` counts them, is
+    refused."""
 
     h: int
     m: int
@@ -53,9 +55,7 @@ class RandomModel:
         check_int(self.m, "m", RandomModelError, self.h)
         check_int(self.seed, "seed", RandomModelError)
         _check_p(self.p)
-        total = math.comb(self.m, self.h)
-        hypergraph.check_listing(total, f"sampling the C({self.m}, {self.h}) = {total} "
-                                 f"{self.h}-sets", RandomModelError)
+        hypergraph.check_subsets(1, self.m, self.h, RandomModelError, "the vertices")
 
 
 def _check_p(p) -> None:

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from hyperec import designs, hypergraph
+from hyperec import builders, designs, hypergraph
 from hyperec.builders import build_from_design, build_from_mols
 from hyperec.checker import is_nec, max_ec
 from hyperec.designs import (
@@ -153,6 +153,19 @@ def test_build_refuses_an_invalid_design(fano):
     with pytest.raises(DesignError) as caught:
         build_from_design(broken, 3)
     assert str(caught.value) == "design failed validation: coverage range [0, 1], expected 1"
+
+
+def test_mols_build_over_size_limit_is_refused_before_listing(monkeypatch):
+    """The complete order-4 family has 2 * 4 + 4 * 3 = 20 lines, the blocks
+    of its net, with 20 * C(4, 3) = 80 triples, 240 points."""
+    mols = complete_mols(4)
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 240)
+    assert build_from_mols(mols).raw_edges == 80
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 239)
+    monkeypatch.setattr(builders.itertools, "combinations", None)  # any listing fails
+    with pytest.raises(DesignError, match=(r"^listing the 20 \* C\(4, 3\) = 80 3-subsets of "
+                                           "the blocks, 240 points, is above the limit of 239$")):
+        build_from_mols(mols)
 
 
 def test_build_over_size_limit_is_refused_before_validation(monkeypatch):

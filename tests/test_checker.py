@@ -995,14 +995,30 @@ def test_index_over_size_limit_is_refused(two_triple, monkeypatch, threads):
         is_nec(hg, 1, threads=threads)
 
 
+def test_shadow_is_counted_in_points_as_it_is_listed(monkeypatch):
+    """25 disjoint triples have a shadow of 75 pairs, 150 points; the first
+    column of edges alone lists 25 of them, 50 points, so a limit of 49
+    stops the listing there, before the rest of the shadow is listed."""
+    edges = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(25)]
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 150)
+    assert len(checker._shadow_index(new_hypergraph(3, 75, edges)).sets) == 75
+    hg = new_hypergraph(3, 75, edges)  # a value with no index yet
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 49)
+    with pytest.raises(CheckerUsageError, match=(
+            r"^listing the \(h-1\)-shadow, 25 sets of 2 so far, 50 points, is above the "
+            "limit of 49$")):
+        is_nec(hg, 1)
+
+
 @pytest.mark.parametrize("m, refused", [(85, False), (86, True)])
 def test_index_tables_over_size_limit_are_refused(monkeypatch, m, refused):
     """The index keeps m bitmaps over the shadow, so its ceil(m * |U| / 64)
-    64-bit words per table are bounded too."""
+    64-bit words per table are bounded too.  The words pass the shadow's
+    (h-1) |U| points only when m > 64 (h-1), so this is a graph, h = 2."""
     monkeypatch.setattr(hypergraph, "MAX_SETS", 100)
-    # 25 disjoint triples: a 75-pair shadow, 6375 bits in 100 words at m = 85
-    # and 6450 bits in 101 words at m = 86.
-    hg = new_hypergraph(3, m, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(25)])
+    # A path on 0..74: a 75-vertex shadow of 75 points, 6375 bits in 100 words
+    # at m = 85 and 6450 bits in 101 words at m = 86.
+    hg = new_hypergraph(2, m, [(i, i + 1) for i in range(74)])
     if refused:
         with pytest.raises(CheckerUsageError, match=(
                 "^a table of 86 bitmaps of 75 bits, 101 64-bit words, is above the limit of 100$")):

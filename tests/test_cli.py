@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import resource
 import shlex
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from hyperec import builders, checker, cli, designs, errors, hypergraph, randomhg, read_hypergraph
-from hyperec import write_hypergraph
+from hyperec import new_hypergraph, write_hypergraph
 from hyperec.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -508,6 +509,23 @@ def test_deep_edgeless_check_fails_within_256_mib(tmp_path, threads):
     assert report["counterexample_S"] == "{" + ",".join(map(str, range(100000))) + "}"
 
 
+def test_wide_edge_shadow_is_refused_as_it_is_listed_within_1_gib(tmp_path):
+    """5000 edges of 200 of 203 vertices: their (h-1)-shadow would hold up to
+    10^6 sets of 199 points.  It is counted after each column of edges, so
+    the listing stops a few columns in, before any pool starts, and the
+    check exits 2 within a 1 GiB cap instead of dying with a MemoryError."""
+    rng, edges = random.Random(1), set()
+    while len(edges) < 5000:
+        edges.add(tuple(sorted(rng.sample(range(203), 200))))
+    path = tmp_path / "wide-edges.txt"
+    path.write_text(hypergraph.format_hypergraph(new_hypergraph(200, 203, edges)))
+    code, out, err = run_isolated("check", str(path), "-n", "1", "--threads", "2",
+                                  address_space=ONE_GIB, pools=False)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: listing the (h-1)-shadow, ")
+    assert err.endswith(" points, is above the limit of 4194304\n")
+
+
 def test_validate_counts_its_lambda_table_from_the_header(tmp_path):
     """t = 20000 would list 200 030 001 entries lambda_i_j: refused before any."""
     path = tmp_path / "tall.txt"
@@ -584,13 +602,14 @@ def test_witness_log_count_is_not_computed_past_n_22(capsys, tmp_path):
     assert err.endswith("2^100000 pairs (S, T) is above the limit of 4194304\n")
 
 
-def test_witness_log_at_the_limit_is_recorded(capsys, monkeypatch, fig5_path):
-    """fig5 at n = 1 could log C(m, 1) * 2 pairs: exactly the limit is allowed."""
-    pairs = 2 * read_hypergraph(fig5_path).m
+def test_witness_log_at_the_limit_is_recorded(capsys, monkeypatch, k3k3_path):
+    """k3k3 at n = 1 could log C(m, 1) * 2 = 18 pairs, more than its shadow's
+    9 points or its tables' 2 words: exactly the limit is allowed."""
+    pairs = 2 * read_hypergraph(k3k3_path).m
     monkeypatch.setattr(hypergraph, "MAX_SETS", pairs)
-    assert run(capsys, "check", fig5_path, "-n", "1", "--witnesses")[0] == 0
+    assert run(capsys, "check", k3k3_path, "-n", "1", "--witnesses")[0] == 0
     monkeypatch.setattr(hypergraph, "MAX_SETS", pairs - 1)
-    code, out, err = run(capsys, "check", fig5_path, "-n", "1", "--witnesses")
+    code, out, err = run(capsys, "check", k3k3_path, "-n", "1", "--witnesses")
     assert (code, out) == (2, "") and err.endswith(f"above the limit of {pairs - 1}\n")
 
 
@@ -687,7 +706,7 @@ def test_oversized_design_is_usage_error(capsys, monkeypatch, tmp_path, fano, ar
 
 @pytest.mark.parametrize("argv, limit", [
     pytest.param(["random", "--h", "3", "--m", "12", "--p", "0.5", "-n", "1", "--trials", "2",
-                  "--seed", "7"], 220, id="random"),  # C(12, 3) h-sets drawn per sample
+                  "--seed", "7"], 660, id="random"),  # C(12, 3) * 3 points drawn per sample
     pytest.param(["construct", "mols", "-q", "4", "-o", "{out}"], 48, id="mols"),  # 3 * 4 * 4 cells
 ])
 def test_oversized_generation_is_usage_error(capsys, monkeypatch, tmp_path, argv, limit):

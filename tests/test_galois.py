@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperec import hypergraph
 from hyperec.galois import (
     GaloisError,
     GfField,
@@ -212,6 +213,21 @@ def test_field_built_directly_takes_any_monic_linear_modulus():
     assert GfField(5, 1, (0, 1)) == make_field(5, 1)
     assert GfField(5, 1, (3, 1)).mul_table == make_field(5, 1).mul_table
     assert GfField(2, 2, (1, 1, 1)) == make_field(2, 2)
+
+
+@pytest.mark.parametrize("table, name", [("add_table", "an addition"),
+                                         ("mul_table", "a multiplication")])
+def test_tables_count_their_entries_before_the_first(monkeypatch, table, name):
+    """GF(2^16)'s tables would hold 2^32 entries each, hours of work: refused
+    at once.  GF(4)'s 16 entries are listed at a limit of 16, not of 15."""
+    with pytest.raises(GaloisError, match=(f"^{name} table of GF\\(65536\\), 4294967296 entries, "
+                                           "is above the limit of 4194304$")):
+        getattr(make_field(2, 16), table)
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 16)
+    assert len(getattr(make_field(2, 2), table)) == 4
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 15)
+    with pytest.raises(GaloisError, match="^" + name + r" table of GF\(4\), 16 entries, is above"):
+        getattr(make_field(2, 2), table)
 
 
 def test_tables_match_methods():

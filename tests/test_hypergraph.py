@@ -213,6 +213,29 @@ def test_complement_over_size_limit_is_refused(mols8_build):
         hg.complement()
 
 
+def test_check_subsets_admits_exactly_the_limit(monkeypatch):
+    """3 sets of 5 points have 3 * C(5, 2) = 30 pairs, 60 points."""
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 60)
+    hypergraph.check_subsets(3, 5, 2, DesignError, "the blocks")
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 59)
+    with pytest.raises(DesignError, match=(r"^listing the 3 \* C\(5, 2\) = 30 2-subsets of "
+                                           "the blocks, 60 points, is above the limit of 59$")):
+        hypergraph.check_subsets(3, 5, 2, DesignError, "the blocks")
+
+
+def test_complement_counts_the_points_of_its_h_sets(monkeypatch):
+    """C(6, 3) = 20 triples hold 60 points: the h-sets are counted in points,
+    as every listing of sets is, and refused before the first is listed."""
+    hg = empty_hypergraph(3, 6)
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 60)
+    assert hg.complement().edge_count == 20
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 59)
+    monkeypatch.setattr(hypergraph.itertools, "combinations", None)  # any listing fails
+    with pytest.raises(HypergraphError, match=(r"^listing the 1 \* C\(6, 3\) = 20 3-subsets "
+                                               "of the vertices, 60 points, is above the limit")):
+        hg.complement()
+
+
 # --- vertex deletion
 
 

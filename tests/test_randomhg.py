@@ -6,7 +6,7 @@ from math import comb
 import mpmath
 import pytest
 
-from hyperec import randomhg
+from hyperec import hypergraph, randomhg
 from hyperec.checker import CheckerUsageError, is_nec
 from hyperec.hypergraph import new_hypergraph
 from hyperec.randomhg import (
@@ -208,20 +208,31 @@ def test_trials_argument_checked():
         estimate_ec_fraction(RandomModel(3, 8, 0.5, 3), 1, trials=0)
 
 
+def test_model_counts_the_points_of_its_h_sets(monkeypatch):
+    """A sample of (3, 6) draws once for each of C(6, 3) = 20 triples, 60
+    points: the model is refused as it is built, before any sample."""
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 60)
+    assert sample(RandomModel(3, 6, 0.5, 1)).m == 6
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 59)
+    with pytest.raises(RandomModelError, match=(r"^listing the 1 \* C\(6, 3\) = 20 3-subsets "
+                                                "of the vertices, 60 points, is above the limit")):
+        RandomModel(3, 6, 0.5, 1)
+
+
 @pytest.mark.parametrize("args, message", [
     ({"n": 0}, "^n must be >= 1, got 0$"),
     ({"engine": "bogus"}, "^unknown engine 'bogus', expected one of"),
     ({"threads": 0}, "^threads must be >= 1, got 0$"),
 ], ids=["n", "engine", "threads"])
 def test_check_arguments_are_refused_before_the_first_sample(monkeypatch, args, message):
-    """A sample of this model draws C(290, 3) = 4 018 240 h-sets, seconds of
-    work; the check's own arguments are refused before any of it."""
+    """A sample of this model draws C(204, 3) = 1 394 204 h-sets, about a
+    second of work; the check's own arguments are refused before any of it."""
     def no_sample(*_):
         raise AssertionError("a trial was sampled before the check's arguments were checked")
 
     monkeypatch.setattr(randomhg, "sample_trial", no_sample)
     with pytest.raises(CheckerUsageError, match=message):
-        estimate_ec_fraction(RandomModel(3, 290, 0.5, 1), **{"n": 1, "trials": 2, **args})
+        estimate_ec_fraction(RandomModel(3, 204, 0.5, 1), **{"n": 1, "trials": 2, **args})
 
 
 def test_observed_failures_within_bound_slack():
