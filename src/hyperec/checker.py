@@ -37,9 +37,13 @@ lex order and stops at step i when the set's rank is not i, so the i-th
 free set lies outside the shadow, or the set is joined to no vertex of S.
 ``naive`` is the direct three-level loop kept as an independent oracle.
 
-A pooled check, ``threads`` > 1 at n >= 2 where ``os.fork`` exists, forks
-its workers and shares work and results with them through pipes; only it
-imports ``pickle``, once per process.
+A pooled check, ``threads`` > 1 at n >= 2 where ``os.fork`` exists, shares
+work and results with its workers through pipes; only it imports
+``pickle``, once per process.  The workers are kept for the pooled checks
+of one scope: :func:`max_ec`'s levels, the random model's trials or one
+check alone.  They are forked at the first check that needs them, are sent
+each later job pickled, less what they hold already, and are reaped as the
+scope ends, or as soon as a check fails to read every result.
 """
 
 from __future__ import annotations
@@ -47,9 +51,10 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from _thread import get_ident
 from bisect import bisect_right
 from collections import defaultdict
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
@@ -519,44 +524,134 @@ def _scan_claims(claims, scanner, hg: Hypergraph, n: int, stop: int, record: boo
     return outcomes
 
 
-def _send(reader, writer, fn, args) -> None:
-    """A forked pool worker: pickle ``fn(*args)``, or the exception it raised,
-    down ``writer``.  It leaves through ``os._exit`` whatever happens, so it
-    never returns into the caller's frames nor flushes the stdio it inherited."""
-    code = 1  # unless the whole result is sent
+def _serve(job: tuple, jobs, results) -> None:
+    """A forked pool worker: run ``job``, (fn, *args), then each job that
+    ``_Worker.send`` writes to ``jobs`` until the caller closes it, and pickle
+    each result, or the exception raised, down ``results``.  It leaves through
+    ``os._exit`` whatever happens, so it never returns into the caller's
+    frames nor flushes the stdio it inherited."""
+    code = 1  # unless ``jobs`` closes after every result is sent
     try:
         import pickle
-        reader.close()  # so that a send the caller no longer reads fails, not blocks
-        try:
-            result = fn(*args)
-        except Exception as exc:
-            result = exc
-        with writer:
-            writer.write(pickle.dumps(result))
+        while True:
+            try:
+                result = job[0](*job[1:])
+            except Exception as exc:
+                result = exc
+            results.write(pickle.dumps(result))
+            results.flush()
+            try:
+                size, sent = pickle.load(jobs)
+            except EOFError:
+                break
+            job = tuple(sent[i] if i in sent else job[i] for i in range(size))
         code = 0
     finally:
         os._exit(code)
 
 
-class ProcessPoolExecutor:
-    """``max_workers`` forked processes that each run ``fn(*args)`` once, from
-    their start, and send the result back on a one-way pipe of their own.
+class _Worker:
+    """A forked process that runs ``_serve``: its pid, the caller's ends of
+    its two pipes, and the job it holds, which it inherits at the fork."""
 
-    A stand-in or a subclass replaces the pool at this name; leaving a
-    ``with`` block calls ``self.shutdown()``, so a subclass's override runs.
+    def __init__(self, job: tuple):
+        self.held = job
+        taken, self.jobs = map(open, os.pipe(), ("rb", "wb"))
+        self.results, sent = map(open, os.pipe(), ("rb", "wb"))
+        with taken, sent:  # the caller's copies close on every path
+            try:
+                self.pid = os.fork()
+            except BaseException:
+                self.close()
+                raise
+            if not self.pid:
+                self.close()  # so that a send the caller no longer reads fails, not blocks
+                _serve(job, taken, sent)
+
+    def send(self, job: tuple) -> None:
+        """Pickle ``job``'s length and each entry that is not, as the same
+        object, the one the worker holds at its index."""
+        import pickle
+        sent = {i: new for i, new in enumerate(job)
+                if i >= len(self.held) or self.held[i] is not new}
+        self.jobs.write(pickle.dumps((len(job), sent)))
+        self.jobs.flush()
+        self.held = job
+
+    def close(self) -> None:
+        self.jobs.close()
+        self.results.close()
+
+
+class _Scope:
+    """The workers kept, idle, between the pooled checks of one command, and
+    the token pipe they share with the caller; each is made at first need."""
+
+    def __init__(self):
+        self.idle, self.pipe = [], None
+
+    def claims(self):
+        """The token pipe, holding least vertex 0."""
+        if self.pipe is None:
+            self.pipe = tuple(map(open, os.pipe(), ("rb", "wb"), (0, 0)))
+        else:
+            self.pipe[0].read(8)  # the last check's token
+        self.pipe[1].write(bytes(8))
+        return self.pipe
+
+    def close(self) -> None:
+        """Close every pipe, then reap every worker, so RUSAGE_CHILDREN holds
+        their CPU: only then, as a worker holds copies of the pipes made
+        before it.  The scope is left empty, to serve again."""
+        workers, self.idle = self.idle, []
+        for pipe in chain(self.pipe or (), *((w.jobs, w.results) for w in workers)):
+            pipe.close()
+        self.pipe = None
+        for worker in workers:
+            with suppress(ChildProcessError):  # reaped already by results()
+                os.waitpid(worker.pid, 0)
+
+
+_scopes: dict[int, _Scope] = {}  # the open scope of each thread
+
+
+@contextmanager
+def _kept_workers():
+    """Keep the workers of the block's pooled checks until it ends; a block
+    opened inside another joins it."""
+    if (key := get_ident()) in _scopes:
+        yield _scopes[key]
+        return
+    _scopes[key] = scope = _Scope()
+    try:
+        yield scope
+    finally:
+        del _scopes[key]
+        scope.close()
+
+
+class ProcessPoolExecutor:
+    """``max_workers`` forked processes that each run ``fn(*args)`` once and
+    send the result back on a one-way pipe of their own.
+
+    The pool takes the open scope's idle workers first, each sent the job
+    by ``_Worker.send``, and forks the rest, which inherit it; it hands them
+    back once it has read every result.  On any other exit, or with no scope
+    open, it closes the scope.  A stand-in or a subclass replaces the pool
+    at this name; leaving a ``with`` block calls ``self.shutdown()``, so a
+    subclass's override runs.
     """
 
     def __init__(self, max_workers: int, fn, args: tuple):
         import pickle  # noqa: F401  (here, not at set-up; the workers inherit it)
-        self._pids, self._readers = [], []
+        self._scope, self._workers, self._read = _scopes.get(get_ident()) or _Scope(), [], False
         try:
             for _ in range(max_workers):
-                reader, writer = map(open, os.pipe(), ("rb", "wb"))
-                self._readers.append(reader)
-                with writer:  # the caller's copy closes on every path
-                    if not (pid := os.fork()):
-                        _send(reader, writer, fn, args)
-                    self._pids.append(pid)
+                if self._scope.idle:
+                    self._workers.append(self._scope.idle.pop())
+                    self._workers[-1].send((fn, *args))
+                else:
+                    self._workers.append(_Worker((fn, *args)))
         except BaseException:
             self.shutdown()
             raise
@@ -564,25 +659,25 @@ class ProcessPoolExecutor:
     def results(self):
         """The workers' results in worker order; raises the exception a worker sent."""
         import pickle
-        for pid, reader in zip(self._pids, self._readers):
+        for worker in self._workers:
             try:
-                result = pickle.loads(reader.read())
+                result = pickle.load(worker.results)
             except (EOFError, pickle.UnpicklingError):  # the worker exited before it sent all
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
                 raise RuntimeError(f"a pool worker exited with code {code} "
                                    "before it sent its result") from None
             if isinstance(result, Exception):
                 raise result
             yield result
+        self._read = True
 
     def shutdown(self) -> None:
-        """Close every reader, then reap every worker, so RUSAGE_CHILDREN holds their CPU."""
-        for reader in self._readers:
-            reader.close()
-        # Only now: a worker forked later holds copies of the readers made before it.
-        for pid in self._pids:
-            with suppress(ChildProcessError):  # reaped already by results()
-                os.waitpid(pid, 0)
+        """Hand the workers back, or close the scope, so that no stale token
+        or result reaches a later check."""
+        self._scope.idle += self._workers
+        self._workers = []
+        if not self._read or self._scope is not _scopes.get(get_ident()):
+            self._scope.close()
 
     def __enter__(self):
         return self
@@ -610,11 +705,14 @@ def is_nec(
 
     n larger than m-h+1 makes every witness query unsatisfiable, so the
     verdict is False (with a note) rather than an error.  ``threads`` > 1
-    forks a pool of workers, so that with the calling process at most
+    runs a pool of workers, so that with the calling process at most
     ``threads`` and at most the CPUs but at least two processes scan.  Each
     takes the next least vertex of S from a token in one shared pipe and
     scans its S-sets; once one fails, no process takes another.  The workers
-    scan from their start and each sends its outcomes back down a pipe.
+    are those kept by the open scope, as :func:`max_ec`'s levels and the
+    random model's trials share them, forked at its first pooled check; a
+    check with no scope open opens one that ends with it.  Each worker
+    sends its outcomes back down a pipe of its own.
     n = 1 scans in the calling process, as each least vertex holds a single
     S-set, and so does a check where ``os.fork`` is missing.  The first
     pooled check imports ``pickle``, and its ``elapsed_ms`` includes that
@@ -652,10 +750,8 @@ def is_nec(
     if n == 1 or not workers or not hasattr(os, "fork"):
         failure, examined, log = scanner(hg, n, (), record_witnesses)
     else:
-        reader, writer = os.pipe()
-        with open(reader, "rb", 0) as reader, open(writer, "wb", 0) as writer:
-            writer.write(bytes(8))  # the token: least vertex 0 goes out first
-            job = ((reader, writer), scanner, hg, n, stop, record_witnesses)
+        with _kept_workers() as scope:
+            job = (scope.claims(), scanner, hg, n, stop, record_witnesses)
             with ProcessPoolExecutor(workers, _scan_claims, job) as pool:
                 outcomes = _scan_claims(*job)
                 for report in pool.results():
@@ -669,10 +765,11 @@ def max_ec(hg: Hypergraph, engine: str = "optimized", threads: int = 1) -> int:
     """Largest n for which the hypergraph is n-e.c., or 0.
 
     Ascending search is sound because the property at n implies it at every
-    smaller level.
+    smaller level.  The pooled levels share one scope's workers.
     """
     n = 0
-    while is_nec(hg, n + 1, engine=engine, threads=threads).holds:
-        n += 1
+    with _kept_workers():
+        while is_nec(hg, n + 1, engine=engine, threads=threads).holds:
+            n += 1
     return n
 

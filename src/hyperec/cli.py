@@ -115,8 +115,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_maxec(args) -> int:
     hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
-    best = checker.max_ec(hg, engine=args.engine, threads=args.threads)
-    failing = checker.is_nec(hg, best + 1, engine=args.engine, threads=args.threads)
+    with checker._kept_workers():  # level best + 1 reuses max_ec's workers
+        best = checker.max_ec(hg, engine=args.engine, threads=args.threads)
+        failing = checker.is_nec(hg, best + 1, engine=args.engine, threads=args.threads)
     _emit({
         "max_ec": best,
         "h": hg.h,
@@ -313,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True,
                    help="base seed; all randomness flows from it")
     p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="split each trial's check as check --threads N does; above 1, every "
-                        "trial starts its own process pool when n >= 2 (at n = 1 it scans in "
-                        "this process), so at small m 1 is faster (default 1)")
+                   help="split each trial's check as check --threads N does, on workers "
+                        "forked at the first trial and kept for the rest (at n = 1 every "
+                        "trial scans in this process) (default 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_random)
 

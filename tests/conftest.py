@@ -1,4 +1,5 @@
 import itertools
+import os
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,22 @@ def bounded_factoring(monkeypatch):
     monkeypatch.setattr(galois, "prime_power", bounded)
     if hasattr(designs, "prime_power"):
         monkeypatch.setattr(designs, "prime_power", bounded)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls of this process, listed as they happen; at the
+    end of the test it has no child left, running or unreaped."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -677,6 +677,74 @@ def test_workers_check_a_hypergraph_that_cannot_be_pickled(mols4_build, counted_
         serial.holds, serial.stats.candidates_examined, serial.witness_log)
 
 
+def report(result):
+    return (result.holds, result.counterexample, result.stats.candidates_examined,
+            result.witness_log)
+
+
+def test_max_ec_levels_share_one_fork(mols5_build, forks, counted_pool):
+    """Levels 2 and 3 of the MOLS q = 5 hypergraph, whose shadow is
+    incomplete, are pooled checks on one worker, forked at level 2; it
+    holds the hypergraph from then on, so level 3 never pickles it."""
+    built = mols5_build.hypergraph
+    hg = UnpicklableHypergraph(built.h, built.m, built.edges)
+    serial = max_ec(hg, threads=1)
+    assert forks == []
+    assert max_ec(hg, threads=2) == serial == 2
+    assert CountedPool.sizes == [1, 1]
+    assert len(forks) == 1
+
+
+def test_reused_worker_that_dies_fails_the_check(mols4_build, forks, monkeypatch):
+    """A kept worker that exits on its second job fails that check with its
+    exit code and is reaped; the next check of the scope forks afresh and
+    gives the serial report."""
+    caller = os.getpid()
+    scan = checker._scan_optimized
+    worker_scanned = multiprocessing.Event()
+
+    def scanner(hg, n, head, record):
+        if n == 3:
+            if os.getpid() != caller:
+                worker_scanned.set()
+                os._exit(3)
+            assert worker_scanned.wait(timeout=60)
+        return scan(hg, n, head, record)
+
+    hg = mols4_build.hypergraph
+    serial = [is_nec(hg, n, record_witnesses=True) for n in (2, 3)]
+    monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
+    with checker._kept_workers():
+        assert report(is_nec(hg, 2, threads=2, record_witnesses=True)) == report(serial[0])
+        with pytest.raises(RuntimeError, match="exited with code 3 before it sent its result"):
+            is_nec(hg, 3, threads=2)
+        assert len(forks) == 1
+        assert_no_children()
+        monkeypatch.setitem(checker._SCANNERS, "optimized", scan)
+        assert report(is_nec(hg, 3, threads=2, record_witnesses=True)) == report(serial[1])
+        assert len(forks) == 2
+
+
+def test_scope_serves_on_after_a_pool_left_unread(mols4_build, two_triple, forks):
+    """A pool of kept workers left before its results are read ends them and
+    the token pipe; the scope's next checks fork anew and give the serial
+    reports, and its end leaves the file descriptors that were open before."""
+    hg = mols4_build.hypergraph
+    serial = [is_nec(g, 2, record_witnesses=True) for g in (hg, two_triple)]
+    before = sorted(os.listdir("/dev/fd"))
+    with checker._kept_workers():
+        assert report(is_nec(hg, 2, threads=2, record_witnesses=True)) == report(serial[0])
+        with pytest.raises(ArithmeticError, match="the caller's own scan"):
+            with checker.ProcessPoolExecutor(1, bytes, (1 << 20,)):
+                raise ArithmeticError("the caller's own scan")
+        assert len(forks) == 1
+        assert_no_children()
+        for g, result in zip((hg, two_triple), serial):
+            assert report(is_nec(g, 2, threads=2, record_witnesses=True)) == report(result)
+        assert len(forks) == 2
+    assert sorted(os.listdir("/dev/fd")) == before
+
+
 @pytest.fixture
 def claims():
     """A token pipe as ``is_nec`` makes one, holding least vertex 0.  Its read

@@ -1,12 +1,14 @@
 import itertools
 import math
+import multiprocessing
+import os
 import sys
 from math import comb
 
 import mpmath
 import pytest
 
-from hyperec import hypergraph, randomhg
+from hyperec import checker, cli, hypergraph, randomhg
 from hyperec.checker import CheckerUsageError, is_nec
 from hyperec.hypergraph import new_hypergraph
 from hyperec.randomhg import (
@@ -217,6 +219,60 @@ def test_model_counts_the_points_of_its_h_sets(monkeypatch):
     with pytest.raises(RandomModelError, match=(r"^listing the 1 \* C\(6, 3\) = 20 3-subsets "
                                                 "of the vertices, 60 points, is above the limit")):
         RandomModel(3, 6, 0.5, 1)
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("m", [14, 22])
+def test_random_reports_do_not_depend_on_threads(capsys, seed, m):
+    """Across the closure threshold, the trials of one command share their
+    kept workers; the report is the serial one, byte for byte."""
+    reports = []
+    for threads in ("1", "2", "5000"):
+        assert cli.main(["random", "--h", "3", "--m", str(m), "--p", "0.5", "-n", "3",
+                         "--trials", "20", "--seed", str(seed), "--threads", threads]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0].err == ""
+    assert reports[1:] == reports[:1] * 2
+
+
+def test_trials_share_one_fork(forks):
+    model = RandomModel(3, 14, 0.5, 7)
+    serial = estimate_ec_fraction(model, 3, trials=6)
+    assert forks == []
+    assert estimate_ec_fraction(model, 3, trials=6, threads=2) == serial
+    assert len(forks) == 1
+
+
+def test_worker_error_on_a_later_trial_reaches_the_caller(monkeypatch, forks):
+    """The kept worker's scan of trial 2 raises: the estimate raises that
+    error, with no child left and the file descriptors that were open
+    before, and the next estimate forks afresh and gives the serial
+    verdicts.  The caller waits to scan trial 2 until the worker has taken
+    a vertex of it."""
+    model, caller = RandomModel(3, 14, 0.5, 7), os.getpid()
+    target, scan = sample_trial(model, 2), checker._scan_optimized
+    serial = estimate_ec_fraction(model, 3, trials=4)
+    worker_scanned = multiprocessing.Event()
+
+    def scanner(hg, n, head, record):
+        if hg == target:
+            if os.getpid() != caller:
+                worker_scanned.set()
+                raise ArithmeticError(f"worker scan of least vertex {head[0]}")
+            assert worker_scanned.wait(timeout=60)
+        return scan(hg, n, head, record)
+
+    before = sorted(os.listdir("/dev/fd"))
+    monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
+    with pytest.raises(ArithmeticError, match="worker scan of least vertex"):
+        estimate_ec_fraction(model, 3, trials=4, threads=2)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/dev/fd")) == before
+    monkeypatch.setitem(checker._SCANNERS, "optimized", scan)
+    assert estimate_ec_fraction(model, 3, trials=4, threads=2) == serial
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("args, message", [
