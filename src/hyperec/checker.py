@@ -38,12 +38,9 @@ free set lies outside the shadow, or the set is joined to no vertex of S.
 ``naive`` is the direct three-level loop kept as an independent oracle.
 
 A pooled check, ``threads`` > 1 at n >= 2 where ``os.fork`` exists, shares
-work and results with its workers through pipes; only it imports
-``pickle``, once per process.  The workers are kept for the pooled checks
-of one scope: :func:`max_ec`'s levels, the random model's trials or one
-check alone.  They are forked at the first check that needs them, are sent
-each later job pickled, less what they hold already, and are reaped as the
-scope ends, or as soon as a check fails to read every result.
+work and results through pipes with workers that a ``_kept_workers`` block,
+such as :func:`max_ec`'s levels, forks at its first pooled check and reaps
+at its end; only it imports ``pickle``, once per process.
 """
 
 from __future__ import annotations
@@ -51,10 +48,10 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from _thread import get_ident
+from _thread import _local
 from bisect import bisect_right
 from collections import defaultdict
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
@@ -525,25 +522,21 @@ def _scan_claims(claims, scanner, hg: Hypergraph, n: int, stop: int, record: boo
 
 
 def _serve(job: tuple, jobs, results) -> None:
-    """A forked pool worker: run ``job``, (fn, *args), then each job that
-    ``_Worker.send`` writes to ``jobs`` until the caller closes it, and pickle
-    each result, or the exception raised, down ``results``.  It leaves through
-    ``os._exit`` whatever happens, so it never returns into the caller's
-    frames nor flushes the stdio it inherited."""
+    """A forked pool worker: run ``job``, (fn, *args), then each one sent to
+    ``jobs`` until it closes, and pickle each result, or the exception raised,
+    down ``results``.  It leaves through ``os._exit``, so it never returns
+    into the caller's frames nor flushes the stdio it inherited."""
     code = 1  # unless ``jobs`` closes after every result is sent
     try:
         import pickle
-        while True:
+        while job:
             try:
                 result = job[0](*job[1:])
             except Exception as exc:
                 result = exc
             results.write(pickle.dumps(result))
             results.flush()
-            try:
-                size, sent = pickle.load(jobs)
-            except EOFError:
-                break
+            size, sent = pickle.load(jobs) if jobs.peek(1) else (0, {})  # () once it closes
             job = tuple(sent[i] if i in sent else job[i] for i in range(size))
         code = 0
     finally:
@@ -569,8 +562,7 @@ class _Worker:
                 _serve(job, taken, sent)
 
     def send(self, job: tuple) -> None:
-        """Pickle ``job``'s length and each entry that is not, as the same
-        object, the one the worker holds at its index."""
+        """Pickle ``job``, less each entry the worker holds as the same object."""
         import pickle
         sent = {i: new for i, new in enumerate(job)
                 if i >= len(self.held) or self.held[i] is not new}
@@ -583,12 +575,21 @@ class _Worker:
         self.results.close()
 
 
-class _Scope:
-    """The workers kept, idle, between the pooled checks of one command, and
-    the token pipe they share with the caller; each is made at first need."""
+class _Scope(_local):
+    """This thread's workers, kept idle between the pooled checks of one
+    ``with`` block, and the token pipe they share with the caller; each is
+    made at first need.  A block opened inside another joins it."""
 
     def __init__(self):
-        self.idle, self.pipe = [], None
+        self.idle, self.pipe, self.depth = [], None, 0
+
+    def __enter__(self):
+        self.depth += 1
+
+    def __exit__(self, *exc):
+        self.depth -= 1
+        if not self.depth:
+            self.close()
 
     def claims(self):
         """The token pipe, holding least vertex 0."""
@@ -612,43 +613,25 @@ class _Scope:
                 os.waitpid(worker.pid, 0)
 
 
-_scopes: dict[int, _Scope] = {}  # the open scope of each thread
-
-
-@contextmanager
-def _kept_workers():
-    """Keep the workers of the block's pooled checks until it ends; a block
-    opened inside another joins it."""
-    if (key := get_ident()) in _scopes:
-        yield _scopes[key]
-        return
-    _scopes[key] = scope = _Scope()
-    try:
-        yield scope
-    finally:
-        del _scopes[key]
-        scope.close()
+_kept_workers = _Scope()
 
 
 class ProcessPoolExecutor:
-    """``max_workers`` forked processes that each run ``fn(*args)`` once and
-    send the result back on a one-way pipe of their own.
+    """``max_workers`` processes that each run ``fn(*args)`` once and send
+    the result back on a one-way pipe of their own: the scope's idle workers,
+    each sent the job, then new ones forked with it.
 
-    The pool takes the open scope's idle workers first, each sent the job
-    by ``_Worker.send``, and forks the rest, which inherit it; it hands them
-    back once it has read every result.  On any other exit, or with no scope
-    open, it closes the scope.  A stand-in or a subclass replaces the pool
-    at this name; leaving a ``with`` block calls ``self.shutdown()``, so a
-    subclass's override runs.
+    A stand-in or a subclass replaces the pool at this name; leaving a
+    ``with`` block calls ``self.shutdown()``, so a subclass's override runs.
     """
 
     def __init__(self, max_workers: int, fn, args: tuple):
         import pickle  # noqa: F401  (here, not at set-up; the workers inherit it)
-        self._scope, self._workers, self._read = _scopes.get(get_ident()) or _Scope(), [], False
+        self._workers, self._read = [], False
         try:
             for _ in range(max_workers):
-                if self._scope.idle:
-                    self._workers.append(self._scope.idle.pop())
+                if _kept_workers.idle:
+                    self._workers.append(_kept_workers.idle.pop())
                     self._workers[-1].send((fn, *args))
                 else:
                     self._workers.append(_Worker((fn, *args)))
@@ -672,12 +655,12 @@ class ProcessPoolExecutor:
         self._read = True
 
     def shutdown(self) -> None:
-        """Hand the workers back, or close the scope, so that no stale token
-        or result reaches a later check."""
-        self._scope.idle += self._workers
+        """Hand the workers back to the open scope once every result is read;
+        otherwise close the scope, so that no stale token or result is left."""
+        _kept_workers.idle += self._workers
         self._workers = []
-        if not self._read or self._scope is not _scopes.get(get_ident()):
-            self._scope.close()
+        if not (self._read and _kept_workers.depth):
+            _kept_workers.close()
 
     def __enter__(self):
         return self
@@ -709,10 +692,8 @@ def is_nec(
     ``threads`` and at most the CPUs but at least two processes scan.  Each
     takes the next least vertex of S from a token in one shared pipe and
     scans its S-sets; once one fails, no process takes another.  The workers
-    are those kept by the open scope, as :func:`max_ec`'s levels and the
-    random model's trials share them, forked at its first pooled check; a
-    check with no scope open opens one that ends with it.  Each worker
-    sends its outcomes back down a pipe of its own.
+    are kept for the open ``_kept_workers`` block, or for this check alone,
+    and each sends its outcomes back down a pipe of its own.
     n = 1 scans in the calling process, as each least vertex holds a single
     S-set, and so does a check where ``os.fork`` is missing.  The first
     pooled check imports ``pickle``, and its ``elapsed_ms`` includes that
@@ -750,8 +731,8 @@ def is_nec(
     if n == 1 or not workers or not hasattr(os, "fork"):
         failure, examined, log = scanner(hg, n, (), record_witnesses)
     else:
-        with _kept_workers() as scope:
-            job = (scope.claims(), scanner, hg, n, stop, record_witnesses)
+        with _kept_workers:
+            job = (_kept_workers.claims(), scanner, hg, n, stop, record_witnesses)
             with ProcessPoolExecutor(workers, _scan_claims, job) as pool:
                 outcomes = _scan_claims(*job)
                 for report in pool.results():
@@ -768,7 +749,7 @@ def max_ec(hg: Hypergraph, engine: str = "optimized", threads: int = 1) -> int:
     smaller level.  The pooled levels share one scope's workers.
     """
     n = 0
-    with _kept_workers():
+    with _kept_workers:
         while is_nec(hg, n + 1, engine=engine, threads=threads).holds:
             n += 1
     return n

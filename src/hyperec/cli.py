@@ -115,7 +115,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_maxec(args) -> int:
     hg = _read(hypergraph.read_hypergraph, "hypergraph", args.input)
-    with checker._kept_workers():  # level best + 1 reuses max_ec's workers
+    with checker._kept_workers:  # level best + 1 reuses max_ec's workers
         best = checker.max_ec(hg, engine=args.engine, threads=args.threads)
         failing = checker.is_nec(hg, best + 1, engine=args.engine, threads=args.threads)
     _emit({

@@ -149,7 +149,7 @@ def estimate_ec_fraction(
     check_int(trials, "trials", RandomModelError, 1)
     hypergraph.check_listing(trials, f"recording the verdicts of {trials} trials", RandomModelError)
     _check_args(n, engine, threads)
-    with _kept_workers():
+    with _kept_workers:
         verdicts = tuple(
             is_nec(sample_trial(model, i), n, engine=engine, threads=threads).holds
             for i in range(trials)

@@ -714,7 +714,7 @@ def test_reused_worker_that_dies_fails_the_check(mols4_build, forks, monkeypatch
     hg = mols4_build.hypergraph
     serial = [is_nec(hg, n, record_witnesses=True) for n in (2, 3)]
     monkeypatch.setitem(checker._SCANNERS, "optimized", scanner)
-    with checker._kept_workers():
+    with checker._kept_workers:
         assert report(is_nec(hg, 2, threads=2, record_witnesses=True)) == report(serial[0])
         with pytest.raises(RuntimeError, match="exited with code 3 before it sent its result"):
             is_nec(hg, 3, threads=2)
@@ -732,7 +732,7 @@ def test_scope_serves_on_after_a_pool_left_unread(mols4_build, two_triple, forks
     hg = mols4_build.hypergraph
     serial = [is_nec(g, 2, record_witnesses=True) for g in (hg, two_triple)]
     before = sorted(os.listdir("/dev/fd"))
-    with checker._kept_workers():
+    with checker._kept_workers:
         assert report(is_nec(hg, 2, threads=2, record_witnesses=True)) == report(serial[0])
         with pytest.raises(ArithmeticError, match="the caller's own scan"):
             with checker.ProcessPoolExecutor(1, bytes, (1 << 20,)):
@@ -742,6 +742,19 @@ def test_scope_serves_on_after_a_pool_left_unread(mols4_build, two_triple, forks
         for g, result in zip((hg, two_triple), serial):
             assert report(is_nec(g, 2, threads=2, record_witnesses=True)) == report(result)
         assert len(forks) == 2
+    assert sorted(os.listdir("/dev/fd")) == before
+
+
+def test_scope_left_by_an_exception_reaps_its_workers(mols4_build, forks):
+    """A caller that raises inside a scope, between two checks, leaves no
+    child and none of the scope's pipes open."""
+    before = sorted(os.listdir("/dev/fd"))
+    with pytest.raises(ArithmeticError, match="between two checks"):
+        with checker._kept_workers:
+            assert is_nec(mols4_build.hypergraph, 2, threads=2).holds
+            raise ArithmeticError("the caller, between two checks")
+    assert len(forks) == 1
+    assert_no_children()
     assert sorted(os.listdir("/dev/fd")) == before
 
 

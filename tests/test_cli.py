@@ -401,6 +401,15 @@ def test_mols8_reports_match_across_threads(capsys, hl8_path, argv, line):
     assert reports[0] == reports[1]
 
 
+def test_maxec_rerun_of_the_failing_level_keeps_the_worker(capsys, hl8_path, forks):
+    """Levels 2 and 3 and the re-run of level 3 for the report are pooled
+    checks on one worker, forked at level 2."""
+    code, out, err = run(capsys, "maxec", hl8_path, "--threads", "2")
+    assert (code, err) == (0, "")
+    assert "max_ec: 2" in out.splitlines()
+    assert len(forks) == 1
+
+
 def test_over_size_limit_is_usage_error(capsys, hl8_path):
     code, out, err = run(capsys, "complement", hl8_path)
     assert (code, out) == (2, "")
