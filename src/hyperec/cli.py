@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base seed; all randomness flows from it")
     p.add_argument("--threads", type=int, default=1, metavar="N",
                    help="split each trial's check as check --threads N does, on workers "
-                        "forked at the first trial and kept for the rest (at n = 1 every "
-                        "trial scans in this process) (default 1)")
+                        "forked at the first trial and kept for the rest; at n = 1 every "
+                        "trial scans in this process (default 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_random)
 
