@@ -423,6 +423,16 @@ def test_pool_left_unread_ends_its_workers(capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_pool_read_outside_a_scope_reaps_its_workers():
+    """With no ``_kept_workers`` block open, a pool whose every result was
+    read still ends its workers and closes their pipes as it shuts down."""
+    before = sorted(os.listdir("/dev/fd"))
+    with checker.ProcessPoolExecutor(2, bytes, (8,)) as pool:
+        assert list(pool.results()) == [bytes(8)] * 2
+    assert sorted(os.listdir("/dev/fd")) == before
+    assert_no_children()
+
+
 def test_every_pool_path_closes_its_pipes(mols4_build, two_triple, monkeypatch):
     """A holding check, a failing one, a worker's exception and a pool whose
     second fork fails leave open the file descriptors that were open before,
