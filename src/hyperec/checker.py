@@ -30,11 +30,16 @@ two parts beyond the shadow's size.  Part 0 never cuts.  With T empty the
 witness may lie outside the shadow, so that part counts only when the
 shadow holds every (h-1)-set.  ``candidates_examined`` adds up each
 witness's lex rank among the free (h-1)-sets: over a complete shadow a
-popcount per T, in one loop over the parts that lists the witness sets only
-for a failing S or a recorded log; otherwise a table of binomials, the
-combinatorial number system.  There T empty walks the free shadow sets in
-lex order and stops at step i when the set's rank is not i, so the i-th
-free set lies outside the shadow, or the set is joined to no vertex of S.
+popcount, otherwise a table of binomials, the combinatorial number system.
+Over a complete shadow an uncut list's 2^(n-1) parts are packed, twice,
+into one int of guarded fields, so one AND with a per-vertex table gives
+the witness sets of all 2^n T of an S, one subtraction tests that none is
+empty, and one popcount sums their ranks.  An S that fails that test, an S
+under a cut list, a recorded log and tables past ``hypergraph.MAX_SETS``
+take the exact path, an AND and a popcount per T; the limit never refuses a
+check.  Over an incomplete shadow T empty walks the free shadow sets in lex
+order and stops at step i when the set's rank is not i, so the i-th free
+set lies outside the shadow, or the set is joined to no vertex of S.
 ``naive`` is the direct three-level loop kept as an independent oracle.
 
 A pooled check, ``threads`` > 1 at n >= 2 where ``os.fork`` exists, shares
@@ -176,7 +181,9 @@ class _ShadowIndex:
     shadow's points, (h-1) per set, counted after each column of edges as
     the shadow is listed, and a table's 64-bit words.  The m entries of a
     table need no count here: a :class:`Hypergraph` holds at most that many
-    vertices.
+    vertices.  ``packed`` keeps the scan's packed tables by k, each built at
+    first need; their words are counted by the same rule, but past it the
+    scan does without them instead of refusing.
     """
 
     def __init__(self, hg: Hypergraph):
@@ -215,6 +222,30 @@ class _ShadowIndex:
             self.joined[v] = join = int.from_bytes(join_bits[v], "little")
             self.unjoined[v] = free & ~join
         self.tails = [_RankRow(hg.h - 1 - i) for i in range(hg.h - 1)]
+        self.packed: dict[int, Optional[tuple]] = {}
+
+    def packed_tables(self, k: int) -> Optional[tuple]:
+        """(ones, unjo, free_rep) for lists of k parts, built at first need and kept by k.
+
+        A packed int holds 2k fields of |U| + 1 bits, each topped by a guard
+        bit: ``ones`` has bit 0 of each, ``unjo[v]`` holds ``unjoined[v]`` in the
+        first k and ``joined[v]`` in the last k, and ``free_rep[v]`` holds
+        ``free[v]`` in all 2k.  None when their 64-bit words are over the limit.
+        """
+        if k not in self.packed:
+            width, m = len(self.sets) + 1, len(self.free)
+            words = -(-4 * k * width * m // 64)
+            try:
+                hypergraph.check_listing(words, f"{2 * m} packed tables of {2 * k} fields of "
+                                         f"{width} bits, {words} 64-bit words,", CheckerUsageError)
+            except CheckerUsageError:
+                self.packed[k] = None
+            else:
+                low = ((1 << k * width) - 1) // ((1 << width) - 1)  # bit 0 of each of k fields
+                ones = low | low << k * width
+                self.packed[k] = (ones, [u * low | j * low << k * width for u, j in zip(
+                    self.unjoined, self.joined)], [f * ones for f in self.free])
+        return self.packed[k]
 
 
 def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
@@ -373,18 +404,28 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     the shadow's size plus two parts: mols8 at n = 30 builds no 2^29 of them.
 
     A witness found in the shadow counts its 1-based lex rank among the free
-    (h-1)-sets.  From a complete shadow that is a popcount per T, summed by
-    one loop over the parts ANDed with v's unjoined, then joined table, which
-    lists the witness sets only to name a failing T or for the log.  Otherwise
-    ``_rank_sum`` takes it from the ``_RankRow`` table, once per S for the
-    witnesses of T = 1, 2, ... up to the first empty part, and
+    (h-1)-sets.  From a complete shadow that is a popcount of the allowed
+    sets up to the witness.  Unrecorded, a prefix whose list is uncut, with
+    all k = 2^(n-1) parts, packs them into 2k fields of |U| + 1 bits, each
+    topped by a guard bit, the parts in the first k fields and again in the
+    last k; ``packed_tables`` gives v's unjoined table in the first k and its
+    joined table in the last k.  Their AND, w, holds the witness sets of all
+    T of S in T order.  w - ones sets no guard bit exactly when no field is
+    empty, as an empty field borrows through its own guard, so then S
+    passes, and one popcount of the allowed bits that w ^ (w - ones) keeps
+    sums the ranks.  The tables are built in each
+    process at the first S that needs them, and kept on the index by k; past
+    the limit there are none.  Every other S takes the exact path, an AND
+    per T and a popcount per witness up to the first empty part, which lists
+    the witness sets only for the log.  The 500 seed-7 random-threshold
+    samples at n = 3 (498 complete) scan in 0.43-0.49 s, and in 1.29-1.43 s
+    with every S on the exact path: serial CPU, 2 vCPUs, Python 3.11.  Otherwise
+    ``_rank_sum`` takes the rank from the ``_RankRow`` table, once per S for
+    the witnesses of T = 1, 2, ... up to the first empty part, and
     ``_first_unjoined`` ranks T = {}'s walk from the same table; a recorded
     log names that witness by ``_unrank``.  Per prefix the branch lists only
     ``_free_above``, at its first S that allows a shadow set, so an S that
-    allows none, as in an edgeless hypergraph, lists nothing m long.  The
-    table and the walk are exact for a complete shadow too, but the 500
-    seed-7 random-threshold samples at n = 3 (498 complete) scan about four
-    times faster by popcount: 0.9-1.6 s against 4.7-5.8 s, serial, 2 vCPUs.
+    allows none, as in an edgeless hypergraph, lists nothing m long.
     """
     index = _shadow_index(hg)
     sets, complete = index.sets, index.complete
@@ -392,27 +433,31 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     m = hg.m
     total = comb(m - n, hg.h - 1)  # free (h-1)-sets of every S
     tails = index.tails
+    k = 1 << (n - 1) if complete and not record else 0  # the parts of an uncut list
+    width = len(sets) + 1
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
     for prefix, parts, allowed_p in _prefixes(index, n, head, m):
         above = None  # listed at the first S that allows a shadow set, then moved on with v
+        packed = 0  # the parts, twice, once the list is uncut and the tables fit
+        if len(parts) == k and (tables := index.packed_tables(k)):
+            ones, unjo, free_rep = tables
+            guards, allowed_rep = ones << width - 1, allowed_p * ones
+            half = sum(p << t * width for t, p in enumerate(parts))
+            packed = half | half << k * width
         for v in range(prefix[-1] + 1 if prefix else 0, m):
+            if packed:
+                # Field t of w is the witness set of T = t.  S passes when no
+                # field is empty, so that w - ones borrows through no guard;
+                # then the allowed bits that w ^ (w - ones) keeps in a field,
+                # up to its lowest, are that witness's 1-based lex rank.
+                w = packed & unjo[v]
+                if not (below := w - ones) & guards:
+                    examined += (allowed_rep & free_rep[v] & (w ^ below)).bit_count()
+                    continue
+            s_tuple = prefix + (v,)
             allowed = allowed_p & free[v]
             un, jo = unjoined[v], joined[v]
-            if complete:
-                # The parts' witness sets in T order, up to the first empty
-                # one.  The allowed bits that w ^ (w - 1) keeps, up to w's
-                # lowest, are the witness's 1-based lex rank.
-                for mask in (un, jo):
-                    for p in parts:
-                        if not (w := p & mask):
-                            break
-                        examined += (allowed & (w ^ (w - 1))).bit_count()
-                    if not w:
-                        break
-                if w and not record:
-                    continue  # S passes, counted
-            s_tuple = prefix + (v,)
             # Not cut: ws[t] is the witness set of T = t.  Cut: the scan stops
             # at the list's empty last part, before the joined half, where
             # the list's missing parts would shift the indices.
@@ -430,7 +475,10 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
                     log[(s_tuple, ())] = _unrank(tails, total, m, s_tuple, rank)
             # T = first, first + 1, ... up to the first empty part, where S fails.
             end = (ws + [0]).index(0, first)
-            found = [sets[(w & -w).bit_length() - 1] for w in ws[first:end]]
+            if complete:
+                examined += sum((allowed & (w ^ (w - 1))).bit_count() for w in ws[:end])
+            if record or above:
+                found = [sets[(w & -w).bit_length() - 1] for w in ws[first:end]]
             if above:  # listed, so the shadow is incomplete
                 examined += _rank_sum(tails, total, above, found)
                 above[v] -= 1  # v is free in the next S, below its last vertex

@@ -28,8 +28,9 @@ def check_listing(count: int, what: str, error=HypergraphError) -> None:
     hypergraph's m vertices, which every per-vertex table, scan and listing
     of a value then stays within; the points of every listing of sets,
     through :func:`check_subsets`; the points of the checker's (h-1)-shadow
-    (mols7 1176 sets of 5, mols8 2016 of 6), counted as it is listed, and
-    the 64-bit words of each index table, and the C(m, n) 2^n pairs (S, T)
+    (mols7 1176 sets of 5, mols8 2016 of 6), counted as it is listed, the
+    64-bit words of each index table and of the scan's packed tables, which
+    the scan does without past the limit, and the C(m, n) 2^n pairs (S, T)
     of a witness log; the verdicts of the random model's trials; the
     (q-1) q^2 cells of a MOLS family and the q^2 entries of a GF(q) table;
     and the (t+1)(t+2)/2 entries lambda_i_j of a validate report, and their

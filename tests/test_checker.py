@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -20,7 +21,7 @@ from hyperec.checker import (
     min_vertices_bound,
 )
 from hyperec.hypergraph import complete_hypergraph, empty_hypergraph, new_hypergraph
-from hyperec.randomhg import RandomModel, sample
+from hyperec.randomhg import RandomModel, estimate_ec_fraction, sample
 
 
 # --- lower bounds
@@ -940,6 +941,115 @@ def test_complete_shadow_fails_in_the_joined_half(record):
     assert checker._scan_naive(hg, 2, (), record) == expected
 
 
+@st.composite
+def complete_shadows(draw):
+    """h = 2..4, m <= 10: h-sets drawn at random, then one edge through each
+    (h-1)-set that no edge holds yet, so the (h-1)-shadow is complete."""
+    h = draw(st.integers(2, 4))
+    m = draw(st.integers(h, 10))
+    p = draw(st.floats(0.0, 1.0))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = {e for e in itertools.combinations(range(m), h) if rng.random() < p}
+    for x in itertools.combinations(range(m), h - 1):
+        if not any(set(x) < set(e) for e in edges):
+            edges.add(tuple(sorted(x + (rng.choice([v for v in range(m) if v not in x]),))))
+    return new_hypergraph(h, m, edges)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(complete_shadows(), st.integers(1, 4))
+def test_packed_scan_matches_naive_on_complete_shadows(monkeypatch_pool, hg, n):
+    """Unrecorded, the S-sets under an uncut prefix take the packed pass test,
+    and those that fail it the exact per-T path; recorded, every S takes the
+    exact path.  Either way the verdict, counterexample, count and log are
+    the naive scan's, at one thread and two."""
+    assume(n <= hg.m)
+    assert checker._shadow_index(hg).complete
+    for record in (False, True):
+        slow = report(is_nec(hg, n, engine="naive", record_witnesses=record))
+        for threads in (1, 2):
+            assert report(is_nec(hg, n, threads=threads, record_witnesses=record)) == slow
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_packed_pass_then_failure_in_the_joined_half(threads):
+    """Every vertex lies in an edge, so the shadow is complete.  The prefix
+    (0,) is uncut, with parts {1, 5, 6} and {2, 3, 4}.  S = (0, 1) passes
+    the packed test, its witnesses 6, 2, 5 and 3 of ranks 5, 1, 4 and 2
+    among the free 2..6.  S = (0, 2) fails it and takes the exact path:
+    T = {} finds 1 and T = {0} finds 4, of ranks 1 and 3 among 1, 3..6, and
+    T = {2}, the first T of the joined half, finds none, as each neighbour
+    of 2 but 0 is one of 0, and tests all 5."""
+    hg = new_hypergraph(2, 7, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (2, 3), (5, 6)])
+    result = is_nec(hg, 2, threads=threads)
+    assert (result.counterexample, result.stats.candidates_examined) == (((0, 2), (2,)), 21)
+    assert report(result) == report(is_nec(hg, 2, engine="naive"))
+    if threads == 1:
+        assert checker._shadow_index(hg).packed[2] is not None
+
+
+def test_failure_under_a_cut_prefix_builds_no_packed_table(mols4_build):
+    """Each neighbour of 0 but 1 is one of 1, so over this complete shadow
+    the prefix (0, 1) has an empty part at T = {0} and is cut: S = (0, 1, 2),
+    the first S, takes the exact path, passes T = {} with X = (3,), rank 1,
+    and fails at T = {0} after the 2 free vertices.  mols4's shadow is
+    complete too, but at n = 8 its 2^7 parts exceed the 120 shadow sets plus
+    two, so every prefix is cut."""
+    hg = new_hypergraph(2, 5, [(0, 2), (1, 2), (3, 4)])
+    built = mols4_build.hypergraph
+    mols4 = new_hypergraph(built.h, built.m, built.edges)  # a value with no index yet
+    for hg, n, count in [(hg, 3, 3), (mols4, 8, 29)]:
+        assert checker._shadow_index(hg).complete
+        for record in (False, True):
+            result = is_nec(hg, n, record_witnesses=record)
+            assert result.counterexample == (tuple(range(n)), (0,))
+            assert result.stats.candidates_examined == count
+            assert report(result) == report(is_nec(hg, n, engine="naive", record_witnesses=record))
+        assert checker._shadow_index(hg).packed == {}
+
+
+def untimed(result):
+    return dataclasses.replace(result, stats=dataclasses.replace(result.stats, elapsed_ms=0.0))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_packed_tables_over_the_limit_fall_back_to_the_exact_path(mols4_build, monkeypatch,
+                                                                    threads):
+    """mols4's index needs 240 shadow points and tables of 30 words.  The
+    packed tables hold 4k fields of 121 bits per vertex, 16 vertices: 121
+    words at n = 1 and 242 at n = 2.  At a limit of 241 the n >= 2 checks
+    take the exact path for every S, with the same results and no error."""
+    built = mols4_build.hypergraph
+    want = [is_nec(new_hypergraph(built.h, built.m, built.edges), n) for n in (1, 2, 3)]
+    monkeypatch.setattr(hypergraph, "MAX_SETS", 241)
+    hg = new_hypergraph(built.h, built.m, built.edges)  # a value with no index yet
+    got = [is_nec(hg, n, threads=threads) for n in (1, 2, 3)]
+    assert list(map(untimed, got)) == list(map(untimed, want))
+    packed = checker._shadow_index(hg).packed
+    assert packed[1] is not None
+    if threads == 1:
+        assert packed[2] is None
+
+
+def test_kept_worker_is_sent_no_packed_table(monkeypatch):
+    """The tables are built by the scan that needs them, in each process, so
+    the hypergraph that a kept worker is sent for the next trial, pickled,
+    holds none, though the caller has built its own by then."""
+    sent, send = [], checker._Worker.send
+
+    def spied(worker, job):
+        sent.append([dict(vars(x)["_shadow_index"].packed) for x in job
+                     if isinstance(x, hypergraph.Hypergraph)])
+        send(worker, job)
+
+    monkeypatch.setattr(checker._Worker, "send", spied)
+    model = RandomModel(3, 14, 0.5, 7)
+    assert estimate_ec_fraction(model, 3, trials=6, threads=2) == estimate_ec_fraction(
+        model, 3, trials=6)
+    assert sent == [[{}]] * 5
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_isolated_vertices_share_the_index_tables(n):
     """Vertices in no edge share one free, joined and unjoined entry, and the
@@ -1157,6 +1267,8 @@ def test_large_n_matches_naive(mols8_build, n):
     assert fast.counterexample == (tuple(range(n)), (0,) if n == 30 else ())
     assert (fast.holds, fast.counterexample, fast.stats.candidates_examined) == (
         slow.holds, slow.counterexample, slow.stats.candidates_examined)
+    if n == 30:  # 2^29 parts exceed the shadow's 2016 plus two: every prefix is cut
+        assert checker._shadow_index(hg).packed == {}
 
 
 @pytest.fixture(scope="module")
