@@ -227,13 +227,14 @@ class _ShadowIndex:
     def packed_tables(self, k: int) -> Optional[tuple]:
         """(ones, unjo, free_rep) for lists of k parts, built at first need and kept by k.
 
-        A packed int holds 2k fields of |U| + 1 bits, each topped by a guard
-        bit: ``ones`` has bit 0 of each, ``unjo[v]`` holds ``unjoined[v]`` in the
-        first k and ``joined[v]`` in the last k, and ``free_rep[v]`` holds
-        ``free[v]`` in all 2k.  None when their 64-bit words are over the limit.
+        A packed int holds 2k fields of ``_field_bits``, whose bit |U| is a
+        guard above the shadow's bits: ``ones`` has bit 0 of each field,
+        ``unjo[v]`` holds ``unjoined[v]`` in the first k and ``joined[v]`` in
+        the last k, and ``free_rep[v]`` holds ``free[v]`` in all 2k.  None
+        when their 64-bit words are over the limit.
         """
         if k not in self.packed:
-            width, m = len(self.sets) + 1, len(self.free)
+            width, m = _field_bits(len(self.sets)), len(self.free)
             words = -(-4 * k * width * m // 64)
             try:
                 hypergraph.check_listing(words, f"{2 * m} packed tables of {2 * k} fields of "
@@ -241,11 +242,21 @@ class _ShadowIndex:
             except CheckerUsageError:
                 self.packed[k] = None
             else:
-                low = ((1 << k * width) - 1) // ((1 << width) - 1)  # bit 0 of each of k fields
-                ones = low | low << k * width
-                self.packed[k] = (ones, [u * low | j * low << k * width for u, j in zip(
-                    self.unjoined, self.joined)], [f * ones for f in self.free])
+                self.packed[k] = (_repeated(1, width, 2 * k), [
+                    _repeated(u, width, k) | _repeated(j, width, k) << k * width
+                    for u, j in zip(self.unjoined, self.joined)],
+                    [_repeated(f, width, 2 * k) for f in self.free])
         return self.packed[k]
+
+
+def _field_bits(size: int) -> int:
+    """Bits per packed field over a shadow of ``size`` sets: whole bytes, with a bit to spare."""
+    return 8 * (size // 8 + 1)
+
+
+def _repeated(x: int, width: int, times: int) -> int:
+    """``times`` copies of x side by side, in fields of ``width`` bits, a whole number of bytes."""
+    return int.from_bytes(x.to_bytes(width // 8, "little") * times, "little")
 
 
 def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
@@ -406,22 +417,24 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     A witness found in the shadow counts its 1-based lex rank among the free
     (h-1)-sets.  From a complete shadow that is a popcount of the allowed
     sets up to the witness.  Unrecorded, a prefix whose list is uncut, with
-    all k = 2^(n-1) parts, packs them into 2k fields of |U| + 1 bits, each
-    topped by a guard bit, the parts in the first k fields and again in the
+    all k = 2^(n-1) parts, packs them into 2k fields of whole bytes with
+    bit |U| of each a guard, the parts in the first k fields and again in the
     last k; ``packed_tables`` gives v's unjoined table in the first k and its
     joined table in the last k.  Their AND, w, holds the witness sets of all
     T of S in T order.  w - ones sets no guard bit exactly when no field is
     empty, as an empty field borrows through its own guard, so then S
     passes, and one popcount of the allowed bits that w ^ (w - ones) keeps
-    sums the ranks.  The tables are built in each
-    process at the first S that needs them, and kept on the index by k; past
-    the limit there are none.  Every other S takes the exact path, an AND
-    per T and a popcount per witness up to the first empty part, which lists
-    the witness sets only for the log.  The 500 seed-7 random-threshold
-    samples at n = 3 (498 complete) scan in 0.43-0.49 s, and in 1.29-1.43 s
-    with every S on the exact path: serial CPU, 2 vCPUs, Python 3.11.  Otherwise
-    ``_rank_sum`` takes the rank from the ``_RankRow`` table, once per S for
-    the witnesses of T = 1, 2, ... up to the first empty part, and
+    sums the ranks.  The tables are built in each process at the first S
+    that needs them, and kept on the index by k; past the limit there are
+    none.  Every other S takes the exact path, an AND per T and a popcount
+    per witness up to the first empty part, which lists the witness sets
+    only for the log.  Serial CPU, 2 vCPUs, Python 3.11: the 500 seed-7
+    random-threshold samples at n = 3 (498 complete, |U| <= 231) scan in
+    0.45-0.47 s, and in 1.35-1.40 s with every S on the exact path; but
+    inv7-h4 at n = 3 (|U| = 19600) takes 0.52-0.62 s, and 0.30-0.36 s on
+    the exact path, as the packed test makes more passes over wider ints.
+    Otherwise ``_rank_sum`` takes the rank from the ``_RankRow`` table, once
+    per S for the witnesses of T = 1, 2, ... up to the first empty part, and
     ``_first_unjoined`` ranks T = {}'s walk from the same table; a recorded
     log names that witness by ``_unrank``.  Per prefix the branch lists only
     ``_free_above``, at its first S that allows a shadow set, so an S that
@@ -434,7 +447,7 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     total = comb(m - n, hg.h - 1)  # free (h-1)-sets of every S
     tails = index.tails
     k = 1 << (n - 1) if complete and not record else 0  # the parts of an uncut list
-    width = len(sets) + 1
+    width = _field_bits(len(sets))
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
     for prefix, parts, allowed_p in _prefixes(index, n, head, m):
@@ -442,7 +455,7 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
         packed = 0  # the parts, twice, once the list is uncut and the tables fit
         if len(parts) == k and (tables := index.packed_tables(k)):
             ones, unjo, free_rep = tables
-            guards, allowed_rep = ones << width - 1, allowed_p * ones
+            guards, allowed_rep = ones << len(sets), _repeated(allowed_p, width, 2 * k)
             half = sum(p << t * width for t, p in enumerate(parts))
             packed = half | half << k * width
         for v in range(prefix[-1] + 1 if prefix else 0, m):

@@ -1017,9 +1017,10 @@ def untimed(result):
 def test_packed_tables_over_the_limit_fall_back_to_the_exact_path(mols4_build, monkeypatch,
                                                                     threads):
     """mols4's index needs 240 shadow points and tables of 30 words.  The
-    packed tables hold 4k fields of 121 bits per vertex, 16 vertices: 121
-    words at n = 1 and 242 at n = 2.  At a limit of 241 the n >= 2 checks
-    take the exact path for every S, with the same results and no error."""
+    packed tables hold 4k fields of 128 bits, 120 and a guard in whole
+    bytes, per vertex, 16 vertices: 128 words at n = 1 and 256 at n = 2.  At
+    a limit of 241 the n >= 2 checks take the exact path for every S, with
+    the same results and no error."""
     built = mols4_build.hypergraph
     want = [is_nec(new_hypergraph(built.h, built.m, built.edges), n) for n in (1, 2, 3)]
     monkeypatch.setattr(hypergraph, "MAX_SETS", 241)
