@@ -35,11 +35,13 @@ Over a complete shadow an uncut list's 2^(n-1) parts are packed, twice,
 into one int of guarded fields, so one AND with a per-vertex table gives
 the witness sets of all 2^n T of an S, one subtraction tests that none is
 empty, and one popcount sums their ranks.  An S that fails that test, an S
-under a cut list, a recorded log and tables past ``hypergraph.MAX_SETS``
-take the exact path, an AND and a popcount per T; the limit never refuses a
-check.  Over an incomplete shadow T empty walks the free shadow sets in lex
-order and stops at step i when the set's rank is not i, so the i-th free
-set lies outside the shadow, or the set is joined to no vertex of S.
+under a cut list, a recorded log, a shadow of more than ``_PACKED_MAX_SETS``
+sets, where the exact path is the faster, and tables past
+``hypergraph.MAX_SETS`` take the exact path, an AND and a popcount per T;
+the limit never refuses a check.  Over an incomplete shadow T empty walks
+the free shadow sets in lex order and stops at step i when the set's rank
+is not i, so the i-th free set lies outside the shadow, or the set is
+joined to no vertex of S.
 ``naive`` is the direct three-level loop kept as an independent oracle.
 
 A pooled check, ``threads`` > 1 at n >= 2 where ``os.fork`` exists, shares
@@ -164,6 +166,13 @@ def find_witness(
 # ---------------------------------------------------------------------------
 # Optimized engine: the (h-1)-shadow of the edges, per-vertex bitmaps over it.
 
+# The most shadow sets a packed check takes, about where it stops paying: the
+# packed scan's time over the exact path's, equal counts, Python 3.11 on 2
+# vCPUs, is 0.35-0.73 up to |U| = 1 770, 0.80-1.02 at 2 415-3 160, 0.69-1.24 at
+# 4 005-4 950 and 0.99-1.64 from 5 995 on, for random h = 3 complete shadows at
+# n = 2 to 4; 1.0 for inv5-h4 (2 600 sets) and 1.6 for inv7-h4 (19 600).
+_PACKED_MAX_SETS = 4096
+
 
 class _ShadowIndex:
     """Bitmaps over the shadow U, the (h-1)-sets that lie inside some edge.
@@ -182,8 +191,9 @@ class _ShadowIndex:
     the shadow is listed, and a table's 64-bit words.  The m entries of a
     table need no count here: a :class:`Hypergraph` holds at most that many
     vertices.  ``packed`` keeps the scan's packed tables by k, each built at
-    first need; their words are counted by the same rule, but past it the
-    scan does without them instead of refusing.
+    first need and only for a shadow of at most ``_PACKED_MAX_SETS`` sets;
+    their words are counted by the same rule, but past it the scan does
+    without them instead of refusing.
     """
 
     def __init__(self, hg: Hypergraph):
@@ -225,16 +235,19 @@ class _ShadowIndex:
         self.packed: dict[int, Optional[tuple]] = {}
 
     def packed_tables(self, k: int) -> Optional[tuple]:
-        """(ones, unjo, free_rep) for lists of k parts, built at first need and kept by k.
+        """(width, ones, guards, unjo, free_rep) for lists of k parts, built once per k.
 
-        A packed int holds 2k fields of ``_field_bits``, whose bit |U| is a
-        guard above the shadow's bits: ``ones`` has bit 0 of each field,
+        A packed int holds 2k fields of ``width`` bits, whole bytes with a
+        bit to spare, whose bit |U| is a guard above the shadow's bits:
+        ``ones`` has bit 0 of each field and ``guards`` the guard bit,
         ``unjo[v]`` holds ``unjoined[v]`` in the first k and ``joined[v]`` in
-        the last k, and ``free_rep[v]`` holds ``free[v]`` in all 2k.  None
-        when their 64-bit words are over the limit.
+        the last k, and ``free_rep[v]`` holds ``free[v]`` in all 2k.  None,
+        and nothing built, when U holds more than ``_PACKED_MAX_SETS`` sets,
+        where the exact path is the faster; None too when their 64-bit words
+        are over the limit.
         """
-        if k not in self.packed:
-            width, m = _field_bits(len(self.sets)), len(self.free)
+        if len(self.sets) <= _PACKED_MAX_SETS and k not in self.packed:
+            width, m = 8 * (len(self.sets) // 8 + 1), len(self.free)
             words = -(-4 * k * width * m // 64)
             try:
                 hypergraph.check_listing(words, f"{2 * m} packed tables of {2 * k} fields of "
@@ -242,16 +255,12 @@ class _ShadowIndex:
             except CheckerUsageError:
                 self.packed[k] = None
             else:
-                self.packed[k] = (_repeated(1, width, 2 * k), [
+                ones = _repeated(1, width, 2 * k)
+                self.packed[k] = (width, ones, ones << len(self.sets), [
                     _repeated(u, width, k) | _repeated(j, width, k) << k * width
                     for u, j in zip(self.unjoined, self.joined)],
                     [_repeated(f, width, 2 * k) for f in self.free])
-        return self.packed[k]
-
-
-def _field_bits(size: int) -> int:
-    """Bits per packed field over a shadow of ``size`` sets: whole bytes, with a bit to spare."""
-    return 8 * (size // 8 + 1)
+        return self.packed.get(k)
 
 
 def _repeated(x: int, width: int, times: int) -> int:
@@ -428,11 +437,10 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     that needs them, and kept on the index by k; past the limit there are
     none.  Every other S takes the exact path, an AND per T and a popcount
     per witness up to the first empty part, which lists the witness sets
-    only for the log.  Serial CPU, 2 vCPUs, Python 3.11: the 500 seed-7
-    random-threshold samples at n = 3 (498 complete, |U| <= 231) scan in
-    0.45-0.47 s, and in 1.35-1.40 s with every S on the exact path; but
-    inv7-h4 at n = 3 (|U| = 19600) takes 0.52-0.62 s, and 0.30-0.36 s on
-    the exact path, as the packed test makes more passes over wider ints.
+    only for the log.  So does every S of a shadow of more than
+    ``_PACKED_MAX_SETS`` sets: the packed test makes more passes than the
+    exact path, over ints 2^n fields wide, and past about that many sets
+    they cost more than the exact path's ANDs over one field per T.
     Otherwise ``_rank_sum`` takes the rank from the ``_RankRow`` table, once
     per S for the witnesses of T = 1, 2, ... up to the first empty part, and
     ``_first_unjoined`` ranks T = {}'s walk from the same table; a recorded
@@ -447,15 +455,14 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     total = comb(m - n, hg.h - 1)  # free (h-1)-sets of every S
     tails = index.tails
     k = 1 << (n - 1) if complete and not record else 0  # the parts of an uncut list
-    width = _field_bits(len(sets))
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
     for prefix, parts, allowed_p in _prefixes(index, n, head, m):
         above = None  # listed at the first S that allows a shadow set, then moved on with v
-        packed = 0  # the parts, twice, once the list is uncut and the tables fit
+        packed = 0  # the parts, twice, once the list is uncut and there are tables
         if len(parts) == k and (tables := index.packed_tables(k)):
-            ones, unjo, free_rep = tables
-            guards, allowed_rep = ones << len(sets), _repeated(allowed_p, width, 2 * k)
+            width, ones, guards, unjo, free_rep = tables
+            allowed_rep = _repeated(allowed_p, width, 2 * k)
             half = sum(p << t * width for t, p in enumerate(parts))
             packed = half | half << k * width
         for v in range(prefix[-1] + 1 if prefix else 0, m):

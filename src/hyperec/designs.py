@@ -356,7 +356,7 @@ def parse_design(lines: Iterable[str]) -> Design:
 
 
 def read_design(path: str) -> Design:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_design(fh)
 
 
@@ -378,7 +378,7 @@ def parse_mols(lines: Iterable[str]) -> MolsSet:
 
 
 def read_mols(path: str) -> MolsSet:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_mols(fh)
 
 

@@ -30,7 +30,8 @@ def check_listing(count: int, what: str, error=HypergraphError) -> None:
     through :func:`check_subsets`; the points of the checker's (h-1)-shadow
     (mols7 1176 sets of 5, mols8 2016 of 6), counted as it is listed, the
     64-bit words of each index table and of the scan's packed tables, which
-    the scan does without past the limit, and the C(m, n) 2^n pairs (S, T)
+    the scan does without past the limit, as it does over a shadow of more
+    sets than ``checker._PACKED_MAX_SETS``, and the C(m, n) 2^n pairs (S, T)
     of a witness log; the verdicts of the random model's trials; the
     (q-1) q^2 cells of a MOLS family and the q^2 entries of a GF(q) table;
     and the (t+1)(t+2)/2 entries lambda_i_j of a validate report, and their
@@ -265,7 +266,7 @@ def parse_hypergraph(lines: Iterable[str]) -> Hypergraph:
 
 
 def read_hypergraph(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_hypergraph(fh)
 
 

@@ -358,6 +358,19 @@ def test_input_that_is_not_utf8_exits_2(capsys, tmp_path, argv, kind):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("reader, text", [
+    (hypergraph.read_hypergraph, (SRC.parent / "tests" / "data" / "fig5.txt").read_text("utf-8")),
+    (designs.read_design, designs.format_design(designs.fano(), ["fano"])),
+    (designs.read_mols, designs.format_mols(designs.complete_mols(4))),
+], ids=["hypergraph", "design", "mols"])
+def test_byte_order_mark_is_read_past(tmp_path, reader, text):
+    """A file saved with a UTF-8 byte-order mark reads as the same file without it."""
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert reader(str(marked)) == reader(str(plain))
+
+
 def test_validate_t3_design(capsys, tmp_path):
     path = tmp_path / "inv3.txt"
     run(capsys, "construct", "inversive", "-q", "3", "-o", str(path))
