@@ -31,17 +31,19 @@ witness may lie outside the shadow, so that part counts only when the
 shadow holds every (h-1)-set.  ``candidates_examined`` adds up each
 witness's lex rank among the free (h-1)-sets: over a complete shadow a
 popcount, otherwise a table of binomials, the combinatorial number system.
-Over a complete shadow an uncut list's 2^(n-1) parts are packed, twice,
-into one int of guarded fields, so one AND with a per-vertex table gives
-the witness sets of all 2^n T of an S, one subtraction tests that none is
-empty, and one popcount sums their ranks.  An S that fails that test, an S
-under a cut list, a recorded log, a shadow of more than ``_PACKED_MAX_SETS``
-sets, where the exact path is the faster, and tables past
-``hypergraph.MAX_SETS`` take the exact path, an AND and a popcount per T;
-the limit never refuses a check.  Over an incomplete shadow T empty walks
-the free shadow sets in lex order and stops at step i when the set's rank
-is not i, so the i-th free set lies outside the shadow, or the set is
-joined to no vertex of S.
+Over a complete shadow, unrecorded, the walk over the prefixes carries
+the parts packed, twice, into one int of guarded fields, and cuts none: a
+step from depth d ANDs 2^(d+1) fields with one per-vertex table.  One more
+AND gives the witness sets of all 2^n T of an S, one subtraction tests
+that none is empty, and one popcount sums their ranks.  The S that fails
+that test unpacks its parts for the exact path, an AND and a popcount per
+T, which finds its failure.  A recorded log, a shadow of more than
+``_PACKED_MAX_SETS`` sets, where the exact path is the faster, one whose
+lists are all cut, and tables past ``hypergraph.MAX_SETS`` take the list
+walk and the exact path for every S; the limit never refuses a check.
+Over an incomplete shadow T empty walks the free shadow sets in lex order
+and stops at step i when the set's rank is not i, so the i-th free set
+lies outside the shadow, or the set is joined to no vertex of S.
 ``naive`` is the direct three-level loop kept as an independent oracle.
 
 A pooled check, ``threads`` > 1 at n >= 2 where ``os.fork`` exists, shares
@@ -170,7 +172,9 @@ def find_witness(
 # packed scan's time over the exact path's, equal counts, Python 3.11 on 2
 # vCPUs, is 0.35-0.73 up to |U| = 1 770, 0.80-1.02 at 2 415-3 160, 0.69-1.24 at
 # 4 005-4 950 and 0.99-1.64 from 5 995 on, for random h = 3 complete shadows at
-# n = 2 to 4; 1.0 for inv5-h4 (2 600 sets) and 1.6 for inv7-h4 (19 600).
+# n = 2 to 4; 1.0 for inv5-h4 (2 600 sets) and 1.6 for inv7-h4 (19 600).  These
+# ratios were measured when each prefix's parts were packed anew from a list,
+# before the prefix walk carried them packed; the crossover is not re-measured.
 _PACKED_MAX_SETS = 4096
 
 
@@ -190,7 +194,7 @@ class _ShadowIndex:
     shadow's points, (h-1) per set, counted after each column of edges as
     the shadow is listed, and a table's 64-bit words.  The m entries of a
     table need no count here: a :class:`Hypergraph` holds at most that many
-    vertices.  ``packed`` keeps the scan's packed tables by k, each built at
+    vertices.  ``packed`` keeps the scan's packed tables by n, each built at
     first need and only for a shadow of at most ``_PACKED_MAX_SETS`` sets;
     their words are counted by the same rule, but past it the scan does
     without them instead of refusing.
@@ -234,38 +238,37 @@ class _ShadowIndex:
         self.tails = [_RankRow(hg.h - 1 - i) for i in range(hg.h - 1)]
         self.packed: dict[int, Optional[tuple]] = {}
 
-    def packed_tables(self, k: int) -> Optional[tuple]:
-        """(width, ones, guards, unjo, free_rep) for lists of k parts, built once per k.
+    def packed_tables(self, n: int) -> Optional[tuple]:
+        """(width, ones, guards, ext, free_rep) for the packed walk to n-sets, built once per n.
 
-        A packed int holds 2k fields of ``width`` bits, whole bytes with a
-        bit to spare, whose bit |U| is a guard above the shadow's bits:
-        ``ones`` has bit 0 of each field and ``guards`` the guard bit,
-        ``unjo[v]`` holds ``unjoined[v]`` in the first k and ``joined[v]`` in
-        the last k, and ``free_rep[v]`` holds ``free[v]`` in all 2k.  None,
-        and nothing built, when U holds more than ``_PACKED_MAX_SETS`` sets,
-        where the exact path is the faster; None too when their 64-bit words
-        are over the limit.
+        A packed int holds fields of ``width`` bits, whole bytes with a bit
+        to spare, whose bit |U| is a guard above the shadow's bits: ``ones``
+        has bit 0 of each of 2^n fields and ``guards`` their guard bits.
+        ``ext[d][v]`` holds ``unjoined[v]`` in 2^d fields and then
+        ``joined[v]`` in 2^d, and ``free_rep[v]`` holds ``free[v]`` in all
+        2^n.  None, and nothing built, when U holds more than
+        ``_PACKED_MAX_SETS`` sets, where the exact path is the faster, or
+        fewer than 2^(n-1) - 1, where every list is cut; None too when their
+        64-bit words are over the limit.
         """
-        if len(self.sets) <= _PACKED_MAX_SETS and k not in self.packed:
-            width, m = 8 * (len(self.sets) // 8 + 1), len(self.free)
-            words = -(-4 * k * width * m // 64)
+        size = len(self.sets)
+        if size <= _PACKED_MAX_SETS and n not in self.packed and 1 << n - 1 <= size + 1:
+            width, m = 8 * (size // 8 + 1), len(self.free)
+            words = -(-((3 << n) - 2) * width * m // 64)
             try:
-                hypergraph.check_listing(words, f"{2 * m} packed tables of {2 * k} fields of "
-                                         f"{width} bits, {words} 64-bit words,", CheckerUsageError)
+                hypergraph.check_listing(words, f"{n + 1} packed tables of {m} vertices, "
+                                         f"{(3 << n) - 2} fields of {width} bits per vertex, "
+                                         f"{words} 64-bit words,", CheckerUsageError)
             except CheckerUsageError:
-                self.packed[k] = None
+                self.packed[n] = None
             else:
-                ones = _repeated(1, width, 2 * k)
-                self.packed[k] = (width, ones, ones << len(self.sets), [
-                    _repeated(u, width, k) | _repeated(j, width, k) << k * width
-                    for u, j in zip(self.unjoined, self.joined)],
-                    [_repeated(f, width, 2 * k) for f in self.free])
-        return self.packed.get(k)
-
-
-def _repeated(x: int, width: int, times: int) -> int:
-    """``times`` copies of x side by side, in fields of ``width`` bits, a whole number of bytes."""
-    return int.from_bytes(x.to_bytes(width // 8, "little") * times, "little")
+                u, j, f = ([x.to_bytes(width // 8, "little") for x in xs]
+                           for xs in (self.unjoined, self.joined, self.free))
+                ones = int.from_bytes((1).to_bytes(width // 8, "little") * (1 << n), "little")
+                self.packed[n] = (width, ones, ones << size, [
+                    [int.from_bytes(a * (1 << d) + b * (1 << d), "little") for a, b in zip(u, j)]
+                    for d in range(n)], [int.from_bytes(b * (1 << n), "little") for b in f])
+        return self.packed.get(n)
 
 
 def _shadow_index(hg: Hypergraph) -> _ShadowIndex:
@@ -339,17 +342,27 @@ def _extend(parts: list[int], unjoined: int, joined: int) -> list[int]:
     return parts[:(parts + [0]).index(0, 1) + 1]
 
 
-def _prefixes(index: _ShadowIndex, n: int, head: tuple[int, ...], m: int):
+def _prefixes(index: _ShadowIndex, n: int, head: tuple[int, ...], m: int, tables=None):
     """(P, parts, allowed) for the (n-1)-prefixes P of the S-sets that start with ``head``.
 
     In lex order; ``len(head) < n``.  ``allowed`` holds the shadow sets
     without a vertex of P, and ``parts[t]`` those of them joined to exactly
-    the vertices of P whose bits are set in t.  A depth-first walk over one
-    list, ``prefix``, with ``states[d]`` the two for its first d vertices,
-    so any n fits in memory linear in n: depth d takes the head's vertex d,
-    or else each vertex above P's last up to m - n + d, leaving room for S.
+    the vertices of P whose bits are set in t, cut as ``_extend`` says.
+    With ``tables``, ``index.packed_tables(n)``, the walk is packed and cuts
+    nothing: ``parts`` is one int whose field t and field 2^(n-1) + t both
+    hold part t, and ``allowed`` fills all 2^n fields.  At depth d the parts
+    fill 2^d fields twice, and the step to v ANDs them with ``ext[d][v]``,
+    then doubles them.  A depth-first walk over one list, ``prefix``, with
+    ``states[d]`` the two for its first d vertices, so any n the list walk
+    takes fits in memory linear in n: depth d takes the head's vertex d, or
+    else each vertex above P's last up to m - n + d, leaving room for S.
     """
-    prefix, states = [], [([index.full], index.full)]
+    if tables:
+        width, ones, guards, ext, free_rep = tables
+        states = [(index.full | index.full << width, guards - ones)]
+    else:
+        states = [([index.full], index.full)]
+    prefix = []
     v = head[0] if head else 0  # the next vertex to try at depth len(prefix)
     while True:
         if (d := len(prefix)) == n - 1:
@@ -357,8 +370,12 @@ def _prefixes(index: _ShadowIndex, n: int, head: tuple[int, ...], m: int):
         elif v <= m - n + d:
             parts, allowed = states[d]
             prefix.append(v)
-            states[d + 1:] = [(_extend(parts, index.unjoined[v], index.joined[v]),
-                               allowed & index.free[v])]  # and drops a spent deeper one
+            if tables:
+                parts &= ext[d][v]
+                state = parts | parts << (width << d + 1), allowed & free_rep[v]
+            else:
+                state = _extend(parts, index.unjoined[v], index.joined[v]), allowed & index.free[v]
+            states[d + 1:] = [state]  # and drops a spent deeper one
             v = head[d + 1] if d + 1 < len(head) else v + 1
             continue
         if d <= len(head):  # the vertex to pop is the head's, or there is none
@@ -425,17 +442,20 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
 
     A witness found in the shadow counts its 1-based lex rank among the free
     (h-1)-sets.  From a complete shadow that is a popcount of the allowed
-    sets up to the witness.  Unrecorded, a prefix whose list is uncut, with
-    all k = 2^(n-1) parts, packs them into 2k fields of whole bytes with
-    bit |U| of each a guard, the parts in the first k fields and again in the
-    last k; ``packed_tables`` gives v's unjoined table in the first k and its
-    joined table in the last k.  Their AND, w, holds the witness sets of all
-    T of S in T order.  w - ones sets no guard bit exactly when no field is
-    empty, as an empty field borrows through its own guard, so then S
-    passes, and one popcount of the allowed bits that w ^ (w - ones) keeps
-    sums the ranks.  The tables are built in each process at the first S
-    that needs them, and kept on the index by k; past the limit there are
-    none.  Every other S takes the exact path, an AND per T and a popcount
+    sets up to the witness.  Unrecorded, when ``packed_tables(n)`` gives
+    tables, ``_prefixes`` walks packed: the k = 2^(n-1) parts of P, uncut,
+    fill the first k fields of whole bytes, with bit |U| of each a guard,
+    and again the last k, and ``ext[n - 1]`` holds v's unjoined table in
+    the first k and its joined table in the last k.  Their AND, w, holds the
+    witness sets of all T of S in T order.  w - ones sets no guard bit
+    exactly when no field is empty, as an empty field borrows through its
+    own guard, so then S passes, and one popcount of the allowed bits that
+    w ^ (w - ones) keeps sums the ranks.  The tables are built in each
+    process at its first scan for n, and kept on the index by n; past the
+    limit there are none.  An S that fails the test unpacks P's parts, every
+    field in place, so the exact path finds the T and count that the list
+    walk's cut list gives, and the scan stops there.  Every S of any other
+    scan takes the list walk and the exact path, an AND per T and a popcount
     per witness up to the first empty part, which lists the witness sets
     only for the log.  So does every S of a shadow of more than
     ``_PACKED_MAX_SETS`` sets: the packed test makes more passes than the
@@ -454,27 +474,27 @@ def _scan_optimized(hg: Hypergraph, n: int, head: tuple[int, ...], record: bool)
     m = hg.m
     total = comb(m - n, hg.h - 1)  # free (h-1)-sets of every S
     tails = index.tails
-    k = 1 << (n - 1) if complete and not record else 0  # the parts of an uncut list
+    tables = index.packed_tables(n) if complete and not record else None
+    if tables:
+        width, ones, guards, ext, free_rep = tables
+        last = ext[n - 1]  # v's unjoined and joined sets, each in 2^(n-1) fields
     examined = 0
     log: dict[Pair, tuple[int, ...]] | None = {} if record else None
-    for prefix, parts, allowed_p in _prefixes(index, n, head, m):
+    for prefix, parts, allowed_p in _prefixes(index, n, head, m, tables):
         above = None  # listed at the first S that allows a shadow set, then moved on with v
-        packed = 0  # the parts, twice, once the list is uncut and there are tables
-        if len(parts) == k and (tables := index.packed_tables(k)):
-            width, ones, guards, unjo, free_rep = tables
-            allowed_rep = _repeated(allowed_p, width, 2 * k)
-            half = sum(p << t * width for t, p in enumerate(parts))
-            packed = half | half << k * width
         for v in range(prefix[-1] + 1 if prefix else 0, m):
-            if packed:
+            if tables:
                 # Field t of w is the witness set of T = t.  S passes when no
                 # field is empty, so that w - ones borrows through no guard;
                 # then the allowed bits that w ^ (w - ones) keeps in a field,
                 # up to its lowest, are that witness's 1-based lex rank.
-                w = packed & unjo[v]
+                w = parts & last[v]
                 if not (below := w - ones) & guards:
-                    examined += (allowed_rep & free_rep[v] & (w ^ below)).bit_count()
+                    examined += (allowed_p & free_rep[v] & (w ^ below)).bit_count()
                     continue
+                # S fails: its parts, unpacked, take the exact path, where
+                # free[v] keeps the allowed sets of the first field alone.
+                parts = [parts >> t * width & index.full for t in range(1 << n - 1)]
             s_tuple = prefix + (v,)
             allowed = allowed_p & free[v]
             un, jo = unjoined[v], joined[v]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hyperec import builders, checker, hypergraph
+from hyperec import builders, checker, designs, hypergraph
 from hyperec.checker import (
     CheckerUsageError,
     correctly_joined,
@@ -956,20 +956,32 @@ def complete_shadows(draw):
     return new_hypergraph(h, m, edges)
 
 
+MOLS4 = builders.build_from_mols(designs.complete_mols(4)).hypergraph  # 120 shadow sets
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(complete_shadows(), st.integers(1, 4))
-def test_packed_scan_matches_naive_on_complete_shadows(monkeypatch_pool, hg, n):
-    """Unrecorded, the S-sets under an uncut prefix take the packed pass test,
-    and those that fail it the exact per-T path; recorded, every S takes the
-    exact path.  Either way the verdict, counterexample, count and log are
-    the naive scan's, at one thread and two."""
+@given(st.one_of(complete_shadows(), st.just(MOLS4)), st.integers(1, 4), st.data())
+def test_packed_scan_matches_naive_on_complete_shadows(monkeypatch_pool, monkeypatch, hg, n, data):
+    """Drawn with the hypergraph, a cap on packed shadows of 0, |U| - 1, |U|
+    or the default.  Unrecorded, a shadow within the cap takes the packed
+    walk, and its S-sets that fail the packed test the exact per-T path;
+    recorded or past the cap, every S takes the list walk and the exact
+    path.  Either way the verdict, counterexample, count and log are the
+    naive scan's, at one thread and two, and tables are built only for an
+    unrecorded check within the cap whose lists are not all cut."""
     assume(n <= hg.m)
-    assert checker._shadow_index(hg).complete
+    hg = new_hypergraph(hg.h, hg.m, hg.edges)  # a value with no index yet
+    index = checker._shadow_index(hg)
+    assert index.complete
+    size = len(index.sets)
+    cap = data.draw(st.sampled_from([0, size - 1, size, checker._PACKED_MAX_SETS]), "cap")
+    monkeypatch.setattr(checker, "_PACKED_MAX_SETS", cap)
     for record in (False, True):
         slow = report(is_nec(hg, n, engine="naive", record_witnesses=record))
         for threads in (1, 2):
             assert report(is_nec(hg, n, threads=threads, record_witnesses=record)) == slow
+    assert list(index.packed) == ([n] if size <= cap and 1 << n - 1 <= size + 1 else [])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -989,13 +1001,15 @@ def test_packed_pass_then_failure_in_the_joined_half(threads):
         assert checker._shadow_index(hg).packed[2] is not None
 
 
-def test_failure_under_a_cut_prefix_builds_no_packed_table(mols4_build):
+def test_failure_under_a_cut_prefix_takes_the_exact_path(mols4_build):
     """Each neighbour of 0 but 1 is one of 1, so over this complete shadow
-    the prefix (0, 1) has an empty part at T = {0} and is cut: S = (0, 1, 2),
-    the first S, takes the exact path, passes T = {} with X = (3,), rank 1,
-    and fails at T = {0} after the 2 free vertices.  mols4's shadow is
-    complete too, but at n = 8 its 2^7 parts exceed the 120 shadow sets plus
-    two, so every prefix is cut."""
+    the prefix (0, 1) has an empty part at T = {0}: the list walk cuts it,
+    and the packed walk, which cuts nothing, has S = (0, 1, 2), the first S,
+    fail the packed test.  Either way that S takes the exact path, passes
+    T = {} with X = (3,), rank 1, and fails at T = {0} after the 2 free
+    vertices.  mols4's shadow is complete too, but at n = 8 its 2^7 parts
+    exceed the 120 shadow sets plus two, so every list is cut and no packed
+    table is built."""
     hg = new_hypergraph(2, 5, [(0, 2), (1, 2), (3, 4)])
     built = mols4_build.hypergraph
     mols4 = new_hypergraph(built.h, built.m, built.edges)  # a value with no index yet
@@ -1006,7 +1020,8 @@ def test_failure_under_a_cut_prefix_builds_no_packed_table(mols4_build):
             assert result.counterexample == (tuple(range(n)), (0,))
             assert result.stats.candidates_examined == count
             assert report(result) == report(is_nec(hg, n, engine="naive", record_witnesses=record))
-        assert checker._shadow_index(hg).packed == {}
+        packed = checker._shadow_index(hg).packed
+        assert list(packed) == ([] if hg is mols4 else [3]) and None not in packed.values()
 
 
 def untimed(result):
@@ -1017,10 +1032,10 @@ def untimed(result):
 def test_packed_tables_over_the_limit_fall_back_to_the_exact_path(mols4_build, monkeypatch,
                                                                     threads):
     """mols4's index needs 240 shadow points and tables of 30 words.  The
-    packed tables hold 4k fields of 128 bits, 120 and a guard in whole
-    bytes, per vertex, 16 vertices: 128 words at n = 1 and 256 at n = 2.  At
-    a limit of 241 the n >= 2 checks take the exact path for every S, with
-    the same results and no error."""
+    packed tables for n hold 3 * 2^n - 2 fields of 128 bits, 120 and a
+    guard in whole bytes, per vertex, 16 vertices: 128 words at n = 1 and
+    320 at n = 2.  At a limit of 241 the n >= 2 checks take the exact path
+    for every S, with the same results and no error."""
     built = mols4_build.hypergraph
     want = [is_nec(new_hypergraph(built.h, built.m, built.edges), n) for n in (1, 2, 3)]
     monkeypatch.setattr(hypergraph, "MAX_SETS", 241)
@@ -1031,28 +1046,6 @@ def test_packed_tables_over_the_limit_fall_back_to_the_exact_path(mols4_build, m
     assert packed[1] is not None
     if threads == 1:
         assert packed[2] is None
-
-
-@pytest.mark.parametrize("cap, packs", [(119, False), (120, True)])
-def test_shadows_past_the_cap_take_the_exact_path(mols4_build, monkeypatch_pool, monkeypatch,
-                                                   cap, packs):
-    """mols4's complete shadow holds 120 sets: under a cap of 119 its checks
-    build no packed table, and every S takes the exact path; under one of
-    120 they pack.  Either way each result, witness log included, is the
-    one at the real cap, at n = 1 to 3 and at one thread and two."""
-    built = mols4_build.hypergraph
-
-    def checks():
-        hg = new_hypergraph(built.h, built.m, built.edges)  # a value with no index yet
-        results = [is_nec(hg, n, threads=threads, record_witnesses=record)
-                   for n in (1, 2, 3) for threads in (1, 2) for record in (False, True)]
-        return hg, [(untimed(r), r.witness_log) for r in results]
-
-    want = checks()[1]
-    monkeypatch.setattr(checker, "_PACKED_MAX_SETS", cap)
-    hg, got = checks()
-    assert got == want
-    assert (checker._shadow_index(hg).packed != {}) == packs
 
 
 def test_wide_random_shadow_takes_the_exact_path(monkeypatch):
@@ -1104,18 +1097,21 @@ def test_isolated_vertices_share_the_index_tables(n):
 
 
 @pytest.mark.parametrize("engine", ["optimized", "naive"])
-@pytest.mark.parametrize("hypergraphs", [sparse_hypergraphs, dense_hypergraphs])
+@pytest.mark.parametrize("hypergraphs", [sparse_hypergraphs, dense_hypergraphs, complete_shadows])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(2, 5))
 def test_least_vertex_scans_merge_to_the_full_scan(hypergraphs, engine, data, n):
     """What a pool relies on, with no pool: the scans of heads (v,), merged
-    in vertex order, give the scan of head () its failure, count and log."""
+    in vertex order, give the scan of head () its failure, count and log.
+    Recorded, every scan takes the list walk; unrecorded, a complete
+    shadow's take the packed walk."""
     hg = data.draw(hypergraphs())
     assume(n <= hg.m)
     scanner = checker._SCANNERS[engine]
-    heads = ((v,) for v in range(hg.m - n + 1))
-    assert checker._merge((scanner(hg, n, head, True) for head in heads), True) == scanner(
-        hg, n, (), True)
+    for record in (True, False):
+        heads = ((v,) for v in range(hg.m - n + 1))
+        assert checker._merge((scanner(hg, n, head, record) for head in heads), record) == scanner(
+            hg, n, (), record)
 
 
 @pytest.mark.parametrize("hypergraphs", [sparse_hypergraphs, dense_hypergraphs])

@@ -291,6 +291,17 @@ def test_check_arguments_are_refused_before_the_first_sample(monkeypatch, args, 
         estimate_ec_fraction(RandomModel(3, 204, 0.5, 1), **{"n": 1, "trials": 2, **args})
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_n4_row_of_the_threshold_table(threads):
+    """At n = 4, h = 3, p = 1/2 the union bound first falls below 1 at
+    m = 24 (0.80; 6.0 at m = 22), and 9 of the 20 seed-7 samples are 4-e.c.
+    Each has a complete shadow of C(24, 2) = 276 sets, so every check walks
+    the packed tables to depth 3, serially and in a kept worker."""
+    outcome = estimate_ec_fraction(RandomModel(3, 24, 0.5, 7), 4, trials=20, threads=threads)
+    assert outcome.fraction == 0.45
+    assert "".join("1" if v else "0" for v in outcome.verdicts) == "10011001010001001101"
+
+
 def test_observed_failures_within_bound_slack():
     # the bound is far below 1/trials here, so no failures may appear
     model = RandomModel(3, 25, 0.5, 2024)

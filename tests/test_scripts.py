@@ -60,3 +60,27 @@ def test_random_ec_experiment_small_sweep(threads):
     rows = [line.split() for line in proc.stdout.splitlines()[-2:]]
     assert [row[0] for row in rows] == ["8", "10"]
     assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--sizes", "2", "-n", "2"),  # below h = 3
+    ("--sizes", "10,4", "-n", "4"),  # 4 is not above n
+    ("--sizes", "10,x"),
+    ("--trials", "0"),
+    ("--trials", "4194305"),  # one verdict more than the limit holds
+    ("--threads", "0"),
+    ("--p", "1.0"),
+    ("-n", "0"),
+], ids=["size-below-h", "size-not-above-n", "size-not-int", "no-trials", "trials-over-limit",
+        "no-threads", "p-of-1", "n-of-0"])
+def test_random_ec_experiment_refuses_bad_input_before_the_header(capsys, monkeypatch, argv):
+    """Each size, the trial count and the model's arguments are checked
+    before the first line: bad input exits 2 with a usage message and
+    prints nothing on stdout."""
+    experiment = load_script("random_ec_experiment.py")
+    monkeypatch.setattr(sys, "argv", ["random_ec_experiment.py", "--sizes", "8", *argv])
+    with pytest.raises(SystemExit) as exited:
+        experiment.main()
+    out, err = capsys.readouterr()
+    assert (exited.value.code, out) == (2, "")
+    assert "random_ec_experiment.py: error: " in err
