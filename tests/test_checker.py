@@ -963,13 +963,13 @@ MOLS4 = builders.build_from_mols(designs.complete_mols(4)).hypergraph  # 120 sha
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(complete_shadows(), st.just(MOLS4)), st.integers(1, 4), st.data())
 def test_packed_scan_matches_naive_on_complete_shadows(monkeypatch_pool, monkeypatch, hg, n, data):
-    """Drawn with the hypergraph, a cap on packed shadows of 0, |U| - 1, |U|
-    or the default.  Unrecorded, a shadow within the cap takes the packed
-    walk, and its S-sets that fail the packed test the exact per-T path;
-    recorded or past the cap, every S takes the list walk and the exact
-    path.  Either way the verdict, counterexample, count and log are the
-    naive scan's, at one thread and two, and tables are built only for an
-    unrecorded check within the cap whose lists are not all cut."""
+    """Drawn with the hypergraph, a cap on packed shadows.  Under a cap of 0
+    or |U| - 1 every S takes the list walk and the exact per-T path; under
+    |U| or the default an unrecorded check takes the packed walk, and the S
+    that fails the packed test the exact path, unless 2^(n-1) - 1 > |U|,
+    where every list is cut; recorded, every S takes the list walk.  Either
+    way the verdict, counterexample, count and log are the naive scan's, at
+    one thread and two, and only a packed walk builds tables."""
     assume(n <= hg.m)
     hg = new_hypergraph(hg.h, hg.m, hg.edges)  # a value with no index yet
     index = checker._shadow_index(hg)
