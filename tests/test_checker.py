@@ -1048,6 +1048,29 @@ def test_packed_tables_over_the_limit_fall_back_to_the_exact_path(mols4_build, m
         assert packed[2] is None
 
 
+@pytest.mark.parametrize("cap, packs", [(119, False), (120, True)])
+def test_shadows_past_the_cap_take_the_exact_path(mols4_build, monkeypatch_pool, monkeypatch,
+                                                   cap, packs):
+    """mols4's complete shadow holds 120 sets: under a cap of 119 its checks
+    build no packed table, and every S takes the list walk and the exact
+    path; under one of 120 its unrecorded checks take the packed walk.
+    Either way each result, witness log included, is the one at the real
+    cap, at n = 1 to 3 and at one thread and two."""
+    built = mols4_build.hypergraph
+
+    def checks():
+        hg = new_hypergraph(built.h, built.m, built.edges)  # a value with no index yet
+        results = [is_nec(hg, n, threads=threads, record_witnesses=record)
+                   for n in (1, 2, 3) for threads in (1, 2) for record in (False, True)]
+        return hg, [(untimed(r), r.witness_log) for r in results]
+
+    want = checks()[1]
+    monkeypatch.setattr(checker, "_PACKED_MAX_SETS", cap)
+    hg, got = checks()
+    assert got == want
+    assert (checker._shadow_index(hg).packed != {}) == packs
+
+
 def test_wide_random_shadow_takes_the_exact_path(monkeypatch):
     """A seed-7 sample of 100 vertices at h = 3 has a complete shadow of
     C(100, 2) = 4 950 sets, past the cap: its n = 2 check builds no packed
